@@ -48,6 +48,17 @@ def _fmt6(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _alpha(token: str) -> float:
+    """argparse type for a significance level: a number strictly inside (0, 1)."""
+    try:
+        value = float(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {token!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {token}")
+    return value
+
+
 def _add_dataset_flags(parser: argparse.ArgumentParser, classes_too: bool = True):
     parser.add_argument("--data", required=True, help="panel CSV (year,country,indicator,value)")
     if classes_too:
@@ -386,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p)
     p.add_argument("--prev-year", type=int, required=True)
     p.add_argument("--cur-year", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_alpha, default=0.05)
     p.add_argument("--node", default="GCI")
     p.add_argument("--rank-indicator")
     p.add_argument("--design", choices=["prev-expected", "cur-expected", "two-way"],

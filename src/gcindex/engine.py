@@ -8,9 +8,10 @@ weights.  Pure functions throughout: same inputs, bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateRangeError,
@@ -28,6 +29,9 @@ from .model import (
 
 #: (country, leaf-id) -> raw value for one year.
 LeafAssignment = Mapping[Tuple[str, str], float]
+
+#: leaf-id -> observed bounds, filled lazily within one evaluation pass.
+BoundsCache = Dict[str, Normalization]
 
 
 class MissingPolicy(Enum):
@@ -65,7 +69,13 @@ def observed_bounds(leaves: LeafAssignment, leaf_id: str) -> Normalization:
     return Normalization(min=lo, max=hi)
 
 
-def _leaf_score(tree: IndexTree, leaf_id: str, leaves: LeafAssignment, country: str) -> float:
+def _leaf_score(
+    tree: IndexTree,
+    leaf_id: str,
+    leaves: LeafAssignment,
+    country: str,
+    bounds: BoundsCache,
+) -> float:
     raw = leaves[(country, leaf_id)]
     spec = tree.node(leaf_id).normalize
     if spec is None:
@@ -75,8 +85,37 @@ def _leaf_score(tree: IndexTree, leaf_id: str, leaves: LeafAssignment, country: 
             )
         return float(raw)
     if spec == OBSERVED:
-        spec = observed_bounds(leaves, leaf_id)
+        # Computed the first time a country needs it, so a degenerate range
+        # raises while evaluating the first country that reaches the leaf.
+        spec = bounds.get(leaf_id)
+        if spec is None:
+            spec = bounds[leaf_id] = observed_bounds(leaves, leaf_id)
     return normalize_minmax(raw, spec)
+
+
+def _aggregate(parts: Sequence[Tuple[Fraction, float]], n_edges: int) -> float:
+    """Weighted sum of the present children's scores, rounded once.
+
+    When some of the node's `n_edges` children were dropped (RENORMALIZE),
+    the surviving weights are rescaled to sum to 1; a validated tree's full
+    edge list already does.  The result equals, bit for bit,
+    ``float(sum(w / total * Fraction(s) for w, s in parts))``: every term is
+    the exact ratio of integers (w.num * s.num) / (w.den * s.den), the terms
+    go over their lcm, and one int / int true division rounds correctly, as
+    Fraction.__float__ does.  Rounding once keeps a convex combination inside
+    [min(children), max(children)].
+    """
+    nums, dens = [], []
+    for w, s in parts:
+        n, d = s.as_integer_ratio()
+        nums.append(w.numerator * n)
+        dens.append(w.denominator * d)
+    den = math.lcm(*dens)
+    num = sum(n * (den // d) for n, d in zip(nums, dens))
+    if len(parts) < n_edges:
+        total = sum(w for w, _ in parts)
+        num, den = num * total.denominator, den * total.numerator
+    return num / den
 
 
 def evaluate_node(
@@ -92,9 +131,11 @@ def evaluate_node(
     Leaves yield their (normalized) value; aggregates the weighted sum of
     child scores under the class's weights.  Under RENORMALIZE, children
     without data are dropped and the surviving weights rescaled; a node with
-    no surviving children propagates as missing.
+    no surviving children propagates as missing.  `tree` must have passed
+    validate_tree (load_tree and default_wef_tree return such trees): a
+    node's full class weights are taken to sum to 1 and are not rescaled.
     """
-    score = _evaluate(tree, node_id, cls, leaves, country, policy, {})
+    score = _evaluate(tree, node_id, cls, leaves, country, policy, {}, {})
     if score is None:
         missing = sorted(
             (country, leaf)
@@ -113,6 +154,7 @@ def _evaluate(
     country: str,
     policy: MissingPolicy,
     memo: Dict[str, Optional[float]],
+    bounds: BoundsCache,
 ) -> Optional[float]:
     """Recursive scorer; returns None for unevaluable nodes under RENORMALIZE."""
     if node_id in memo:
@@ -124,23 +166,18 @@ def _evaluate(
                 raise MissingLeafError([(country, node_id)])
             memo[node_id] = None
             return None
-        value = _leaf_score(tree, node_id, leaves, country)
+        value = _leaf_score(tree, node_id, leaves, country, bounds)
     else:
+        edges = node.children(cls)
         parts = []
-        for child, weight in node.children(cls):
-            child_score = _evaluate(tree, child, cls, leaves, country, policy, memo)
+        for child, weight in edges:
+            child_score = _evaluate(tree, child, cls, leaves, country, policy, memo, bounds)
             if child_score is not None:
                 parts.append((weight, child_score))
         if not parts:
             memo[node_id] = None
             return None
-        total = sum(w for w, _ in parts)
-        if total != 1:
-            # RENORMALIZE: rescale surviving weights; stays exact rational.
-            parts = [(w / total, s) for w, s in parts]
-        # Fraction(s) is exact for any float; one rounding at the end keeps
-        # convex combinations inside [min(children), max(children)] exactly.
-        value = float(sum(w * Fraction(s) for w, s in parts))
+        value = _aggregate(parts, len(edges))
     memo[node_id] = value
     return value
 
@@ -156,34 +193,43 @@ def compute_all(
     Countries are those with at least one observation in the year; each is
     evaluated over the node set reachable for its innovator class.  STRICT
     raises one MissingLeafError listing all absent (country, leaf) pairs.
+    Cost is O(countries x nodes): observed bounds are computed once per leaf
+    and each class's node set is walked once per call.  `tree` must have
+    passed validate_tree, as for evaluate_node.
     """
     countries = panel.countries(year)
     if not countries:
         raise MissingLeafError([], f"year {year} not found in panel")
-    all_leaves = set(tree.leaves())
-    leaves: LeafAssignment = panel.slice_year(year, all_leaves)
+    leaves: LeafAssignment = panel.slice_year(year, tree.leaves())
+    classes = {country: panel.innovator_class(country) for country in countries}
+    # One plan per class present: its reachable nodes (children first) and leaves.
+    order = {cls: tree.reachable(cls) for cls in dict.fromkeys(classes.values())}
+    class_leaves = {
+        cls: tuple(n for n in nodes if tree.node(n).is_leaf) for cls, nodes in order.items()
+    }
 
     if policy is MissingPolicy.STRICT:
         absent = [
             (country, leaf)
             for country in countries
-            for leaf in tree.leaves(panel.innovator_class(country))
+            for leaf in class_leaves[classes[country]]
             if (country, leaf) not in leaves
         ]
         if absent:
             raise MissingLeafError(sorted(absent))
 
+    bounds: BoundsCache = {}
     entries: Dict[Tuple[str, str], float] = {}
     for country in countries:
-        cls = panel.innovator_class(country)
+        cls = classes[country]
         memo: Dict[str, Optional[float]] = {}
-        root_score = _evaluate(tree, tree.root, cls, leaves, country, policy, memo)
+        root_score = _evaluate(tree, tree.root, cls, leaves, country, policy, memo, bounds)
         if root_score is None:
             raise MissingLeafError(
-                [(country, leaf) for leaf in tree.leaves(cls)],
+                [(country, leaf) for leaf in class_leaves[cls]],
                 f"country {country!r} has no usable data for {year}",
             )
-        for node_id in tree.reachable(cls):
+        for node_id in order[cls]:
             score = memo.get(node_id)
             if score is not None:
                 entries[(country, node_id)] = score

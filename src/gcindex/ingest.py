@@ -9,6 +9,7 @@ stable ordering, 6-decimal numbers, '.' decimal separator, '\n' newlines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -83,9 +84,12 @@ def _parse_int(path, lineno: int, column: int, token: str) -> int:
 
 def _parse_float(path, lineno: int, column: int, token: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(path, lineno, f"column {column}: invalid number {token!r}") from None
+    if not math.isfinite(value):
+        raise ParseError(path, lineno, f"column {column}: non-finite number {token!r}")
+    return value
 
 
 def load_classes(path: Union[str, Path]) -> Dict[str, InnovatorClass]:

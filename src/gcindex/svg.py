@@ -12,6 +12,15 @@ from typing import Mapping, Sequence, Tuple
 _FONT = 'font-family="sans-serif" font-size="11"'
 
 
+def _escape(text: str) -> str:
+    """Character data for a <text> element: '&', '<' and '>' as entities.
+
+    Same as xml.sax.saxutils.escape, whose import pulls in urllib.request and
+    some 45 other modules at start-up.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
@@ -23,7 +32,7 @@ def _header(width: int, height: int, title: str) -> list:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
     ]
 
 
@@ -74,7 +83,7 @@ def bar_chart(
         cx = x + bar_w / 2
         out.append(
             f'<text x="{_fmt(cx)}" y="{height - bottom + 12}" text-anchor="end" {_FONT} '
-            f'transform="rotate(-45 {_fmt(cx)} {height - bottom + 12})">{label}</text>'
+            f'transform="rotate(-45 {_fmt(cx)} {height - bottom + 12})">{_escape(label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -132,7 +141,7 @@ def line_chart(
         )
         out.append(
             f'<text x="{left + plot_w + 8}" y="{top + 14 + 16 * i}" {_FONT} '
-            f'fill="{color}">{name}</text>'
+            f'fill="{color}">{_escape(name)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

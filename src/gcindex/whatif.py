@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
+from .engine import _aggregate
 from .errors import (
     MissingNodeError,
     NotAnAncestorPathError,
@@ -107,8 +108,7 @@ def _updated_scores(
         if not any(child in updates for child, _ in edges):
             continue
         parts = [(w, value(child)) for child, w in edges if value(child) is not None]
-        total = sum(w for w, _ in parts)
-        updates[node_id] = float(sum((w / total) * Fraction(s) for w, s in parts))
+        updates[node_id] = _aggregate(parts, len(edges))
     return updates
 
 
@@ -121,7 +121,8 @@ def apply_scenario(
     """Evaluate one override: new root score and rank for the country.
 
     Only the override node's ancestors are re-derived; every other country's
-    scores stay frozen.
+    scores stay frozen.  `tree` must have passed validate_tree, as for
+    engine.evaluate_node.
     """
     country = scenario.country
     if country not in scores.countries():

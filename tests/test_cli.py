@@ -69,6 +69,28 @@ class TestCompute:
         assert code == 0
         assert "2006,P,GCI," in out
 
+    def test_non_finite_value_exits_one(self, capsys, tmp_path):
+        from gcindex.model import default_wef_tree
+
+        data = tmp_path / "nan.csv"
+        rows = ["year,country,indicator,value"]
+        tree = default_wef_tree()
+        for i, country in enumerate(("C0001", "C0002", "C0003")):
+            for leaf in tree.leaves():
+                hard = tree.node(leaf).normalize is not None
+                value = "nan" if (country, leaf) == ("C0002", "internet_users") else (
+                    10.0 * i if hard else 3.0 + i)
+                rows.append(f"2006,{country},{leaf},{value}")
+        data.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            capsys, "compute", "--data", str(data), "--year", "2006", "--tree", "wef-default",
+        )
+        assert code == 1
+        assert out == ""
+        line = 2 + len(tree.leaves()) + list(tree.leaves()).index("internet_users")
+        assert err.startswith(f"error: {data}:{line}: ")
+        assert "non-finite" in err
+
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "scores.csv"
         code, out, _ = run_cli(
@@ -211,6 +233,18 @@ class TestChisq:
         assert code == 0
         assert "statistic 5.333333" in out
 
+    @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.5", "nan", "abc"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, capsys, alpha):
+        with pytest.raises(SystemExit) as exc:
+            main(["chisq", *DATA, "--prev-year", "2005", "--cur-year", "2006",
+                  "--rank-indicator", "GCI_RANK", "--alpha", alpha])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("gcindex chisq: error: argument --alpha")
+        assert "Traceback" not in err
+
     def test_missing_year_exits_one(self, capsys):
         code, _, err = run_cli(
             capsys, "chisq", *DATA, "--prev-year", "1999", "--cur-year", "2006",
@@ -283,6 +317,33 @@ class TestReport:
         text = out_path.read_text()
         assert text.startswith("<?xml")
         assert ET.fromstring(text).tag.endswith("svg")
+
+    @pytest.mark.parametrize("kind", ["bars", "scores", "trend"])
+    def test_svg_escapes_markup_in_names(self, capsys, tmp_path, kind):
+        from xml.dom import minidom
+
+        data = tmp_path / "amp.csv"
+        rows = ["year,country,indicator,value"]
+        for year, step in ((2006, 0.0), (2007, 0.1)):
+            for country, g in (("A&B", 4.4), ("<C>", 3.8), ("D", 3.5)):
+                for leaf in ("IS", "TTS", "ICTS", "PII", "MEI"):
+                    rows.append(f"{year},{country},{leaf},{g + step}")
+        data.write_text("\n".join(rows) + "\n")
+        out_path = tmp_path / f"{kind}.svg"
+        code, _, _ = run_cli(
+            capsys, "report", "--data", str(data), "--tree", TREE, "--kind", kind,
+            "--year", "2006", "--country", "A&B", "--format", "svg", "--out", str(out_path),
+        )
+        assert code == 0
+        text = out_path.read_text()
+        labels = [n.firstChild.data for n in minidom.parseString(text).getElementsByTagName("text")]
+        if kind == "trend":
+            # The user-supplied country goes into the chart title.
+            assert labels[0] == "A&B: TI, GCI"
+            assert ">A&amp;B: TI, GCI</text>" in text
+        else:
+            assert "A&B" in labels and "<C>" in labels
+            assert ">A&amp;B</text>" in text and ">&lt;C&gt;</text>" in text
 
     def test_bars_csv(self, capsys, tmp_path):
         out_path = tmp_path / "bars.csv"

@@ -1,11 +1,15 @@
 import math
+from collections import Counter
+from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gcindex import engine
 from gcindex.engine import (
     MissingPolicy,
+    _aggregate,
     compute_all,
     evaluate_node,
     normalize_minmax,
@@ -16,6 +20,8 @@ from gcindex.errors import (
     OutOfScaleError,
 )
 from gcindex.model import (
+    OBSERVED,
+    IndexTree,
     InnovatorClass,
     Normalization,
     Observation,
@@ -205,3 +211,78 @@ class TestTreeProperties:
             for node_id in tree.reachable(NONCORE):
                 after = evaluate_node(tree, node_id, NONCORE, bumped, "X")
                 assert after >= scores[node_id] - 1e-15
+
+
+def _wef_panel(tree, n_countries, seed, drop=()):
+    """One complete 2006 year for n countries, a fifth of them core; leaves in
+    `drop` are absent for everyone."""
+    rng = Random(seed)
+    rows, classes = [], {}
+    for i in range(n_countries):
+        country = f"C{i:04d}"
+        classes[country] = CORE if i % 5 == 0 else NONCORE
+        for leaf in tree.leaves():
+            if leaf in drop:
+                continue
+            hard = tree.node(leaf).normalize is not None
+            value = rng.uniform(0.0, 500.0) if hard else rng.uniform(1.0, 7.0)
+            rows.append((2006, country, leaf, value))
+    return _panel(rows, classes)
+
+
+class TestLinearCost:
+    @pytest.mark.parametrize("n_countries", [10, 200])
+    @pytest.mark.parametrize("policy,drop", [
+        (MissingPolicy.STRICT, ()),
+        (MissingPolicy.RENORMALIZE, ("internet_hosts",)),
+    ])
+    def test_bounds_once_per_leaf_and_one_walk_per_class(
+        self, wef_tree, monkeypatch, n_countries, policy, drop
+    ):
+        panel = _wef_panel(wef_tree, n_countries, seed=n_countries, drop=drop)
+        observed = {leaf for leaf in wef_tree.leaves() if wef_tree.node(leaf).normalize == OBSERVED}
+        bounds_calls = Counter()
+        walks = Counter()
+        real_bounds = engine.observed_bounds
+        real_reachable = IndexTree.reachable
+
+        def counting_bounds(leaves, leaf_id):
+            bounds_calls[leaf_id] += 1
+            return real_bounds(leaves, leaf_id)
+
+        def counting_reachable(self, cls=None):
+            walks[cls] += 1
+            return real_reachable(self, cls)
+
+        monkeypatch.setattr(engine, "observed_bounds", counting_bounds)
+        monkeypatch.setattr(IndexTree, "reachable", counting_reachable)
+        table = compute_all(wef_tree, panel, 2006, policy)
+        assert bounds_calls == Counter({leaf: 1 for leaf in observed - set(drop)})
+        assert all(count == 1 for count in walks.values())
+        assert len(table.countries()) == n_countries
+
+
+class TestExactSum:
+    def test_matches_fraction_sum_bit_for_bit(self):
+        rng = Random(31337)
+        checked = 0
+        for _ in range(500):
+            tree = make_random_tree(rng, max_depth=3, max_children=6)
+            for node_id in tree.reachable(NONCORE):
+                edges = tree.node(node_id).children(NONCORE)
+                if not edges:
+                    continue
+                scores = [rng.uniform(1.0, 7.0) for _ in edges]
+                if rng.random() < 0.3:
+                    scores = [rng.choice((1.0, 7.0, 1.0 + 2.0 ** -52, 7.0 - 2.0 ** -50, 4.0))
+                              for _ in edges]
+                full = list(zip((w for _, w in edges), scores))
+                assert _aggregate(full, len(edges)) == float(sum(w * Fraction(s) for w, s in full))
+                # renormalized: drop a random proper subset of the children
+                kept = [part for part in full if rng.random() < 0.6] or full[:1]
+                if len(kept) < len(full):
+                    total = sum(w for w, _ in kept)
+                    expected = float(sum((w / total) * Fraction(s) for w, s in kept))
+                    assert _aggregate(kept, len(edges)) == expected
+                checked += 1
+        assert checked > 500

@@ -64,6 +64,13 @@ class TestLoadPanel:
         with pytest.raises(ParseError, match=r"bad\.csv:2.*column 4"):
             load_panel(path)
 
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_number_is_rejected(self, tmp_path, token):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"year,country,indicator,value\n2005,A,TI,3.5\n2005,B,TI,{token}\n")
+        with pytest.raises(ParseError, match=r"nonfinite\.csv:3.*column 4.*non-finite"):
+            load_panel(path)
+
     def test_wrong_field_count_is_located(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("year,country,indicator,value\n2005,A,TI\n")
