@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -38,7 +39,7 @@ class Observation:
     """One (year, country, indicator, value) data point.
 
     Hard indicators carry raw units; survey indicators are already on the
-    1-7 scale.
+    1-7 scale.  The value must be finite.
     """
 
     year: int
@@ -53,6 +54,8 @@ class Observation:
             token = getattr(self, name)
             if not token or any(ch.isspace() for ch in token):
                 raise ValueError(f"{name} must be non-empty without whitespace: {token!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"value {self.value} is not finite")
 
     @property
     def key(self) -> Tuple[int, str, str]:
@@ -352,17 +355,29 @@ def default_wef_tree() -> IndexTree:
     return validate_tree(IndexTree(nodes=nodes, root="GCI"))
 
 
+def _check_scores(scores: Iterable[Tuple[Tuple[str, str], float]]) -> None:
+    for (country, node), score in scores:
+        if not 1.0 <= score <= 7.0:
+            raise ValueError(f"score {score} for ({country}, {node}) outside [1, 7]")
+
+
 @dataclass(frozen=True)
 class ScoreTable:
-    """Per-country, per-node scores on the 1-7 scale for one year."""
+    """Per-country, per-node scores on the 1-7 scale for one year.
+
+    The sorted country tuple is built from the entries on first use and kept
+    with the table (it takes no part in equality).
+    """
 
     year: int
     entries: Mapping[Tuple[str, str], float]
+    # Filled by countries() through object.__setattr__, as a plain instance
+    # attribute: functools.cached_property would go through the instance
+    # __dict__, and a materialized __dict__ slows every later attribute read.
+    _country_index = None
 
     def __post_init__(self):
-        for (country, node), score in self.entries.items():
-            if not 1.0 <= score <= 7.0:
-                raise ValueError(f"score {score} for ({country}, {node}) outside [1, 7]")
+        _check_scores(self.entries.items())
 
     def score(self, country: str, node: str) -> float:
         return self.entries[(country, node)]
@@ -371,16 +386,32 @@ class ScoreTable:
         return self.entries.get((country, node))
 
     def countries(self) -> Tuple[str, ...]:
-        return tuple(sorted({c for (c, _) in self.entries}))
+        if self._country_index is None:
+            index = tuple(sorted({c for (c, _) in self.entries}))
+            object.__setattr__(self, "_country_index", index)
+        return self._country_index
 
     def nodes(self) -> Tuple[str, ...]:
         return tuple(sorted({n for (_, n) in self.entries}))
 
     def with_overrides(self, country: str, updates: Mapping[str, float]) -> "ScoreTable":
-        new_entries = dict(self.entries)
-        for node, score in updates.items():
-            new_entries[(country, node)] = score
-        return ScoreTable(year=self.year, entries=new_entries)
+        """A copy with `country`'s scores for the given nodes replaced.
+
+        Only the updated scores are range-checked (ValueError outside
+        [1, 7], NaN included): the base entries were checked when this table
+        was built.  The copy is one dict merge; when `country` is already in
+        the table, the new table shares this table's country tuple instead
+        of rebuilding it.
+        """
+        overrides = {(country, node): score for node, score in updates.items()}
+        _check_scores(overrides.items())
+        table = object.__new__(ScoreTable)  # skips __post_init__'s full re-check
+        object.__setattr__(table, "year", self.year)
+        object.__setattr__(table, "entries", {**self.entries, **overrides})
+        index = self._country_index
+        if index is not None and country in index:
+            object.__setattr__(table, "_country_index", index)
+        return table
 
 
 #: Tie policy used throughout: tied scores share the best rank and the next

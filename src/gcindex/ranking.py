@@ -15,27 +15,35 @@ from .errors import EmptyIntersectionError, MissingNodeError
 from .model import COMPETITION, Panel, RankTable, ScoreTable
 
 
+def score_column(scores: ScoreTable, node: str) -> Dict[str, float]:
+    """{country: score} on one node for every country in the table, in
+    country order.  Raises MissingNodeError unless every country has a
+    score for the node."""
+    countries = scores.countries()
+    get = scores.entries.get
+    column = {c: s for c in countries if (s := get((c, node))) is not None}
+    if not column:
+        raise MissingNodeError(f"no scores for node {node!r}")
+    if len(column) < len(countries):
+        missing = [c for c in countries if c not in column]
+        raise MissingNodeError(f"node {node!r} has no score for: {missing}")
+    return column
+
+
 def rank_scores(scores: ScoreTable, node: str) -> RankTable:
     """Rank countries by descending score on one node.
 
     Competition ranking: k countries tied at rank r push the next distinct
-    score to rank r + k.  Exactly equal float scores count as ties.
+    score to rank r + k, so a country's rank is 1 + the number of countries
+    with a strictly higher score.  Exactly equal float scores count as ties.
     """
-    countries = scores.countries()
-    missing = [c for c in countries if scores.get(c, node) is None]
-    if not countries or len(missing) == len(countries):
-        raise MissingNodeError(f"no scores for node {node!r}")
-    if missing:
-        raise MissingNodeError(f"node {node!r} has no score for: {missing}")
+    column = score_column(scores, node)
     # Sort by (-score, country) so tied countries appear in code order.
-    ordered = sorted(countries, key=lambda c: (-scores.score(c, node), c))
+    ordered = sorted(column.items(), key=lambda item: (-item[1], item[0]))
     ranks: Dict[str, int] = {}
-    position = 0
     current_rank = 0
     previous_score = None
-    for country in ordered:
-        position += 1
-        score = scores.score(country, node)
+    for position, (country, score) in enumerate(ordered, 1):
         if score != previous_score:
             current_rank = position
             previous_score = score

@@ -1,18 +1,21 @@
 """Partial-equilibrium what-if analysis on composite scores.
 
 A scenario overrides one node's score for one country, re-derives only that
-node's ancestors, and reranks everyone on the root index while all other
-countries stay frozen.  Because aggregation is linear, the root responds to
-an override with slope equal to the product of the rational weights along
-the node -> root path (summed over paths in a DAG), which gives closed-form
-answers to "how much technology-index improvement buys k rank positions".
+node's ancestors, and counts the country's new rank on the root index while
+all other countries stay frozen.  Because aggregation is linear, the root
+responds to an override with slope equal to the product of the rational
+weights along the node -> root path (summed over paths in a DAG, and with
+each parent's weights rescaled over the children the country has a score
+for), which gives closed-form answers to "how much technology-index
+improvement buys k rank positions".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from .engine import _aggregate
 from .errors import (
@@ -22,7 +25,7 @@ from .errors import (
     UnknownCountryError,
 )
 from .model import IndexTree, InnovatorClass, ScoreTable
-from .ranking import rank_scores
+from .ranking import score_column
 
 #: Margin added to closed-form deltas so the overtake is strict rather than
 #: a ranking-policy-dependent exact tie.  Score-scale units.
@@ -60,6 +63,15 @@ class WhatIfOutcome:
 def path_weight(tree: IndexTree, node: str, cls: InnovatorClass) -> Fraction:
     """d(root score) / d(node score): sum over root->node paths of the
     product of edge weights, as an exact rational."""
+    return _path_weight(tree, node, cls, lambda child: True)
+
+
+def _path_weight(
+    tree: IndexTree, node: str, cls: InnovatorClass, has_score: Callable[[str], bool]
+) -> Fraction:
+    """path_weight with each parent's weights rescaled over the children
+    that have a score, as _aggregate rescales them.  A child on a path to
+    `node` always counts: apply_scenario re-derives it."""
     if node not in tree.nodes:
         raise NotAnAncestorPathError(f"unknown node {node!r}")
     memo: Dict[str, Fraction] = {}
@@ -70,8 +82,15 @@ def path_weight(tree: IndexTree, node: str, cls: InnovatorClass) -> Fraction:
         if current in memo:
             return memo[current]
         total = Fraction(0)
-        for child, weight in tree.node(current).children(cls):
-            total += weight * coeff(child)
+        kept = []
+        edges = tree.node(current).children(cls)
+        for child, weight in edges:
+            slope = coeff(child)
+            total += weight * slope
+            if slope or has_score(child):
+                kept.append(weight)
+        if total and len(kept) < len(edges):
+            total /= sum(kept)
         memo[current] = total
         return total
 
@@ -112,6 +131,14 @@ def _updated_scores(
     return updates
 
 
+def _competition_rank(root: Mapping[str, float], country: str, score: float) -> int:
+    """Rank of `country` at root score `score` with every other country's
+    score frozen: 1 + the number of others strictly above, which is the rank
+    rank_scores assigns, ties included."""
+    above = len([s for s in root.values() if s > score])
+    return 1 + above - (root[country] > score)
+
+
 def apply_scenario(
     tree: IndexTree,
     scores: ScoreTable,
@@ -121,8 +148,10 @@ def apply_scenario(
     """Evaluate one override: new root score and rank for the country.
 
     Only the override node's ancestors are re-derived; every other country's
-    scores stay frozen.  `tree` must have passed validate_tree, as for
-    engine.evaluate_node.
+    scores stay frozen, so both ranks are counted from the root column
+    instead of re-ranking.  Cost is O(countries + ancestors) plus one copy of
+    the entries into `new_scores`.  `tree` must have passed validate_tree,
+    as for engine.evaluate_node.
     """
     country = scenario.country
     if country not in scores.countries():
@@ -130,22 +159,55 @@ def apply_scenario(
     if scenario.node not in tree.nodes:
         raise NotAnAncestorPathError(f"unknown node {scenario.node!r}")
     cls = classes[country]
-    baseline_rank = rank_scores(scores, tree.root).rank(country)
-    baseline_gci = scores.score(country, tree.root)
+    root = score_column(scores, tree.root)
+    baseline_gci = root[country]
     updates = _updated_scores(tree, scores, cls, country, scenario.node, scenario.override)
     new_table = scores.with_overrides(country, updates)
-    new_rank = rank_scores(new_table, tree.root).rank(country)
+    new_gci = new_table.score(country, tree.root)
+    baseline_rank = _competition_rank(root, country, baseline_gci)
+    new_rank = _competition_rank(root, country, new_gci)
     return WhatIfOutcome(
         country=country,
         node=scenario.node,
         override=scenario.override,
         baseline_gci=baseline_gci,
-        new_gci=new_table.score(country, tree.root),
+        new_gci=new_gci,
         baseline_rank=baseline_rank,
         new_rank=new_rank,
         delta_rank=baseline_rank - new_rank,
         new_scores=new_table,
     )
+
+
+def _solve(
+    tree: IndexTree,
+    scores: ScoreTable,
+    cls: InnovatorClass,
+    country: str,
+    node: str,
+    target: float,
+    margin: float,
+) -> Optional[float]:
+    """Increase of `node`'s score lifting `country`'s root strictly above
+    `target`, or None when it would push the node past 7.
+
+    The slope is the country's effective path weight (each parent's weights
+    rescaled over the children that have a score, as apply_scenario
+    rescales them), and the root starts where apply_scenario re-derives it
+    at the node's current score.  On a compute_all table that is the stored
+    root bit for bit; on one read back from a rounded score CSV it is not.
+    """
+    w_eff = _path_weight(tree, node, cls, lambda child: scores.get(country, child) is not None)
+    if w_eff <= 0:
+        raise NotAnAncestorPathError(f"node {node!r} has no weighted path to {tree.root!r}")
+    current = scores.get(country, node)
+    if current is None:
+        raise MissingNodeError(f"no baseline score for ({country}, {node})")
+    start = _updated_scores(tree, scores, cls, country, node, current)[tree.root]
+    delta = (target - start) / float(w_eff) + margin
+    if current + delta > 7.0:
+        return None
+    return delta
 
 
 def min_delta_for_rank_gain(
@@ -160,37 +222,26 @@ def min_delta_for_rank_gain(
     """Smallest increase of `node`'s score buying at least k rank positions.
 
     Closed form: the country must strictly exceed the root score of the k-th
-    country above it, and the root moves with slope w_eff (the exact rational
-    path weight), so delta = (target - own root score) / w_eff + margin.
+    country above it, and the root moves with slope w_eff, the exact
+    rational path weight with each parent's weights rescaled over the
+    children the country has a score for (as apply_scenario rescales them),
+    so delta = (target - root) / w_eff + margin, where root is the country's
+    root as apply_scenario re-derives it at the node's current score.
     Returns None (infeasible) when even a score of 7 cannot achieve the gain:
     either fewer than k countries sit strictly above, or the required node
-    score exceeds the scale.
+    score exceeds the scale.  Cost is O(countries + nodes), plus sorting the
+    root scores above the country.
     """
     if country not in scores.countries():
         raise UnknownCountryError(f"country {country!r} not in score table")
     if k <= 0:
         return 0.0
-    cls = classes[country]
-    w_eff = path_weight(tree, node, cls)
-    if w_eff <= 0:
-        raise NotAnAncestorPathError(f"node {node!r} has no weighted path to {tree.root!r}")
-    rank_scores(scores, tree.root)  # validates root coverage for every country
-    own = scores.score(country, tree.root)
-    above = sorted(
-        scores.score(c, tree.root)
-        for c in scores.countries()
-        if c != country and scores.score(c, tree.root) > own
-    )
-    if k > len(above):
-        return None
-    target = above[k - 1]
-    current = scores.get(country, node)
-    if current is None:
-        raise MissingNodeError(f"no baseline score for ({country}, {node})")
-    delta = (target - own) / float(w_eff) + margin
-    if current + delta > 7.0:
-        return None
-    return delta
+    root = score_column(scores, tree.root)
+    own = root[country]
+    above = [s for s in root.values() if s > own]
+    # with fewer than k countries above, no score reaches the gain
+    target = sorted(above)[k - 1] if k <= len(above) else math.inf
+    return _solve(tree, scores, classes[country], country, node, target, margin)
 
 
 def min_delta_to_overtake(
@@ -204,7 +255,7 @@ def min_delta_to_overtake(
 ) -> Optional[float]:
     """Smallest increase of `node`'s score putting `country` strictly above
     `target_country` on the root index; 0.0 if already strictly above, None
-    if the scale cannot reach it."""
+    if the scale cannot reach it.  Solved as min_delta_for_rank_gain is."""
     if country not in scores.countries():
         raise UnknownCountryError(f"country {country!r} not in score table")
     if target_country not in scores.countries():
@@ -213,14 +264,4 @@ def min_delta_to_overtake(
     target = scores.score(target_country, tree.root)
     if own > target:
         return 0.0
-    cls = classes[country]
-    w_eff = path_weight(tree, node, cls)
-    if w_eff <= 0:
-        raise NotAnAncestorPathError(f"node {node!r} has no weighted path to {tree.root!r}")
-    current = scores.get(country, node)
-    if current is None:
-        raise MissingNodeError(f"no baseline score for ({country}, {node})")
-    delta = (target - own) / float(w_eff) + margin
-    if current + delta > 7.0:
-        return None
-    return delta
+    return _solve(tree, scores, classes[country], country, node, target, margin)

@@ -39,6 +39,12 @@ def test_observation_rejects_whitespace_tokens(country, indicator):
         Observation(year=2005, country=country, indicator=indicator, value=1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_observation_rejects_non_finite_value(value):
+    with pytest.raises(ValueError):
+        Observation(year=2005, country="A", indicator="x", value=value)
+
+
 def test_panel_rejects_duplicate_keys():
     obs = [
         Observation(2005, "A", "x", 1.0),
@@ -164,6 +170,24 @@ class TestDefaultTree:
 def test_score_table_rejects_out_of_scale():
     with pytest.raises(ValueError):
         ScoreTable(year=2005, entries={("A", "GCI"): 7.5})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.5, 7.5])
+def test_with_overrides_rejects_out_of_scale_update(bad):
+    table = ScoreTable(year=2005, entries={("A", "GCI"): 4.0, ("A", "TI"): 4.0})
+    with pytest.raises(ValueError):
+        table.with_overrides("A", {"TI": 4.5, "GCI": bad})
+
+
+def test_with_overrides_keeps_equality_and_country_index():
+    table = ScoreTable(year=2005, entries={("A", "GCI"): 4.0, ("B", "GCI"): 3.0})
+    assert table.countries() == ("A", "B")
+    same = table.with_overrides("B", {"GCI": 3.0})
+    assert same == table
+    assert same.countries() is table.countries()
+    grown = table.with_overrides("C", {"GCI": 5.0})
+    assert grown.countries() == ("A", "B", "C")
+    assert grown == ScoreTable(2005, {("A", "GCI"): 4.0, ("B", "GCI"): 3.0, ("C", "GCI"): 5.0})
 
 
 def test_rank_table_rejects_nonpositive_rank():

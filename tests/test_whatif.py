@@ -2,13 +2,15 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from gcindex.engine import compute_all
+from gcindex.engine import MissingPolicy, compute_all
 from gcindex.errors import (
     NotAnAncestorPathError,
     OverrideOutOfScaleError,
     UnknownCountryError,
 )
+from gcindex.ingest import emit_report, load_score_table
 from gcindex.model import InnovatorClass, Observation, Panel, ScoreTable
 from gcindex.ranking import rank_scores
 from gcindex.whatif import (
@@ -253,8 +255,6 @@ class TestMinDeltaToOvertake:
 def test_scenario_on_renormalized_table(component_tree):
     # B has no CCR/GW data; the macro branch collapsed onto MSS.  An MSS
     # override must re-derive with the same rescaled weights.
-    from gcindex.engine import MissingPolicy
-
     rows = [Observation(2006, "A", leaf, 4.5)
             for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")]
     rows += [Observation(2006, "B", leaf, 4.0) for leaf in ("TI", "CLS", "CS", "MSS")]
@@ -279,3 +279,101 @@ def test_scenario_against_regional_dataset(balkans):
     delta = min_delta_for_rank_gain(tree, scores, classes, "Macedonia", 1, "TI")
     gci_gap = scores.score("Serbia_and_Montenegro", "GCI") - scores.score("Macedonia", "GCI")
     assert delta == pytest.approx(3.0 * gci_gap, abs=1e-6)
+
+
+def test_solvers_use_the_renormalized_path_weight(component_tree):
+    # B has no CCR/GW data, so under renormalize its MEI is MSS alone and
+    # the MSS -> GCI slope is 1/3, not the tree's fixed 1/6.  With the fixed
+    # weight both solvers would ask for MSS = 9 and report infeasible.
+    rows = [Observation(2006, "A", leaf, 4.5)
+            for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")]
+    rows += [Observation(2006, "B", leaf, 4.0) for leaf in ("TI", "CLS", "CS")]
+    rows.append(Observation(2006, "B", "MSS", 2.0))
+    panel = Panel(rows)
+    scores = compute_all(component_tree, panel, 2006, MissingPolicy.RENORMALIZE)
+    delta = min_delta_for_rank_gain(component_tree, scores, panel.classes, "B", 1, "MSS")
+    assert delta == pytest.approx(3.5, abs=1e-6)
+    outcome = apply_scenario(
+        component_tree, scores, panel.classes, Scenario("B", "MSS", 2.0 + delta)
+    )
+    assert outcome.delta_rank == 1
+    overtake = min_delta_to_overtake(component_tree, scores, panel.classes, "B", "A", "MSS")
+    assert overtake == delta
+
+
+def test_solved_deltas_reach_the_gain_on_a_reloaded_score_csv(component_tree, tmp_path):
+    # A score CSV keeps 6 decimals, so a stored root can differ from the one
+    # apply_scenario re-derives from the stored children by ~1e-6, far more
+    # than the solvers' strict margin.
+    rng = Random(5)
+    rows = [
+        Observation(2006, f"C{i:02d}", leaf, rng.uniform(2.0, 6.0))
+        for i in range(30)
+        for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")
+    ]
+    panel = Panel(rows)
+    path = emit_report(compute_all(component_tree, panel, 2006), "csv", tmp_path / "s.csv")
+    scores = load_score_table(path)
+    order = sorted(scores.countries(), key=lambda c: -scores.score(c, "GCI"))
+    solved = 0
+    for above, country in zip(order, order[1:]):
+        for node in ("TI", "CS", "MSS"):
+            for delta in (
+                min_delta_for_rank_gain(component_tree, scores, panel.classes, country, 1, node),
+                min_delta_to_overtake(component_tree, scores, panel.classes, country, above, node),
+            ):
+                if delta is None:
+                    continue
+                solved += 1
+                override = scores.score(country, node) + delta
+                outcome = apply_scenario(
+                    component_tree, scores, panel.classes, Scenario(country, node, override)
+                )
+                assert outcome.new_gci > scores.score(above, "GCI")
+                assert outcome.delta_rank >= 1
+    assert solved >= 60
+
+
+@given(
+    levels=st.lists(st.sampled_from([2.0, 3.0, 3.5, 4.0, 5.0]), min_size=1, max_size=8),
+    pick=st.integers(0, 7),
+    override=st.sampled_from([1.0, 2.0, 3.0, 3.5, 4.0, 5.0, 7.0]),
+)
+def test_counted_ranks_equal_rank_scores(component_tree, levels, pick, override):
+    # every component of a country holds its level, so equal levels tie on
+    # GCI, and overrides from the same grid tie them again (exactly: the
+    # aggregate is rounded once)
+    targets = {f"c{i}": level for i, level in enumerate(levels)}
+    scores, classes = _three_country_table(component_tree, targets)
+    country = f"c{pick % len(levels)}"
+    outcome = apply_scenario(component_tree, scores, classes, Scenario(country, "TI", override))
+    assert outcome.baseline_rank == rank_scores(scores, "GCI").rank(country)
+    assert outcome.new_rank == rank_scores(outcome.new_scores, "GCI").rank(country)
+
+
+class _ScanCountingDict(dict):
+    """Counts Python-level iterations over the keys; get() and the C-level
+    copy in a {**d} merge do not iterate through __iter__."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_country_index_built_once_per_query(component_tree):
+    computed, classes = _three_country_table(
+        component_tree, {c: 2.0 + i / 10 for i, c in enumerate("ABCDEFGH")}
+    )
+    entries = _ScanCountingDict(computed.entries)
+    scores = ScoreTable(computed.year, entries)
+    delta = min_delta_for_rank_gain(component_tree, scores, classes, "A", 3, "TI")
+    outcome = apply_scenario(
+        component_tree, scores, classes, Scenario("A", "TI", scores.score("A", "TI") + delta)
+    )
+    assert outcome.delta_rank >= 3
+    assert rank_scores(outcome.new_scores, "GCI").rank("A") == outcome.new_rank
+    assert entries.scans == 1
+    # the scenario's table shares the base table's index instead of rescanning
+    assert outcome.new_scores.countries() is scores.countries()
