@@ -11,15 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from . import data as bundled
 from .engine import MissingPolicy, compute_all
-from .errors import GciError, IoError
+from .errors import GciError
 from .ingest import (
     WEF_DEFAULT,
     DatasetManifest,
+    _fmt6,
+    _write,
     emit_report,
     load_score_table,
     render_report,
@@ -41,13 +42,6 @@ _DECISION_TEXT = {
 }
 
 
-def _fmt6(value: float) -> str:
-    value = float(value)
-    if value == 0.0:
-        value = 0.0
-    return f"{value:.6f}"
-
-
 def _alpha(token: str) -> float:
     """argparse type for a significance level: a number strictly inside (0, 1)."""
     try:
@@ -59,10 +53,10 @@ def _alpha(token: str) -> float:
     return value
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser, classes_too: bool = True):
-    parser.add_argument("--data", required=True, help="panel CSV (year,country,indicator,value)")
-    if classes_too:
-        parser.add_argument("--classes", help="class map CSV (country,class); default: all noncore")
+def _add_dataset_flags(parser: argparse.ArgumentParser, data_required: bool = True):
+    parser.add_argument("--data", required=data_required,
+                        help="panel CSV (year,country,indicator,value)")
+    parser.add_argument("--classes", help="class map CSV (country,class); default: all noncore")
     parser.add_argument(
         "--tree",
         default=WEF_DEFAULT,
@@ -314,10 +308,7 @@ def _cmd_report(args) -> int:
         else:
             rows = [(args.year, c, args.node, v) for c, v in items]
             text = _score_rows_text(rows, args.format)
-    try:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {args.out}: {exc}") from exc
+    _write(args.out, text)
     return 0
 
 
@@ -352,10 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank countries on one node")
     p.add_argument("--scores", help="score CSV from a previous compute run")
-    p.add_argument("--data", help="panel CSV (when not using --scores)")
-    p.add_argument("--classes")
-    p.add_argument("--tree", default=WEF_DEFAULT)
-    p.add_argument("--policy", choices=["strict", "renormalize"], default="strict")
+    _add_dataset_flags(p, data_required=False)  # --scores is the alternative
     p.add_argument("--year", type=int)
     p.add_argument("--node", default="GCI")
     p.add_argument("--out")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import (
     DegenerateRangeError,
@@ -129,57 +129,49 @@ def evaluate_node(
     """Score one node for one country.
 
     Leaves yield their (normalized) value; aggregates the weighted sum of
-    child scores under the class's weights.  Under RENORMALIZE, children
-    without data are dropped and the surviving weights rescaled; a node with
-    no surviving children propagates as missing.  `tree` must have passed
+    child scores under the class's weights.  STRICT raises one
+    MissingLeafError listing every absent leaf under the node.  Under
+    RENORMALIZE, children without data are dropped and the surviving weights
+    rescaled; a node with no surviving children propagates as missing.  An
+    unknown node raises DanglingChildError.  `tree` must have passed
     validate_tree (load_tree and default_wef_tree return such trees): a
     node's full class weights are taken to sum to 1 and are not rescaled.
     """
-    score = _evaluate(tree, node_id, cls, leaves, country, policy, {}, {})
-    if score is None:
-        missing = sorted(
-            (country, leaf)
-            for leaf in tree.leaves(cls)
-            if (country, leaf) not in leaves
-        )
-        raise MissingLeafError(missing or [(country, node_id)])
-    return score
+    order = IndexTree(tree.nodes, node_id).reachable(cls)
+    absent = sorted(
+        (country, n) for n in order if tree.node(n).is_leaf and (country, n) not in leaves
+    )
+    if absent and policy is MissingPolicy.STRICT:
+        raise MissingLeafError(absent)
+    scores = _score_order(tree, order, cls, leaves, country, {})
+    if node_id not in scores:
+        raise MissingLeafError(absent or [(country, node_id)])
+    return scores[node_id]
 
 
-def _evaluate(
+def _score_order(
     tree: IndexTree,
-    node_id: str,
+    order: Sequence[str],
     cls: InnovatorClass,
     leaves: LeafAssignment,
     country: str,
-    policy: MissingPolicy,
-    memo: Dict[str, Optional[float]],
     bounds: BoundsCache,
-) -> Optional[float]:
-    """Recursive scorer; returns None for unevaluable nodes under RENORMALIZE."""
-    if node_id in memo:
-        return memo[node_id]
-    node = tree.node(node_id)
-    if node.is_leaf:
-        if (country, node_id) not in leaves:
-            if policy is MissingPolicy.STRICT:
-                raise MissingLeafError([(country, node_id)])
-            memo[node_id] = None
-            return None
-        value = _leaf_score(tree, node_id, leaves, country, bounds)
-    else:
+) -> Dict[str, float]:
+    """Scores of the nodes in `order` (children first) that have data: a
+    leaf with a value, an aggregate with any scored child (_aggregate
+    rescales over the scored ones)."""
+    scores: Dict[str, float] = {}
+    for node_id in order:
+        node = tree.node(node_id)
+        if node.is_leaf:
+            if (country, node_id) in leaves:
+                scores[node_id] = _leaf_score(tree, node_id, leaves, country, bounds)
+            continue
         edges = node.children(cls)
-        parts = []
-        for child, weight in edges:
-            child_score = _evaluate(tree, child, cls, leaves, country, policy, memo, bounds)
-            if child_score is not None:
-                parts.append((weight, child_score))
-        if not parts:
-            memo[node_id] = None
-            return None
-        value = _aggregate(parts, len(edges))
-    memo[node_id] = value
-    return value
+        parts = [(w, scores[child]) for child, w in edges if child in scores]
+        if parts:
+            scores[node_id] = _aggregate(parts, len(edges))
+    return scores
 
 
 def compute_all(
@@ -194,15 +186,16 @@ def compute_all(
     evaluated over the node set reachable for its innovator class.  STRICT
     raises one MissingLeafError listing all absent (country, leaf) pairs.
     Cost is O(countries x nodes): observed bounds are computed once per leaf
-    and each class's node set is walked once per call.  `tree` must have
-    passed validate_tree, as for evaluate_node.
+    per call, and each country is one loop over its class's reachable order,
+    which the tree walks once per class.  `tree` must have passed
+    validate_tree, as for evaluate_node.
     """
     countries = panel.countries(year)
     if not countries:
         raise MissingLeafError([], f"year {year} not found in panel")
     leaves: LeafAssignment = panel.slice_year(year, tree.leaves())
     classes = {country: panel.innovator_class(country) for country in countries}
-    # One plan per class present: its reachable nodes (children first) and leaves.
+    # Per class present: its reachable nodes (children first) and leaves.
     order = {cls: tree.reachable(cls) for cls in dict.fromkeys(classes.values())}
     class_leaves = {
         cls: tuple(n for n in nodes if tree.node(n).is_leaf) for cls, nodes in order.items()
@@ -222,15 +215,12 @@ def compute_all(
     entries: Dict[Tuple[str, str], float] = {}
     for country in countries:
         cls = classes[country]
-        memo: Dict[str, Optional[float]] = {}
-        root_score = _evaluate(tree, tree.root, cls, leaves, country, policy, memo, bounds)
-        if root_score is None:
+        scores = _score_order(tree, order[cls], cls, leaves, country, bounds)
+        if tree.root not in scores:
             raise MissingLeafError(
                 [(country, leaf) for leaf in class_leaves[cls]],
                 f"country {country!r} has no usable data for {year}",
             )
-        for node_id in order[cls]:
-            score = memo.get(node_id)
-            if score is not None:
-                entries[(country, node_id)] = score
+        for node_id, score in scores.items():
+            entries[(country, node_id)] = score
     return ScoreTable(year=year, entries=entries)

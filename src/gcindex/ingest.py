@@ -435,15 +435,7 @@ def emit_report(results, format: str, path: Union[str, Path], node: Optional[str
     Identical results produce byte-identical files: ordering is stable and
     numbers are fixed to 6 decimals with a '.' separator.
     """
-    if format == "csv":
-        text = _render_csv(results)
-    elif format == "json":
-        text = _render_json(results)
-    elif format == "svg":
-        text = _render_svg(results, node)
-    else:
-        raise UnsupportedFormatError(f"unknown format {format!r}")
-    return _write(path, text)
+    return _write(path, render_report(results, format, node))
 
 
 def render_report(results, format: str, node: Optional[str] = None) -> str:

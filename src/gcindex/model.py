@@ -195,6 +195,10 @@ class IndexTree:
 
     nodes: Mapping[str, Node]
     root: str
+    # {cls: order}, kept outside the dataclass fields (== and repr ignore
+    # it) and replaced, never mutated, by reachable() through
+    # object.__setattr__, so threads sharing the tree at worst repeat a walk.
+    _orders = None
 
     def node(self, node_id: str) -> Node:
         return self.nodes[node_id]
@@ -202,7 +206,14 @@ class IndexTree:
     def reachable(self, cls: Optional[InnovatorClass] = None) -> Tuple[str, ...]:
         """Node ids reachable from the root, in deterministic topological
         order (children before parents).  With cls=None the union of both
-        classes' edges is walked."""
+        classes' edges is walked.  The walk runs once per tree and class."""
+        orders = self._orders or {}
+        if cls not in orders:
+            orders = {**orders, cls: self._walk(cls)}
+            object.__setattr__(self, "_orders", orders)
+        return orders[cls]
+
+    def _walk(self, cls: Optional[InnovatorClass]) -> Tuple[str, ...]:
         order: list = []
         seen = set()
         onpath = set()

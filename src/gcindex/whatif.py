@@ -74,27 +74,19 @@ def _path_weight(
     `node` always counts: apply_scenario re-derives it."""
     if node not in tree.nodes:
         raise NotAnAncestorPathError(f"unknown node {node!r}")
-    memo: Dict[str, Fraction] = {}
-
-    def coeff(current: str) -> Fraction:
-        if current == node:
-            return Fraction(1)
-        if current in memo:
-            return memo[current]
-        total = Fraction(0)
-        kept = []
+    # reachable() is topological with children first, so one pass suffices;
+    # only nodes with a path to `node` get a (positive) coefficient.
+    coeff: Dict[str, Fraction] = {node: Fraction(1)}
+    for current in tree.reachable(cls):
         edges = tree.node(current).children(cls)
-        for child, weight in edges:
-            slope = coeff(child)
-            total += weight * slope
-            if slope or has_score(child):
-                kept.append(weight)
-        if total and len(kept) < len(edges):
+        if current == node or not any(child in coeff for child, _ in edges):
+            continue
+        total = sum(w * coeff[child] for child, w in edges if child in coeff)
+        kept = [w for child, w in edges if child in coeff or has_score(child)]
+        if len(kept) < len(edges):
             total /= sum(kept)
-        memo[current] = total
-        return total
-
-    return coeff(tree.root)
+        coeff[current] = total
+    return coeff.get(tree.root, Fraction(0))
 
 
 def _updated_scores(

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcindex.cli import main
 from gcindex.data import (
@@ -402,6 +407,16 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert b"4.770000" in proc.stdout
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", *DATA, "--year", "2006"],
+        ["report", *DATA, "--kind", "bars", "--year", "2006"],
+    ])
+    def test_unwritable_out_is_one(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+
     def test_help_documents_flags(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gcindex.cli", "chisq", "--help"],
@@ -411,3 +426,116 @@ class TestExitCodes:
         for flag in (b"--prev-year", b"--cur-year", b"--alpha", b"--node",
                      b"--rank-indicator", b"--design"):
             assert flag in proc.stdout
+
+
+_FUZZ_PANEL_ROWS = tuple(
+    (year, country, leaf)
+    for year in ("2005", "2006")
+    for country in ("A", "B", "C")
+    for leaf in ("IS", "TTS", "ICTS", "PII", "MEI")
+)
+_FUZZ_JUNK_ROWS = ("2006,A,IS", "2006,A,IS,4,5", "x,A,IS,4", "1899,A,IS,4", "2006,A B,IS,4",
+                   "2005,D,GCI_RANK,3", "2006,A,IS,4", "2006,A,IS,nan", "2006,A,IS,1e400",
+                   "2006,A,IS,abc", "2006,A,IS,", "2006,A,IS,40", "2006,A,GCI_RANK,-1")
+
+
+@st.composite
+def _fuzz_panel(draw):
+    """A complete panel on the bundled regional tree's leaves, values in
+    [1, 7], now and then damaged: rows dropped, a junk row added or a bad
+    header."""
+    rows = [f"{year},{country},{leaf},{draw(st.floats(1.0, 7.0))!r}"
+            for year, country, leaf in _FUZZ_PANEL_ROWS]
+    header = "year,country,indicator,value"
+    damage = draw(st.sampled_from(["none", "none", "drop", "drop", "junk", "header"]))
+    if damage == "drop":
+        dropped = draw(st.sets(st.integers(0, len(rows) - 1), min_size=1, max_size=4))
+        rows = [row for i, row in enumerate(rows) if i not in dropped]
+    elif damage == "junk":
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(_FUZZ_JUNK_ROWS)))
+    elif damage == "header":
+        header = draw(st.sampled_from(["year,country,node,score", "year,country,indicator"]))
+    return "\n".join([header, *rows]) + "\n"
+
+
+#: command -> (required flags besides --data and --tree, other flags it
+#: takes besides --classes, --policy and --out)
+_FUZZ_COMMANDS = {
+    "compute": (("--year",), ("--format",)),
+    "rank": (("--year",), ("--scores", "--node", "--format")),
+    "delta": (("--prev-year", "--cur-year"), ("--node", "--rank-indicator", "--format")),
+    "trend": (("--country",), ("--node", "--from", "--to", "--format")),
+    "correlate": (("--country",), ("--nodes", "--from", "--to", "--format")),
+    "chisq": (("--prev-year", "--cur-year"),
+              ("--alpha", "--node", "--rank-indicator", "--design", "--format")),
+    "whatif": (("--year", "--country", "--gain"), ("--node", "--format")),
+    "report": (("--kind", "--out"),
+               ("--node", "--nodes", "--country", "--year", "--prev-year", "--cur-year",
+                "--rank-indicator", "--from", "--to", "--format")),
+}
+#: flag -> (good values, bad values); a list value is several tokens
+_FUZZ_FLAGS = {
+    "--data": (["{panel}"], ["{dir}/missing.csv", "{dir}"]),
+    "--classes": ([], [CLASSES, "{panel}"]),
+    "--tree": ([TREE], ["wef-default", "{dir}/missing.json", "{panel}"]),
+    "--policy": (["strict", "renormalize", "renormalize"], ["lenient"]),
+    "--year": (["2005", "2006"], ["1999", "x"]),
+    "--prev-year": (["2005"], ["2006", "1999"]),
+    "--cur-year": (["2006"], ["2005", "x"]),
+    "--country": (["A", "B", "C"], ["Z"]),
+    "--node": (["GCI", "TI", "IS"], ["NOPE"]),
+    "--nodes": ([["TI", "GCI"], ["IS", "MEI"]], [["NOPE", "GCI"]]),
+    "--gain": (["1", "2", "0"], ["-2", "5", "x"]),
+    "--format": (["csv", "json"], ["svg", "xml"]),
+    "--kind": (["scores", "deltas", "trend", "bars"], ["pie"]),
+    "--out": (["{dir}/out"], ["{dir}", "{dir}/panel.csv/out"]),
+    "--scores": ([], ["{panel}"]),
+    "--rank-indicator": ([], ["GCI_RANK", "IS"]),
+    "--alpha": (["0.05", "0.1"], ["2", "0"]),
+    "--design": (["prev-expected", "cur-expected", "two-way"], ["one-way"]),
+    "--from": (["2005"], ["2007"]),
+    "--to": (["2006"], ["2004"]),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """One subcommand with its required flags (now and then one left out),
+    often --policy and --out, up to two other flags it takes and now and then
+    one it does not; one value in eight is a bad one."""
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    required, optional = _FUZZ_COMMANDS[command]
+    flags = ["--data", "--tree", *required]
+    if draw(st.integers(0, 9)) == 0:
+        flags.remove(draw(st.sampled_from(flags)))
+    flags += ["--policy", "--out"][:draw(st.integers(0, 2))]
+    flags += draw(st.lists(st.sampled_from(("--classes",) + optional), max_size=2, unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(_FUZZ_FLAGS))))
+    argv = [command]
+    for flag in dict.fromkeys(flags):
+        good, bad = _FUZZ_FLAGS[flag]
+        value = draw(st.sampled_from(bad if not good or draw(st.integers(0, 7)) == 0 else good))
+        argv += [flag, *(value if isinstance(value, list) else [value])]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(panel_text=_fuzz_panel(), argv=_fuzz_argv())
+def test_random_panels_and_flags_exit_cleanly(panel_text, argv):
+    # every input either succeeds or fails with a documented exit code and
+    # one message; an escaping exception fails the test with its traceback
+    with tempfile.TemporaryDirectory() as work:
+        panel = Path(work) / "panel.csv"
+        panel.write_text(panel_text, encoding="utf-8")
+        argv = [token.format(dir=work, panel=panel) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())

@@ -16,6 +16,7 @@ from gcindex.engine import (
 )
 from gcindex.errors import (
     DegenerateRangeError,
+    GciError,
     MissingLeafError,
     OutOfScaleError,
 )
@@ -85,6 +86,24 @@ class TestEvaluateNode:
     def test_missing_leaf_strict(self, technology_tree):
         with pytest.raises(MissingLeafError):
             evaluate_node(technology_tree, "TI", NONCORE, {("X", "IS"): 4.0}, "X")
+
+    @pytest.mark.parametrize("node,absent", [
+        ("TI", [("X", "ICThd"), ("X", "ICTsd"), ("X", "TTS")]),
+        ("ICTS", [("X", "ICThd"), ("X", "ICTsd")]),
+    ])
+    def test_missing_leaves_listed_like_compute_all(self, technology_tree, node, absent):
+        leaves = {("X", "IS"): 4.0}
+        with pytest.raises(MissingLeafError) as err:
+            evaluate_node(technology_tree, node, NONCORE, leaves, "X")
+        assert list(err.value.missing) == absent
+        subtree = IndexTree(technology_tree.nodes, node)
+        with pytest.raises(MissingLeafError) as whole:
+            compute_all(subtree, _panel([(2006, "X", "IS", 4.0)]), 2006)
+        assert whole.value.missing == err.value.missing
+
+    def test_unknown_node_is_a_domain_error(self, technology_tree):
+        with pytest.raises(GciError):
+            evaluate_node(technology_tree, "NOPE", NONCORE, {("X", "IS"): 4.0}, "X")
 
     def test_unnormalized_leaf_out_of_scale(self, technology_tree):
         leaves = {("X", "IS"): 40.0, ("X", "TTS"): 4.0,

@@ -112,6 +112,13 @@ class TestValidateTree:
         with pytest.raises(WeightSumError):
             validate_tree(IndexTree(nodes=nodes, root="GCI"))
 
+    def test_cached_order_keeps_equality_and_repr(self, wef_tree):
+        fresh = IndexTree(wef_tree.nodes, wef_tree.root)
+        text = repr(fresh)
+        assert fresh.reachable(InnovatorClass.CORE) is fresh.reachable(InnovatorClass.CORE)
+        assert fresh == IndexTree(wef_tree.nodes, wef_tree.root)
+        assert repr(fresh) == text
+
     def test_reachability_is_single_traversal(self, wef_tree):
         reachable = wef_tree.reachable()
         assert len(reachable) == len(set(reachable)) == len(wef_tree.nodes)

@@ -11,7 +11,15 @@ from gcindex.errors import (
     UnknownCountryError,
 )
 from gcindex.ingest import emit_report, load_score_table
-from gcindex.model import InnovatorClass, Observation, Panel, ScoreTable
+from gcindex.model import (
+    IndexTree,
+    InnovatorClass,
+    Node,
+    Observation,
+    Panel,
+    ScoreTable,
+    validate_tree,
+)
 from gcindex.ranking import rank_scores
 from gcindex.whatif import (
     STRICT_MARGIN,
@@ -21,6 +29,7 @@ from gcindex.whatif import (
     min_delta_to_overtake,
     path_weight,
 )
+from util import oracle_eval
 
 NONCORE = InnovatorClass.NONCORE
 CORE = InnovatorClass.CORE
@@ -51,6 +60,25 @@ class TestPathWeight:
     def test_unreachable_node_for_class(self, wef_tree):
         assert path_weight(wef_tree, "TTS", CORE) == Fraction(0)
         assert path_weight(wef_tree, "TTS", NONCORE) == Fraction(3, 8) * Fraction(1, 3)
+
+
+    def test_shared_child_sums_both_paths(self):
+        # S feeds both A and B: R <- A <- S and R <- B <- S
+        nodes = {
+            "R": Node("R", edges=(("A", Fraction(1, 2)), ("B", Fraction(1, 2)))),
+            "A": Node("A", edges=(("S", Fraction(1, 3)), ("X", Fraction(2, 3)))),
+            "B": Node("B", edges=(("S", Fraction(3, 4)), ("Y", Fraction(1, 4)))),
+            "S": Node("S"),
+            "X": Node("X"),
+            "Y": Node("Y"),
+        }
+        tree = validate_tree(IndexTree(nodes=nodes, root="R"))
+        weight = path_weight(tree, "S", NONCORE)
+        assert weight == Fraction(1, 2) * Fraction(1, 3) + Fraction(1, 2) * Fraction(3, 4)
+        leaves = {("c", "S"): 3.0, ("c", "X"): 5.0, ("c", "Y"): 2.0}
+        base = oracle_eval(tree, "R", NONCORE, leaves, "c")
+        moved = oracle_eval(tree, "R", NONCORE, {**leaves, ("c", "S"): 4.0}, "c")
+        assert moved - base == pytest.approx(float(weight), abs=1e-12)
 
 
 class TestApplyScenario:
@@ -377,3 +405,34 @@ def test_country_index_built_once_per_query(component_tree):
     assert entries.scans == 1
     # the scenario's table shares the base table's index instead of rescanning
     assert outcome.new_scores.countries() is scores.countries()
+
+
+def test_queries_reuse_the_walk_order(component_tree, monkeypatch):
+    walks = []
+    real_walk = IndexTree._walk
+
+    def counting_walk(self, cls):
+        walks.append((id(self), cls))
+        return real_walk(self, cls)
+
+    monkeypatch.setattr(IndexTree, "_walk", counting_walk)
+    tree = IndexTree(component_tree.nodes, component_tree.root)
+    rng = Random(11)
+    rows = [Observation(2006, f"C{i:02d}", leaf, rng.uniform(2.0, 6.0))
+            for i in range(20)
+            for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")]
+    panel = Panel(rows, {f"C{i:02d}": (CORE if i % 2 else NONCORE) for i in range(20)})
+    scores = compute_all(tree, panel, 2006)
+
+    def query(country, node):
+        delta = min_delta_for_rank_gain(tree, scores, panel.classes, country, 1, node)
+        override = 7.0 if delta is None else scores.score(country, node) + delta
+        apply_scenario(tree, scores, panel.classes, Scenario(country, node, override))
+
+    query("C00", "TI")
+    query("C01", "TI")
+    assert len(walks) == len(set(walks))  # at most one walk per (tree, class)
+    walks.clear()
+    for i in range(20):
+        query(f"C{i:02d}", ("TI", "CS", "MSS", "GW")[i % 4])
+    assert walks == []
