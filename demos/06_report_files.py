@@ -1,7 +1,8 @@
 """Produce the chart and table artifacts via the CLI, into demos/output/.
 
 Four figure-style SVGs (score panel over years, rank movements, the
-Macedonia trend pair, ICT bars) plus CSV/JSON tables.  Re-running the script
+Macedonia trend pair, ICT bars), the same reports as CSV and JSON where the
+CLI offers them, plus CSV/JSON tables.  Re-running the script
 rewrites byte-identical files; tests/test_demos.py checks that they match the
 tracked copies.
 """
@@ -35,6 +36,26 @@ def jobs(out_dir: Path):
         (["report", "--kind", "bars", "--node", "ICTS", "--year", "2006",
           "--format", "svg", "--out", str(out_dir / "ict_subindex_2006.svg")],
          "ICT sub-index bars for 2006"),
+        (["report", "--kind", "scores", "--node", "GCI",
+          "--format", "csv", "--out", str(out_dir / "gci_scores_by_year.csv")],
+         "composite score rows, 2001-2006"),
+        (["report", "--kind", "scores", "--node", "GCI",
+          "--format", "json", "--out", str(out_dir / "gci_scores_by_year.json")],
+         "composite score rows as JSON"),
+        (["report", "--kind", "trend", "--country", "Macedonia",
+          "--nodes", "TI", "GCI", "--from", "2003", "--to", "2006",
+          "--format", "csv", "--out", str(out_dir / "macedonia_trend.csv")],
+         "Macedonia series with fitted values"),
+        (["report", "--kind", "trend", "--country", "Macedonia",
+          "--nodes", "TI", "GCI", "--from", "2003", "--to", "2006",
+          "--format", "json", "--out", str(out_dir / "macedonia_trend.json")],
+         "Macedonia series and fits as JSON"),
+        (["report", "--kind", "bars", "--node", "ICTS", "--year", "2006",
+          "--format", "csv", "--out", str(out_dir / "ict_subindex_2006.csv")],
+         "ICT sub-index rows for 2006"),
+        (["report", "--kind", "bars", "--node", "ICTS", "--year", "2006",
+          "--format", "json", "--out", str(out_dir / "ict_subindex_2006.json")],
+         "ICT sub-index rows as JSON"),
         (["compute", "--year", "2006",
           "--format", "csv", "--out", str(out_dir / "scores_2006.csv")],
          "full 2006 score table"),
