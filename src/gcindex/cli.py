@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import data as bundled
 from .engine import MissingPolicy, compute_all
@@ -33,7 +33,7 @@ from .ranking import (
     rank_table_from_indicator,
 )
 from .stats import Decision, ols_fit, pearson, rank_homogeneity_test
-from .svg import bar_chart, line_chart
+from .svg import line_chart
 from .whatif import Scenario, apply_scenario, min_delta_for_rank_gain
 
 _DECISION_TEXT = {
@@ -90,22 +90,23 @@ def _deliver(args, results, node: Optional[str] = None) -> None:
         sys.stdout.write(render_report(results, fmt, node=node))
 
 
-def _series_for(panel: Panel, tree: IndexTree, policy: MissingPolicy,
-                country: str, node: str, first: Optional[int], last: Optional[int]):
-    """(year, node score) points for one country across the panel's years."""
-    points = []
-    for year in panel.years():
-        if first is not None and year < first:
-            continue
-        if last is not None and year > last:
-            continue
-        if country not in panel.countries(year):
-            continue
-        table = compute_all(tree, panel, year, policy)
-        score = table.get(country, node)
-        if score is not None:
-            points.append((year, score))
-    return points
+def _score_years(args, panel: Panel, tree: IndexTree, policy: MissingPolicy,
+                 country: Optional[str] = None) -> Dict[int, ScoreTable]:
+    """{year: ScoreTable} for the panel's years within --from/--to, each
+    scored once; with `country`, only the years where it has data."""
+    return {
+        year: compute_all(tree, panel, year, policy)
+        for year in panel.years()
+        if (args.from_year is None or year >= args.from_year)
+        and (args.to_year is None or year <= args.to_year)
+        and (country is None or country in panel.countries(year))
+    }
+
+
+def _series(tables: Dict[int, ScoreTable], country: str, node: str):
+    """(year, score) points of one country's node, in year order."""
+    return [(year, table.score(country, node)) for year, table in tables.items()
+            if table.get(country, node) is not None]
 
 
 def _rank_tables(args, panel: Panel, tree: IndexTree, policy: MissingPolicy):
@@ -153,8 +154,8 @@ def _cmd_delta(args) -> int:
 
 def _cmd_trend(args) -> int:
     panel, tree, policy = _load(args)
-    points = _series_for(panel, tree, policy, args.country, args.node,
-                         args.from_year, args.to_year)
+    points = _series(_score_years(args, panel, tree, policy, args.country),
+                     args.country, args.node)
     result = ols_fit(points)
     sys.stdout.write(
         f"country {args.country}\nnode {args.node}\n"
@@ -169,10 +170,9 @@ def _cmd_trend(args) -> int:
 def _cmd_correlate(args) -> int:
     panel, tree, policy = _load(args)
     node_a, node_b = args.nodes
-    series_a = dict(_series_for(panel, tree, policy, args.country, node_a,
-                                args.from_year, args.to_year))
-    series_b = dict(_series_for(panel, tree, policy, args.country, node_b,
-                                args.from_year, args.to_year))
+    tables = _score_years(args, panel, tree, policy, args.country)
+    series_a = dict(_series(tables, args.country, node_a))
+    series_b = dict(_series(tables, args.country, node_b))
     years = sorted(set(series_a) & set(series_b))
     result = pearson([series_a[y] for y in years], [series_b[y] for y in years])
     sys.stdout.write(
@@ -227,37 +227,18 @@ def _cmd_whatif(args) -> int:
     return 0
 
 
-def _score_rows_text(rows, fmt: str) -> str:
-    if fmt == "json":
-        doc = [{"year": y, "country": c, "node": n, "score": float(_fmt6(s))}
-               for y, c, n, s in rows]
-        return json.dumps({"scores": doc}, indent=2, sort_keys=True) + "\n"
-    body = [f"{y},{c},{n},{_fmt6(s)}" for y, c, n, s in rows]
-    return "year,country,node,score\n" + "\n".join(body) + "\n"
-
-
 def _cmd_report(args) -> int:
     panel, tree, policy = _load(args)
-    if args.kind == "scores":
-        years = [y for y in panel.years()
-                 if (args.from_year is None or y >= args.from_year)
-                 and (args.to_year is None or y <= args.to_year)]
-        tables = {y: compute_all(tree, panel, y, policy) for y in years}
-        if args.format == "svg":
-            series = {}
-            for country in panel.countries():
-                pts = [(float(y), tables[y].score(country, args.node))
-                       for y in years if tables[y].get(country, args.node) is not None]
-                if pts:
-                    series[country] = pts
-            text = line_chart(series, f"{args.node} scores by year")
-        else:
-            rows = [(y, c, args.node, tables[y].score(c, args.node))
-                    for y in years for c in tables[y].countries()
-                    if tables[y].get(c, args.node) is not None]
-            if not rows:
-                raise GciError(f"node {args.node!r} has no scores in the panel's years")
-            text = _score_rows_text(rows, args.format)
+    if args.kind == "bars" and args.year is None:
+        raise GciError("report --kind bars needs --year")
+    if args.kind in ("scores", "bars"):
+        tables = ({args.year: compute_all(tree, panel, args.year, policy)}
+                  if args.kind == "bars" else _score_years(args, panel, tree, policy))
+        if not any(args.node in table.nodes() for table in tables.values()):
+            raise GciError(f"node {args.node!r} has no scores in the requested years")
+        # bars svg charts the one year's table; every other score report is the dict
+        results = tables[args.year] if args.kind == "bars" and args.format == "svg" else tables
+        text = render_report(results, args.format, args.node)
     elif args.kind == "deltas":
         if args.prev_year is None or args.cur_year is None:
             raise GciError("report --kind deltas needs --prev-year and --cur-year")
@@ -266,11 +247,11 @@ def _cmd_report(args) -> int:
     elif args.kind == "trend":
         if not args.country:
             raise GciError("report --kind trend needs --country")
+        tables = _score_years(args, panel, tree, policy, args.country)
         series = {}
         fits = {}
         for node in args.nodes:
-            pts = _series_for(panel, tree, policy, args.country, node,
-                              args.from_year, args.to_year)
+            pts = _series(tables, args.country, node)
             series[node] = [(float(y), v) for y, v in pts]
             fits[node] = ols_fit(pts)
         if args.format == "svg":
@@ -295,19 +276,6 @@ def _cmd_report(args) -> int:
                 for x, v in series[node]:
                     lines.append(f"{int(x)},{node},{_fmt6(v)},{_fmt6(fits[node].predict(x))}")
             text = "\n".join(lines) + "\n"
-    else:  # bars
-        if args.year is None:
-            raise GciError("report --kind bars needs --year")
-        table = compute_all(tree, panel, args.year, policy)
-        items = [(c, table.score(c, args.node)) for c in table.countries()
-                 if table.get(c, args.node) is not None]
-        if not items:
-            raise GciError(f"node {args.node!r} has no scores for {args.year}")
-        if args.format == "svg":
-            text = bar_chart(items, f"{args.node} scores, {args.year}", baseline=1.0)
-        else:
-            rows = [(args.year, c, args.node, v) for c, v in items]
-            text = _score_rows_text(rows, args.format)
     _write(args.out, text)
     return 0
 

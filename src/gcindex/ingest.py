@@ -297,15 +297,21 @@ def _write(path: Union[str, Path], text: str) -> Path:
     return path
 
 
-def _score_rows(table: ScoreTable):
-    for (country, node) in sorted(table.entries):
-        yield country, node, table.entries[(country, node)]
-
-
-def _render_csv(results) -> str:
+def _score_rows(results, node: Optional[str]):
+    """(year, country, node, score) rows: every entry of a ScoreTable, or
+    `node`'s scores from a {year: ScoreTable} dict, year by year."""
     if isinstance(results, ScoreTable):
+        entries = results.entries
+        return [(results.year, c, n, entries[(c, n)]) for c, n in sorted(entries)]
+    return [(year, c, node, table.score(c, node))
+            for year, table in sorted(results.items())
+            for c in table.countries() if table.get(c, node) is not None]
+
+
+def _render_csv(results, node: Optional[str]) -> str:
+    if isinstance(results, (ScoreTable, dict)):
         lines = [SCORE_HEADER]
-        lines += [f"{results.year},{c},{n},{_fmt6(s)}" for c, n, s in _score_rows(results)]
+        lines += [f"{y},{c},{n},{_fmt6(s)}" for y, c, n, s in _score_rows(results, node)]
         return "\n".join(lines) + "\n"
     if isinstance(results, RankTable):
         lines = [RANK_HEADER]
@@ -350,13 +356,20 @@ def _json_number(value: float) -> float:
     return float(_fmt6(value))
 
 
-def _render_json(results) -> str:
+def _render_json(results, node: Optional[str]) -> str:
     if isinstance(results, ScoreTable):
         doc = {
             "year": results.year,
             "scores": [
                 {"country": c, "node": n, "score": _json_number(s)}
-                for c, n, s in _score_rows(results)
+                for _, c, n, s in _score_rows(results, None)
+            ],
+        }
+    elif isinstance(results, dict):
+        doc = {
+            "scores": [
+                {"year": y, "country": c, "node": n, "score": _json_number(s)}
+                for y, c, n, s in _score_rows(results, node)
             ],
         }
     elif isinstance(results, RankTable):
@@ -418,6 +431,11 @@ def _render_svg(results, node: Optional[str]) -> str:
         items = [(c, results.score(c, target)) for c in results.countries()
                  if results.get(c, target) is not None]
         return svg.bar_chart(items, f"{target} scores, {results.year}", baseline=1.0)
+    if isinstance(results, dict):
+        series: Dict[str, list] = {}
+        for year, country, _, score in _score_rows(results, node):
+            series.setdefault(country, []).append((float(year), score))
+        return svg.line_chart(series, f"{node} scores by year")
     if isinstance(results, RankTable):
         items = [(c, float(results.rank(c))) for c in results.countries()]
         return svg.bar_chart(items, f"Rankings, {results.year}")
@@ -432,6 +450,8 @@ def _render_svg(results, node: Optional[str]) -> str:
 def emit_report(results, format: str, path: Union[str, Path], node: Optional[str] = None) -> Path:
     """Write one result object as csv, json or svg.
 
+    A {year: ScoreTable} dict with `node` renders that node's scores over the
+    years: year,country,node,score rows, or one line per country in svg.
     Identical results produce byte-identical files: ordering is stable and
     numbers are fixed to 6 decimals with a '.' separator.
     """
@@ -440,10 +460,12 @@ def emit_report(results, format: str, path: Union[str, Path], node: Optional[str
 
 def render_report(results, format: str, node: Optional[str] = None) -> str:
     """The text emit_report would write, without touching the filesystem."""
+    if isinstance(results, dict) and node is None:
+        raise UnsupportedFormatError("a {year: ScoreTable} report needs a node")
     if format == "csv":
-        return _render_csv(results)
+        return _render_csv(results, node)
     if format == "json":
-        return _render_json(results)
+        return _render_json(results, node)
     if format == "svg":
         return _render_svg(results, node)
     raise UnsupportedFormatError(f"unknown format {format!r}")

@@ -121,20 +121,6 @@ class Panel:
             if y == year and i in wanted
         }
 
-    def series(self, country: str, indicator: str) -> Tuple[Tuple[int, float], ...]:
-        """All (year, value) pairs for one country/indicator, year-ordered."""
-        pts = [
-            (y, v)
-            for (y, c, i), v in self._values.items()
-            if c == country and i == indicator
-        ]
-        return tuple(sorted(pts))
-
-    def observations(self) -> Tuple[Observation, ...]:
-        return tuple(
-            Observation(y, c, i, v) for (y, c, i), v in sorted(self._values.items())
-        )
-
 
 @dataclass(frozen=True)
 class Normalization:
@@ -231,21 +217,23 @@ class IndexTree:
                 return tuple(merged.items())
             return ()
 
-        def visit(node_id: str):
+        def visit(node_id: str, parent: Optional[str]):
             if node_id in seen:
                 return
             if node_id in onpath:
                 raise CycleError(f"cycle through node {node_id!r}")
             if node_id not in self.nodes:
-                raise DanglingChildError(f"unknown child node {node_id!r}")
+                if parent is None:
+                    raise DanglingChildError(f"unknown node {node_id!r}")
+                raise DanglingChildError(f"node {parent!r} references unknown child {node_id!r}")
             onpath.add(node_id)
             for child, _ in sorted(edges_of(self.nodes[node_id])):
-                visit(child)
+                visit(child, node_id)
             onpath.discard(node_id)
             seen.add(node_id)
             order.append(node_id)
 
-        visit(self.root)
+        visit(self.root, None)
         return tuple(order)
 
     def leaves(self, cls: Optional[InnovatorClass] = None) -> Tuple[str, ...]:
@@ -272,8 +260,6 @@ def validate_tree(tree: IndexTree) -> IndexTree:
             seen_children = set()
             total = Fraction(0)
             for child, weight in edges:
-                if child not in tree.nodes:
-                    raise DanglingChildError(f"node {node_id!r} references unknown child {child!r}")
                 if child in seen_children:
                     raise DanglingChildError(f"node {node_id!r} lists child {child!r} twice")
                 seen_children.add(child)

@@ -188,6 +188,32 @@ class TestTrendAndCorrelate:
         assert code == 1
         assert err.startswith("error:")
 
+    # Macedonia has data from 2003 on; the panel runs 2001-2006.
+    @pytest.mark.parametrize("argv,years", [
+        (["trend", "--country", "Macedonia"], [2003, 2004, 2005, 2006]),
+        (["correlate", "--country", "Macedonia", "--nodes", "TI", "GCI"],
+         [2003, 2004, 2005, 2006]),
+        (["report", "--kind", "trend", "--country", "Macedonia", "--nodes", "TI", "GCI",
+          "--from", "2004", "--format", "csv"], [2004, 2005, 2006]),
+        (["report", "--kind", "scores", "--from", "2002", "--to", "2004", "--format", "csv"],
+         [2002, 2003, 2004]),
+    ], ids=["trend", "correlate", "report-trend", "report-scores"])
+    def test_each_year_scored_once(self, capsys, tmp_path, monkeypatch, argv, years):
+        import gcindex.cli
+
+        scored = []
+        real = gcindex.cli.compute_all
+
+        def counting(tree, panel, year, *rest):
+            scored.append(year)
+            return real(tree, panel, year, *rest)
+
+        monkeypatch.setattr(gcindex.cli, "compute_all", counting)
+        out = ["--out", str(tmp_path / "report.csv")] if argv[0] == "report" else []
+        code, _, err = run_cli(capsys, argv[0], *DATA, *argv[1:], *out)
+        assert code == 0, err
+        assert scored == years
+
 
 class TestChisq:
     def test_regional_stability_run(self, capsys):
@@ -323,7 +349,8 @@ class TestReport:
         assert text.startswith("<?xml")
         assert ET.fromstring(text).tag.endswith("svg")
 
-    @pytest.mark.parametrize("kind", ["bars", "scores", "trend"])
+    # Every SVG the CLI emits: the four report kinds, and delta on stdout.
+    @pytest.mark.parametrize("kind", ["bars", "scores", "trend", "deltas", "delta"])
     def test_svg_escapes_markup_in_names(self, capsys, tmp_path, kind):
         from xml.dom import minidom
 
@@ -334,13 +361,17 @@ class TestReport:
                 for leaf in ("IS", "TTS", "ICTS", "PII", "MEI"):
                     rows.append(f"{year},{country},{leaf},{g + step}")
         data.write_text("\n".join(rows) + "\n")
-        out_path = tmp_path / f"{kind}.svg"
-        code, _, _ = run_cli(
-            capsys, "report", "--data", str(data), "--tree", TREE, "--kind", kind,
-            "--year", "2006", "--country", "A&B", "--format", "svg", "--out", str(out_path),
-        )
+        inputs = ["--data", str(data), "--tree", TREE, "--prev-year", "2006", "--cur-year", "2007"]
+        if kind == "delta":
+            code, text, _ = run_cli(capsys, "delta", *inputs, "--format", "svg")
+        else:
+            out_path = tmp_path / f"{kind}.svg"
+            code, _, _ = run_cli(
+                capsys, "report", *inputs, "--kind", kind, "--year", "2006",
+                "--country", "A&B", "--format", "svg", "--out", str(out_path),
+            )
+            text = out_path.read_text()
         assert code == 0
-        text = out_path.read_text()
         labels = [n.firstChild.data for n in minidom.parseString(text).getElementsByTagName("text")]
         if kind == "trend":
             # The user-supplied country goes into the chart title.
@@ -349,6 +380,22 @@ class TestReport:
         else:
             assert "A&B" in labels and "<C>" in labels
             assert ">A&amp;B</text>" in text and ">&lt;C&gt;</text>" in text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    @pytest.mark.parametrize("kind,extra", [
+        ("scores", ["--node", "NOPE"]),
+        ("scores", ["--from", "2010"]),
+        ("bars", ["--node", "NOPE", "--year", "2006"]),
+    ])
+    def test_no_scores_exits_one_in_every_format(self, capsys, tmp_path, fmt, kind, extra):
+        out_path = tmp_path / f"report.{fmt}"
+        code, _, err = run_cli(
+            capsys, "report", *DATA, "--kind", kind, *extra,
+            "--format", fmt, "--out", str(out_path),
+        )
+        assert code == 1
+        assert err.startswith("error: node ") and "has no scores" in err
+        assert not out_path.exists()
 
     def test_bars_csv(self, capsys, tmp_path):
         out_path = tmp_path / "bars.csv"

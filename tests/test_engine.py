@@ -102,7 +102,7 @@ class TestEvaluateNode:
         assert whole.value.missing == err.value.missing
 
     def test_unknown_node_is_a_domain_error(self, technology_tree):
-        with pytest.raises(GciError):
+        with pytest.raises(GciError, match="^unknown node 'NOPE'$"):
             evaluate_node(technology_tree, "NOPE", NONCORE, {("X", "IS"): 4.0}, "X")
 
     def test_unnormalized_leaf_out_of_scale(self, technology_tree):

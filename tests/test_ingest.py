@@ -243,6 +243,22 @@ class TestEmitReport:
         doc = json.loads(render_report(result, "json"))
         assert doc["df"] == 9
 
+    def test_year_tables_render_one_node(self):
+        tables = {
+            2007: ScoreTable(year=2007, entries={("A", "GCI"): 4.5, ("A", "TI"): 3.5}),
+            2006: ScoreTable(year=2006, entries={("B", "TI"): 2.0, ("A", "TI"): 3.0}),
+        }
+        assert render_report(tables, "csv", "TI") == (
+            "year,country,node,score\n2006,A,TI,3.000000\n2006,B,TI,2.000000\n"
+            "2007,A,TI,3.500000\n"
+        )
+        assert json.loads(render_report(tables, "json", "GCI")) == {
+            "scores": [{"year": 2007, "country": "A", "node": "GCI", "score": 4.5}]
+        }
+        for fmt in ("csv", "json", "svg"):
+            with pytest.raises(UnsupportedFormatError):
+                render_report(tables, fmt)
+
     def test_unsupported_format(self, tmp_path):
         table = ScoreTable(year=2006, entries={("A", "GCI"): 4.0})
         with pytest.raises(UnsupportedFormatError):

@@ -101,7 +101,7 @@ class TestValidateTree:
 
     def test_dangling_child(self):
         nodes = {"GCI": Node("GCI", edges=(("TI", Fraction(1)),))}
-        with pytest.raises(DanglingChildError):
+        with pytest.raises(DanglingChildError, match="^node 'GCI' references unknown child 'TI'$"):
             validate_tree(IndexTree(nodes=nodes, root="GCI"))
 
     def test_nonpositive_weight_rejected(self):
