@@ -1,7 +1,9 @@
 """The tracked demo artifacts are the byte oracle of the determinism contract:
-rerunning demo 06's CLI jobs must reproduce every file in demos/output/."""
+rerunning demo 06's CLI jobs must reproduce every file in demos/output/, and
+demos 01-05 must print exactly the text tracked in demos/stdout/."""
 
 import importlib.util
+import runpy
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,9 @@ def test_report_files_regenerate_byte_for_byte(tmp_path, capsys):
     for name in written:
         if (tmp_path / name).read_bytes() != (DEMOS / "output" / name).read_bytes():
             pytest.fail(f"{name} differs from demos/output/{name}")
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (DEMOS / "stdout").iterdir()))
+def test_demo_stdout_is_unchanged(name, capsys):
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    assert capsys.readouterr().out.encode() == (DEMOS / "stdout" / f"{name}.txt").read_bytes()
