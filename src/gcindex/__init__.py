@@ -16,6 +16,7 @@ from .engine import (
 from .ingest import (
     WEF_DEFAULT,
     DatasetManifest,
+    default_wef_tree,
     dump_tree,
     emit_report,
     load_classes,
@@ -33,7 +34,6 @@ from .model import (
     Panel,
     RankTable,
     ScoreTable,
-    default_wef_tree,
     validate_tree,
 )
 from .ranking import (

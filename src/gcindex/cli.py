@@ -20,6 +20,7 @@ from .ingest import (
     WEF_DEFAULT,
     DatasetManifest,
     _fmt6,
+    _json_number,
     _write,
     emit_report,
     load_score_table,
@@ -104,9 +105,18 @@ def _score_years(args, panel: Panel, tree: IndexTree, policy: MissingPolicy,
 
 
 def _series(tables: Dict[int, ScoreTable], country: str, node: str):
-    """(year, score) points of one country's node, in year order."""
-    return [(year, table.score(country, node)) for year, table in tables.items()
-            if table.get(country, node) is not None]
+    """(year, score) points of one country's node, in year order; at least
+    two, or a GciError naming the node, the country and the years searched."""
+    if not tables:
+        raise GciError(f"country {country!r} has no data in the requested years")
+    points = [(year, table.score(country, node)) for year, table in tables.items()
+              if table.get(country, node) is not None]
+    if len(points) < 2:
+        first, last = min(tables), max(tables)
+        years = f"{first}-{last}" if first != last else f"{first}"
+        raise GciError(f"node {node!r} has {len(points)} score{'' if len(points) == 1 else 's'}"
+                       f" for {country!r} in {years}; need at least two")
+    return points
 
 
 def _rank_tables(args, panel: Panel, tree: IndexTree, policy: MissingPolicy):
@@ -172,8 +182,8 @@ def _cmd_correlate(args) -> int:
     node_a, node_b = args.nodes
     tables = _score_years(args, panel, tree, policy, args.country)
     series_a = dict(_series(tables, args.country, node_a))
-    series_b = dict(_series(tables, args.country, node_b))
-    years = sorted(set(series_a) & set(series_b))
+    series_b = dict(_series({y: tables[y] for y in series_a}, args.country, node_b))
+    years = list(series_b)
     result = pearson([series_a[y] for y in years], [series_b[y] for y in years])
     sys.stdout.write(
         f"country {args.country}\nnodes {node_a},{node_b}\n"
@@ -263,10 +273,10 @@ def _cmd_report(args) -> int:
         elif args.format == "json":
             doc = {
                 "country": args.country,
-                "series": {n: [[int(x), float(_fmt6(v))] for x, v in series[n]]
+                "series": {n: [[int(x), _json_number(v)] for x, v in series[n]]
                            for n in args.nodes},
-                "fits": {n: {"slope": float(_fmt6(fits[n].slope)),
-                             "intercept": float(_fmt6(fits[n].intercept)),
+                "fits": {n: {"slope": _json_number(fits[n].slope),
+                             "intercept": _json_number(fits[n].intercept),
                              "n": fits[n].n} for n in args.nodes},
             }
             text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

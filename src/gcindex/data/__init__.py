@@ -3,8 +3,9 @@
 balkans-gci.csv holds component-level scores (IS, TTS, ICTS, PII, MEI) and
 published global standings (GCI_RANK) for ten regional entities, compiled
 from the figures of the WEF Global Competitiveness Report series 2001-2006.
-balkans-tree.json computes TI and GCI from those leaves; the full survey and
-hard-data tree is available as load_tree("wef-default").
+balkans-tree.json computes TI and GCI from those leaves.
+wef-default-tree.json is the only definition of the full survey and
+hard-data WEF tree; load_tree("wef-default") and default_wef_tree() read it.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from . import svg
+from .data import WEF_TREE_CONFIG, fixture_path
 from .errors import (
     DuplicateKeyError,
     IoError,
@@ -33,7 +34,6 @@ from .model import (
     Panel,
     RankTable,
     ScoreTable,
-    default_wef_tree,
     validate_tree,
 )
 from .engine import MissingPolicy
@@ -198,10 +198,8 @@ def _parse_edges(node_id: str, entries) -> Tuple[Tuple[str, Fraction], ...]:
 
 def load_tree(source: Union[str, Path]) -> IndexTree:
     """Build a validated IndexTree from a JSON config, or the literal
-    "wef-default" for the built-in WEF tree."""
-    if str(source) == WEF_DEFAULT:
-        return default_wef_tree()
-    path = Path(source)
+    "wef-default" for the bundled WEF tree config."""
+    path = fixture_path(WEF_TREE_CONFIG) if str(source) == WEF_DEFAULT else Path(source)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -259,6 +257,22 @@ def load_tree(source: Union[str, Path]) -> IndexTree:
         except ValueError as exc:
             raise SchemaError(f"{path}: {exc}") from None
     return validate_tree(IndexTree(nodes=nodes, root=str(doc["root"])))
+
+
+def default_wef_tree() -> IndexTree:
+    """The full WEF growth-competitiveness aggregation tree, read from the
+    bundled data/wef-default-tree.json.
+
+    GCI combines the technology, public-institutions and macro-environment
+    indexes with class-dependent weights (core innovators: 1/2, 1/4, 1/4;
+    non-core: equal thirds).  The technology index splits by class as well:
+    core countries average innovation and ICT evenly, non-core countries
+    weigh innovation 1/8, technology transfer 3/8 and ICT 1/2.  The ICT
+    sub-index mixes survey data (1/3) and hard data (2/3); hard leaves are
+    min-max normalized against the observed cross-country range for the
+    evaluated year.
+    """
+    return load_tree(WEF_DEFAULT)
 
 
 def dump_tree(tree: IndexTree) -> str:

@@ -9,7 +9,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
@@ -273,83 +273,6 @@ def validate_tree(tree: IndexTree) -> IndexTree:
         if not node.children(InnovatorClass.CORE) and not node.children(InnovatorClass.NONCORE):
             raise WeightSumError(f"aggregate node {node_id!r} has no edges for either class")
     return tree
-
-
-def _equal_edges(children: Iterable[str]) -> Tuple[Edge, ...]:
-    ids = tuple(children)
-    w = Fraction(1, len(ids))
-    return tuple((c, w) for c in ids)
-
-
-#: Survey questions feeding the ICT survey-data group.
-ICT_SURVEY_LEAVES = (
-    "internet_access_in_schools",
-    "isp_competition_quality",
-    "gov_ict_prioritization",
-    "gov_ict_promotion_success",
-    "ict_laws",
-)
-
-#: Per-capita hard indicators feeding the ICT hard-data group.
-ICT_HARD_LEAVES = (
-    "cellular_telephones",
-    "internet_users",
-    "internet_hosts",
-    "telephone_lines",
-    "personal_computers",
-)
-
-
-def default_wef_tree() -> IndexTree:
-    """The full WEF growth-competitiveness aggregation tree.
-
-    GCI combines the technology, public-institutions and macro-environment
-    indexes with class-dependent weights (core innovators: 1/2, 1/4, 1/4;
-    non-core: equal thirds).  The technology index splits by class as well:
-    core countries average innovation and ICT evenly, non-core countries
-    weigh innovation 1/8, technology transfer 3/8 and ICT 1/2.  The ICT
-    sub-index mixes survey data (1/3) and hard data (2/3); hard leaves are
-    min-max normalized against the observed cross-country range for the
-    evaluated year.
-    """
-    half, quarter, third = Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)
-    nodes = {
-        "GCI": Node(
-            "GCI",
-            edges_by_class={
-                InnovatorClass.CORE: (("TI", half), ("PII", quarter), ("MEI", quarter)),
-                InnovatorClass.NONCORE: (("TI", third), ("PII", third), ("MEI", third)),
-            },
-        ),
-        "TI": Node(
-            "TI",
-            edges_by_class={
-                InnovatorClass.CORE: (("IS", half), ("ICTS", half)),
-                InnovatorClass.NONCORE: (
-                    ("IS", Fraction(1, 8)),
-                    ("TTS", Fraction(3, 8)),
-                    ("ICTS", half),
-                ),
-            },
-        ),
-        "PII": Node("PII", edges=(("CLS", half), ("CS", half))),
-        "MEI": Node("MEI", edges=(("MSS", half), ("CCR", quarter), ("GW", quarter))),
-        "ICTS": Node("ICTS", edges=(("ICTsd", third), ("ICThd", Fraction(2, 3)))),
-        "ICTsd": Node("ICTsd", edges=_equal_edges(ICT_SURVEY_LEAVES)),
-        "ICThd": Node("ICThd", edges=_equal_edges(ICT_HARD_LEAVES)),
-        "IS": Node("IS"),
-        "TTS": Node("TTS"),
-        "CLS": Node("CLS"),
-        "CS": Node("CS"),
-        "MSS": Node("MSS"),
-        "CCR": Node("CCR"),
-        "GW": Node("GW"),
-    }
-    for leaf in ICT_SURVEY_LEAVES:
-        nodes[leaf] = Node(leaf)
-    for leaf in ICT_HARD_LEAVES:
-        nodes[leaf] = Node(leaf, normalize=OBSERVED)
-    return validate_tree(IndexTree(nodes=nodes, root="GCI"))
 
 
 def _check_scores(scores: Iterable[Tuple[Tuple[str, str], float]]) -> None:

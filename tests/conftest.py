@@ -10,12 +10,11 @@ from gcindex.data import (
     BALKANS_TREE,
     fixture_path,
 )
-from gcindex.ingest import load_classes, load_panel, load_tree
+from gcindex.ingest import default_wef_tree, load_classes, load_panel, load_tree
 from gcindex.model import (
     IndexTree,
     InnovatorClass,
     Node,
-    default_wef_tree,
     validate_tree,
 )
 

@@ -56,7 +56,7 @@ class TestCompute:
         assert "2006,X,TI,4.400000" in out
 
     def test_wef_default_tree_flag(self, capsys, tmp_path):
-        from gcindex.model import default_wef_tree
+        from gcindex.ingest import default_wef_tree
 
         data = tmp_path / "full.csv"
         rows = ["year,country,indicator,value"]
@@ -73,9 +73,17 @@ class TestCompute:
         )
         assert code == 0
         assert "2006,P,GCI," in out
+        code, bundled, _ = run_cli(capsys, "fixture", "wef-tree")
+        assert code == 0
+        code, from_path, _ = run_cli(
+            capsys, "compute", "--data", str(data), "--year", "2006",
+            "--tree", bundled.strip(),
+        )
+        assert code == 0
+        assert from_path == out
 
     def test_non_finite_value_exits_one(self, capsys, tmp_path):
-        from gcindex.model import default_wef_tree
+        from gcindex.ingest import default_wef_tree
 
         data = tmp_path / "nan.csv"
         rows = ["year,country,indicator,value"]
@@ -187,6 +195,59 @@ class TestTrendAndCorrelate:
         )
         assert code == 1
         assert err.startswith("error:")
+
+    # Each command checks its series once: an unknown node, an absent
+    # country and a range of one year or none are named in the message.
+    @pytest.mark.parametrize("argv,message", [
+        (["trend", "--country", "Macedonia", "--node", "NOPE"],
+         "node 'NOPE' has 0 scores for 'Macedonia' in 2003-2006; need at least two"),
+        (["trend", "--country", "Macedonia", "--from", "2006"],
+         "node 'GCI' has 1 score for 'Macedonia' in 2006; need at least two"),
+        (["trend", "--country", "Macedonia", "--from", "2007", "--to", "2003"],
+         "country 'Macedonia' has no data in the requested years"),
+        (["trend", "--country", "Nowhere"],
+         "country 'Nowhere' has no data in the requested years"),
+        (["correlate", "--country", "Macedonia", "--nodes", "TI", "NOPE"],
+         "node 'NOPE' has 0 scores for 'Macedonia' in 2003-2006; need at least two"),
+        (["correlate", "--country", "Nowhere"],
+         "country 'Nowhere' has no data in the requested years"),
+        (["correlate", "--country", "Macedonia", "--from", "2001", "--to", "2003"],
+         "node 'TI' has 1 score for 'Macedonia' in 2003; need at least two"),
+        (["report", "--kind", "trend", "--country", "Macedonia", "--nodes", "TI", "NOPE"],
+         "node 'NOPE' has 0 scores for 'Macedonia' in 2003-2006; need at least two"),
+        (["report", "--kind", "trend", "--country", "Nowhere"],
+         "country 'Nowhere' has no data in the requested years"),
+        (["report", "--kind", "trend", "--country", "Macedonia", "--from", "2005",
+          "--to", "2005", "--format", "json"],
+         "node 'TI' has 1 score for 'Macedonia' in 2005; need at least two"),
+    ], ids=["trend-node", "trend-one-year", "trend-no-year", "trend-country",
+            "correlate-node", "correlate-country", "correlate-one-year",
+            "report-node", "report-country", "report-one-year"])
+    def test_short_series_names_node_and_country(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "report.out"
+        out = ["--out", str(out_path)] if argv[0] == "report" else []
+        code, stdout, err = run_cli(capsys, argv[0], *DATA, *argv[1:], *out)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {message}\n"
+        assert not out_path.exists()
+
+    def test_correlate_searches_second_node_in_first_nodes_years(self, capsys, tmp_path):
+        # Under renormalize TI has scores in 2001-2002 only and MEI in 2003-2004
+        # only: each series has two points, but no year has both.
+        data = tmp_path / "split.csv"
+        rows = ["year,country,indicator,value"]
+        for year, leaves in ((2001, "IS TTS ICTS"), (2002, "IS TTS ICTS"),
+                             (2003, "PII MEI"), (2004, "PII MEI")):
+            rows += [f"{year},X,{leaf},4.0" for leaf in leaves.split()]
+        data.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            capsys, "correlate", "--data", str(data), "--tree", TREE,
+            "--policy", "renormalize", "--country", "X", "--nodes", "TI", "MEI",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: node 'MEI' has 0 scores for 'X' in 2001-2002; need at least two\n"
 
     # Macedonia has data from 2003 on; the panel runs 2001-2006.
     @pytest.mark.parametrize("argv,years", [

@@ -20,6 +20,7 @@ from gcindex.errors import (
 )
 from gcindex.ingest import (
     DatasetManifest,
+    default_wef_tree,
     dump_tree,
     emit_report,
     load_classes,
@@ -28,7 +29,7 @@ from gcindex.ingest import (
     load_tree,
     render_report,
 )
-from gcindex.model import InnovatorClass, RankTable, ScoreTable, default_wef_tree
+from gcindex.model import InnovatorClass, RankTable, ScoreTable
 from gcindex.ranking import rank_delta, rank_table_from_indicator
 from gcindex.stats import rank_homogeneity_test
 
@@ -111,12 +112,10 @@ class TestLoadClasses:
 
 
 class TestLoadTree:
-    def test_wef_default_literal(self):
-        assert load_tree("wef-default") == default_wef_tree()
-
-    def test_bundled_config_round_trips_default(self):
-        loaded = load_tree(fixture_path(WEF_TREE_CONFIG))
-        assert loaded == default_wef_tree()
+    def test_bundled_wef_config_is_canonical(self):
+        tree = load_tree("wef-default")
+        assert dump_tree(tree).encode() == fixture_path(WEF_TREE_CONFIG).read_bytes()
+        assert tree == default_wef_tree() == load_tree(fixture_path(WEF_TREE_CONFIG))
 
     def test_dump_then_load_is_identity(self, tmp_path, wef_tree):
         path = tmp_path / "tree.json"

@@ -9,9 +9,8 @@ from gcindex.errors import (
     MissingClassError,
     WeightSumError,
 )
+from gcindex.ingest import default_wef_tree
 from gcindex.model import (
-    ICT_HARD_LEAVES,
-    ICT_SURVEY_LEAVES,
     OBSERVED,
     IndexTree,
     InnovatorClass,
@@ -21,8 +20,24 @@ from gcindex.model import (
     Panel,
     RankTable,
     ScoreTable,
-    default_wef_tree,
     validate_tree,
+)
+
+# The paper's ICT leaves, spelled out here so the tree tests do not read
+# the tree's own config.
+ICT_SURVEY_LEAVES = (
+    "internet_access_in_schools",
+    "isp_competition_quality",
+    "gov_ict_prioritization",
+    "gov_ict_promotion_success",
+    "ict_laws",
+)
+ICT_HARD_LEAVES = (
+    "cellular_telephones",
+    "internet_users",
+    "internet_hosts",
+    "telephone_lines",
+    "personal_computers",
 )
 
 
@@ -125,6 +140,18 @@ class TestValidateTree:
 
 
 class TestDefaultTree:
+    def test_node_ids(self, wef_tree):
+        assert set(wef_tree.nodes) == {
+            "GCI", "TI", "PII", "MEI", "IS", "TTS", "ICTS", "ICTsd", "ICThd",
+            "CLS", "CS", "MSS", "CCR", "GW", *ICT_SURVEY_LEAVES, *ICT_HARD_LEAVES,
+        }
+        assert wef_tree.root == "GCI"
+
+    def test_only_hard_leaves_use_observed_bounds(self, wef_tree):
+        for node_id, node in wef_tree.nodes.items():
+            expected = OBSERVED if node_id in ICT_HARD_LEAVES else None
+            assert node.normalize == expected, node_id
+
     def test_noncore_gci_weights_are_thirds(self, wef_tree):
         edges = dict(wef_tree.node("GCI").children(InnovatorClass.NONCORE))
         assert edges == {"TI": Fraction(1, 3), "PII": Fraction(1, 3), "MEI": Fraction(1, 3)}
@@ -148,10 +175,6 @@ class TestDefaultTree:
     def test_hard_data_leaves(self, wef_tree):
         edges = wef_tree.node("ICThd").children(InnovatorClass.CORE)
         assert tuple(c for c, _ in edges) == ICT_HARD_LEAVES
-        assert set(ICT_HARD_LEAVES) == {
-            "cellular_telephones", "internet_users", "internet_hosts",
-            "telephone_lines", "personal_computers",
-        }
         assert all(w == Fraction(1, 5) for _, w in edges)
         for leaf in ICT_HARD_LEAVES:
             assert wef_tree.node(leaf).normalize == OBSERVED
