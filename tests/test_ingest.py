@@ -112,10 +112,15 @@ class TestLoadClasses:
 
 
 class TestLoadTree:
-    def test_bundled_wef_config_is_canonical(self):
+    def test_wef_default_literal(self):
+        # The name, the bundled path and the helper give the same tree.
         tree = load_tree("wef-default")
-        assert dump_tree(tree).encode() == fixture_path(WEF_TREE_CONFIG).read_bytes()
         assert tree == default_wef_tree() == load_tree(fixture_path(WEF_TREE_CONFIG))
+
+    def test_bundled_config_round_trips_default(self):
+        # The bundled file is exactly what dump_tree writes for the tree it holds.
+        tree = load_tree(fixture_path(WEF_TREE_CONFIG))
+        assert dump_tree(tree).encode() == fixture_path(WEF_TREE_CONFIG).read_bytes()
 
     def test_dump_then_load_is_identity(self, tmp_path, wef_tree):
         path = tmp_path / "tree.json"
