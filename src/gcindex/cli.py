@@ -54,6 +54,17 @@ def _alpha(token: str) -> float:
     return value
 
 
+def _gain(token: str) -> int:
+    """argparse type for a rank gain: an integer >= 0."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {token!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {token}")
+    return value
+
+
 def _add_dataset_flags(parser: argparse.ArgumentParser, data_required: bool = True):
     parser.add_argument("--data", required=data_required,
                         help="panel CSV (year,country,indicator,value)")
@@ -379,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", default="GCI")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--set", type=float, help="override the node score to this value")
-    group.add_argument("--gain", type=int, help="solve for the smallest gain of this many ranks")
+    group.add_argument("--gain", type=_gain,
+                       help="solve for the smallest gain of this many ranks (>= 0)")
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=_cmd_whatif)

@@ -30,10 +30,11 @@ from .model import (
     InnovatorClass,
     Node,
     Normalization,
-    Observation,
     Panel,
     RankTable,
     ScoreTable,
+    _check_token,
+    _check_year,
     validate_tree,
 )
 from .engine import MissingPolicy
@@ -56,11 +57,16 @@ def _fmt6(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _read_lines(path: Union[str, Path]):
+def _read_text(path: Union[str, Path]) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def _data_lines(text: str):
+    """(line number, stripped line) for each line that is not blank or a
+    '#' comment."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -95,7 +101,7 @@ def _parse_float(path, lineno: int, column: int, token: str) -> float:
 def load_classes(path: Union[str, Path]) -> Dict[str, InnovatorClass]:
     """Read a country -> innovator-class CSV (header: country,class)."""
     classes: Dict[str, InnovatorClass] = {}
-    rows = _read_lines(path)
+    rows = _data_lines(_read_text(path))
     header = next(rows, None)
     if header is None or header[1].replace(" ", "") != CLASS_HEADER:
         raise ParseError(path, header[0] if header else 1, f"expected header {CLASS_HEADER!r}")
@@ -123,9 +129,10 @@ def load_panel(
     with the offending line; countries without a class entry fail unless no
     class map is given, in which case everyone defaults to non-core.
     """
-    observations = []
-    seen: Dict[Tuple[int, str, str], int] = {}
-    rows = _read_lines(path)
+    by_year: Dict[int, Dict[Tuple[str, str], float]] = {}
+    checked = set()  # country and indicator tokens that passed _check_token
+    text = _read_text(path)
+    rows = _data_lines(text)
     header = next(rows, None)
     if header is None or header[1].replace(" ", "") != PANEL_HEADER:
         raise ParseError(path, header[0] if header else 1, f"expected header {PANEL_HEADER!r}")
@@ -133,24 +140,46 @@ def load_panel(
         year_t, country, indicator, value_t = _split_row(path, lineno, line, 4, PANEL_HEADER)
         year = _parse_int(path, lineno, 1, year_t)
         value = _parse_float(path, lineno, 4, value_t)
+        values = by_year.get(year)
         try:
-            obs = Observation(year=year, country=country, indicator=indicator, value=value)
+            if values is None:
+                _check_year(year)
+                values = by_year[year] = {}
+            if country not in checked:
+                _check_token("country", country)
+                checked.add(country)
+            if indicator not in checked:
+                _check_token("indicator", indicator)
+                checked.add(indicator)
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
-        if obs.key in seen:
+        key = (country, indicator)
+        if key in values:
             raise DuplicateKeyError(
-                f"{path}:{lineno}: duplicate observation {obs.key} (first at line {seen[obs.key]})"
+                f"{path}:{lineno}: duplicate observation {(year, *key)}"
+                f" (first at line {_first_line(text, year, key)})"
             )
-        seen[obs.key] = lineno
-        observations.append(obs)
-    return Panel(observations, classes)
+        values[key] = value
+    return Panel._from_years(by_year, classes)
+
+
+def _first_line(text: str, year: int, key: Tuple[str, str]) -> int:
+    """Line of the first panel row with this year and (country, indicator).
+    Every row before a duplicate parsed, so the scan stops before any that
+    did not."""
+    rows = _data_lines(text)
+    next(rows)  # header
+    for lineno, line in rows:
+        year_t, country, indicator, _ = (f.strip() for f in line.split(","))
+        if int(year_t) == year and (country, indicator) == key:
+            return lineno
 
 
 def load_score_table(path: Union[str, Path]) -> ScoreTable:
     """Read back a score CSV written by emit_report."""
     entries: Dict[Tuple[str, str], float] = {}
     year: Optional[int] = None
-    rows = _read_lines(path)
+    rows = _data_lines(_read_text(path))
     header = next(rows, None)
     if header is None or header[1].replace(" ", "") != SCORE_HEADER:
         raise ParseError(path, header[0] if header else 1, f"expected header {SCORE_HEADER!r}")

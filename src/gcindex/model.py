@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
     CycleError,
@@ -34,6 +34,18 @@ class InnovatorClass(Enum):
     NONCORE = "noncore"
 
 
+def _check_year(year: int) -> None:
+    if not 1990 <= year <= 2100:
+        raise ValueError(f"year {year} outside [1990, 2100]")
+
+
+def _check_token(name: str, token: str) -> None:
+    # str.split() breaks at exactly the characters str.isspace() accepts, so
+    # a token that splits into itself is non-empty and holds no whitespace.
+    if token.split() != [token]:
+        raise ValueError(f"{name} must be non-empty without whitespace: {token!r}")
+
+
 @dataclass(frozen=True)
 class Observation:
     """One (year, country, indicator, value) data point.
@@ -48,12 +60,9 @@ class Observation:
     value: float
 
     def __post_init__(self):
-        if not 1990 <= self.year <= 2100:
-            raise ValueError(f"year {self.year} outside [1990, 2100]")
-        for name in ("country", "indicator"):
-            token = getattr(self, name)
-            if not token or any(ch.isspace() for ch in token):
-                raise ValueError(f"{name} must be non-empty without whitespace: {token!r}")
+        _check_year(self.year)
+        _check_token("country", self.country)
+        _check_token("indicator", self.indicator)
         if not math.isfinite(self.value):
             raise ValueError(f"value {self.value} is not finite")
 
@@ -63,10 +72,18 @@ class Observation:
 
 
 class Panel:
-    """Immutable set of observations plus a country -> class map.
+    """Immutable observations indexed by year, plus a country -> class map.
 
     Duplicate (year, country, indicator) keys are rejected, and every country
     appearing in the observations must have a class entry.
+
+    Values are kept as {year: {(country, indicator): value}}, with the
+    sorted year tuple and each year's sorted country tuple; all are built
+    once, at construction, in O(observations).  Costs after that:
+    `years()` and `countries(year)` O(1), returning the kept tuples;
+    `value` and `innovator_class` one dict lookup; `slice_year(year, ...)`
+    O(that year's entries), never reading another year; `countries()`
+    without a year merges the per-year tuples, O(countries x years).
     """
 
     def __init__(
@@ -74,25 +91,46 @@ class Panel:
         observations: Iterable[Observation],
         classes: Optional[Mapping[str, InnovatorClass]] = None,
     ):
-        values: dict = {}
-        countries = set()
+        by_year: dict = {}
         for obs in observations:
-            if obs.key in values:
+            values = by_year.setdefault(obs.year, {})
+            key = (obs.country, obs.indicator)
+            if key in values:
                 raise DuplicateKeyError(f"duplicate observation {obs.key}")
-            values[obs.key] = obs.value
-            countries.add(obs.country)
+            values[key] = obs.value
+        self._index(by_year, classes)
+
+    @classmethod
+    def _from_years(
+        cls,
+        by_year: Dict[int, Dict[Tuple[str, str], float]],
+        classes: Optional[Mapping[str, InnovatorClass]],
+    ) -> "Panel":
+        """A panel that takes over an already-checked year-indexed dict
+        (load_panel's path: no Observation per row, no copy)."""
+        panel = object.__new__(cls)
+        panel._index(by_year, classes)
+        return panel
+
+    def _index(self, by_year: dict, classes: Optional[Mapping[str, InnovatorClass]]) -> None:
+        countries = {
+            year: tuple(sorted({c for c, _ in values})) for year, values in by_year.items()
+        }
+        present = set().union(*countries.values())
         if classes is None:
             # Regional default: treat every observed country as a non-core
             # innovator unless told otherwise.
-            classes = {c: InnovatorClass.NONCORE for c in countries}
-        missing = countries - set(classes)
+            classes = {c: InnovatorClass.NONCORE for c in present}
+        missing = present - set(classes)
         if missing:
             raise MissingClassError(f"no innovator class for: {sorted(missing)}")
-        self._values = values
+        self._by_year = by_year
+        self._countries = countries
+        self._years = tuple(sorted(by_year))
         self._classes = dict(classes)
 
     def __len__(self) -> int:
-        return len(self._values)
+        return sum(len(values) for values in self._by_year.values())
 
     @property
     def classes(self) -> Mapping[str, InnovatorClass]:
@@ -102,24 +140,20 @@ class Panel:
         return self._classes[country]
 
     def years(self) -> Tuple[int, ...]:
-        return tuple(sorted({y for (y, _, _) in self._values}))
+        return self._years
 
     def countries(self, year: Optional[int] = None) -> Tuple[str, ...]:
         if year is None:
-            return tuple(sorted({c for (_, c, _) in self._values}))
-        return tuple(sorted({c for (y, c, _) in self._values if y == year}))
+            return tuple(sorted(set().union(*self._countries.values())))
+        return self._countries.get(year, ())
 
     def value(self, year: int, country: str, indicator: str) -> Optional[float]:
-        return self._values.get((year, country, indicator))
+        return self._by_year.get(year, {}).get((country, indicator))
 
     def slice_year(self, year: int, indicators: Iterable[str]) -> dict:
         """Return {(country, indicator): value} for one year."""
         wanted = set(indicators)
-        return {
-            (c, i): v
-            for (y, c, i), v in self._values.items()
-            if y == year and i in wanted
-        }
+        return {key: v for key, v in self._by_year.get(year, {}).items() if key[1] in wanted}
 
 
 @dataclass(frozen=True)

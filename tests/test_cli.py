@@ -379,6 +379,29 @@ class TestWhatif:
         assert code == 0
         assert "min-delta infeasible" in out
 
+    def test_gain_zero_is_a_noop(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "whatif", *DATA, "--year", "2006", "--country", "Macedonia",
+            "--node", "TI", "--gain", "0",
+        )
+        assert code == 0
+        assert out.startswith("min-delta 0.000000\n")
+        assert "delta-rank 0" in out
+
+    @pytest.mark.parametrize("gain,message", [
+        ("-2", "must be a non-negative integer, got -2"),
+        ("x", "invalid integer 'x'"),
+    ])
+    def test_bad_gain_is_usage_error(self, capsys, gain, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["whatif", *DATA, "--year", "2006", "--country", "Macedonia",
+                  "--node", "TI", "--gain", gain])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: gcindex whatif ")
+        assert captured.err.endswith(f"gcindex whatif: error: argument --gain: {message}\n")
+
     def test_set_out_of_scale_exits_one(self, capsys):
         code, _, err = run_cli(
             capsys, "whatif", *DATA, "--year", "2006", "--country", "Macedonia",
@@ -647,3 +670,77 @@ def test_random_panels_and_flags_exit_cleanly(panel_text, argv):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+#: one argv per command over the bundled data, failures included
+_SHUFFLE_ARGV = (
+    ["compute", "--year", "2006"],
+    ["compute", "--year", "2003", "--format", "json"],
+    ["compute", "--year", "1999"],
+    ["rank", "--year", "2005", "--node", "TI", "--format", "json"],
+    ["delta", "--prev-year", "2005", "--cur-year", "2006"],
+    ["delta", "--prev-year", "2005", "--cur-year", "2006", "--rank-indicator", "GCI_RANK",
+     "--format", "svg"],
+    ["chisq", "--prev-year", "2005", "--cur-year", "2006", "--design", "two-way"],
+    ["trend", "--country", "Macedonia", "--node", "TI"],
+    ["trend", "--country", "Nowhere"],
+    ["correlate", "--country", "Macedonia", "--nodes", "TI", "GCI"],
+    ["whatif", "--year", "2006", "--country", "Macedonia", "--node", "TI", "--gain", "1"],
+    ["whatif", "--year", "2006", "--country", "Nowhere", "--set", "4"],
+    ["report", "--kind", "scores", "--node", "GCI", "--format", "csv"],
+    ["report", "--kind", "scores", "--node", "TI", "--format", "json", "--from", "2004"],
+)
+
+
+def _data_rows(text: str):
+    """Indices of the data rows of a CSV text: not the header, a comment or
+    a blank line."""
+    lines = text.splitlines()
+    return [i for i, line in enumerate(lines) if i and line.strip()
+            and not line.strip().startswith("#")]
+
+
+_PANEL_TEXT = Path(PANEL).read_text(encoding="utf-8")
+_CLASSES_TEXT = Path(CLASSES).read_text(encoding="utf-8")
+
+
+def _permuted(text: str, order) -> str:
+    """`text` with its data rows put in `order`; other lines stay put."""
+    lines = text.splitlines()
+    slots = _data_rows(text)
+    rows = [lines[i] for i in slots]
+    for slot, j in zip(slots, order):
+        lines[slot] = rows[j]
+    return "\n".join(lines) + "\n"
+
+
+def _run_in(work: Path, panel_text: str, classes_text: str, argv):
+    """(exit code, stdout, stderr, --out bytes) of one CLI run on the given
+    file contents; the files keep the same paths from run to run."""
+    (work / "panel.csv").write_text(panel_text, encoding="utf-8")
+    (work / "classes.csv").write_text(classes_text, encoding="utf-8")
+    out_file = work / "report.out"
+    out_file.unlink(missing_ok=True)
+    full = [argv[0], "--data", str(work / "panel.csv"), "--classes", str(work / "classes.csv"),
+            "--tree", TREE, *argv[1:]]
+    if argv[0] == "report":
+        full += ["--out", str(out_file)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(full)
+    return code, out.getvalue(), err.getvalue(), out_file.read_bytes() if out_file.exists() else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    argv=st.sampled_from(_SHUFFLE_ARGV),
+    panel_order=st.permutations(range(len(_data_rows(_PANEL_TEXT)))),
+    classes_order=st.permutations(range(len(_data_rows(_CLASSES_TEXT)))),
+)
+def test_row_order_does_not_change_output(argv, panel_order, classes_order):
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        before = _run_in(work, _PANEL_TEXT, _CLASSES_TEXT, argv)
+        after = _run_in(work, _permuted(_PANEL_TEXT, panel_order),
+                        _permuted(_CLASSES_TEXT, classes_order), argv)
+    assert after == before

@@ -281,6 +281,31 @@ class TestLinearCost:
         assert len(table.countries()) == n_countries
 
 
+    def test_reads_only_its_year(self, component_tree):
+        # Every key comparison against a year other than the scored one is a
+        # row of that year read; scoring 2006 must read none of them.
+        touched = Counter()
+
+        class Year(int):
+            __hash__ = int.__hash__
+
+            def __eq__(self, other):
+                touched[int(self)] += 1
+                return int.__eq__(self, other)
+
+        leaves = ("TI", "CLS", "CS", "MSS", "CCR", "GW")
+        rows = [(Year(year), country, leaf, 1.0 + (year - 2003) + 0.5 * i)
+                for year in (2003, 2004, 2005, 2006, 2007)
+                for i, country in enumerate(("A", "B", "C"))
+                for leaf in leaves]
+        panel = _panel(rows)
+        touched.clear()
+        table = compute_all(component_tree, panel, 2006)
+        assert {year: n for year, n in touched.items() if year != 2006} == {}
+        only = _panel([(int(y), c, leaf, v) for y, c, leaf, v in rows if y == 2006])
+        assert table == compute_all(component_tree, only, 2006)
+
+
 class TestExactSum:
     def test_matches_fraction_sum_bit_for_bit(self):
         rng = Random(31337)

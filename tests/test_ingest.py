@@ -13,6 +13,7 @@ from gcindex.data import (
 from gcindex.engine import compute_all
 from gcindex.errors import (
     DuplicateKeyError,
+    MissingClassError,
     ParseError,
     SchemaError,
     UnsupportedFormatError,
@@ -56,8 +57,58 @@ class TestLoadPanel:
             "2005,A,TI,3.5\n"
             "2005,A,TI,3.5\n"
         )
-        with pytest.raises(DuplicateKeyError, match=r"dup\.csv:3"):
+        with pytest.raises(DuplicateKeyError) as err:
             load_panel(path)
+        assert str(err.value) == (
+            f"{path}:3: duplicate observation (2005, 'A', 'TI') (first at line 2)"
+        )
+
+    @pytest.mark.parametrize("row,message", [
+        ("1980,A,TI,3.5", "year 1980 outside [1990, 2100]"),
+        ("2101,B,TI,3.5", "year 2101 outside [1990, 2100]"),
+        ("1980,A,TI,abc", "column 4: invalid number 'abc'"),
+        ("2005,A\u00a0B,TI,3.5", "country must be non-empty without whitespace: 'A\\xa0B'"),
+        ("2005,A,T I,3.5", "indicator must be non-empty without whitespace: 'T I'"),
+        ("2005,A,T\u2003I,3.5", "indicator must be non-empty without whitespace: 'T\\u2003I'"),
+        ("2005,,TI,3.5", "country must be non-empty without whitespace: ''"),
+        ("2005,A B,T I,3.5", "country must be non-empty without whitespace: 'A B'"),
+    ])
+    def test_bad_row_message_is_exact(self, tmp_path, row, message):
+        # The bad row follows valid rows that use its other tokens and year.
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "year,country,indicator,value\n2005,A,TI,3.5\n2005,B,TI,3.5\n" + row + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            load_panel(path)
+        assert str(err.value) == f"{path}:4: {message}"
+
+    def test_duplicate_after_comments_and_other_years(self, tmp_path):
+        # '02005' is the year 2005; padded fields are stripped.
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "year,country,indicator,value\n"
+            "2006,A,TI,3.0\n"
+            "# comment\n"
+            "2005,A,TI,3.5\n"
+            "\n"
+            "2005,B,TI,3.5\n"
+            " 02005 , A , TI , 4.0\n"
+        )
+        with pytest.raises(DuplicateKeyError) as err:
+            load_panel(path)
+        assert str(err.value) == (
+            f"{path}:7: duplicate observation (2005, 'A', 'TI') (first at line 4)"
+        )
+
+    def test_country_without_class_is_named(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        path.write_text("year,country,indicator,value\n2005,C,TI,3.5\n2005,A,TI,3.5\n"
+                        "2006,B,TI,3.5\n")
+        with pytest.raises(MissingClassError) as err:
+            load_panel(path, {"A": InnovatorClass.CORE})
+        assert str(err.value) == "no innovator class for: ['B', 'C']"
 
     def test_malformed_number_is_located(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,20 @@ def test_observation_rejects_whitespace_tokens(country, indicator):
         Observation(year=2005, country=country, indicator=indicator, value=1.0)
 
 
+def test_observation_whitespace_is_str_isspace():
+    # Exactly the characters str.isspace() accepts are rejected, NBSP and
+    # the information separators (\x1c-\x1f) included.
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    Observation(2005, "".join(ch for ch in chars if not ch.isspace()), "x", 1.0)
+    spaces = [ch for ch in chars if ch.isspace()]
+    assert {"\xa0", "\x1c", "\u2003", " "} <= set(spaces)
+    for ch in spaces:
+        token = f"x{ch}y"
+        with pytest.raises(ValueError) as err:
+            Observation(2005, "A", token, 1.0)
+        assert str(err.value) == f"indicator must be non-empty without whitespace: {token!r}"
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_observation_rejects_non_finite_value(value):
     with pytest.raises(ValueError):
@@ -65,8 +80,9 @@ def test_panel_rejects_duplicate_keys():
         Observation(2005, "A", "x", 1.0),
         Observation(2005, "A", "x", 2.0),
     ]
-    with pytest.raises(DuplicateKeyError):
+    with pytest.raises(DuplicateKeyError) as err:
         Panel(obs)
+    assert str(err.value) == "duplicate observation (2005, 'A', 'x')"
 
 
 def test_panel_requires_class_for_every_country():
