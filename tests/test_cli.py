@@ -692,25 +692,16 @@ _SHUFFLE_ARGV = (
 )
 
 
-def _data_rows(text: str):
-    """Indices of the data rows of a CSV text: not the header, a comment or
-    a blank line."""
+def _shuffled(text: str, rng) -> str:
+    """`text` with its data rows shuffled among themselves; the header,
+    comments and blank lines stay where they are."""
     lines = text.splitlines()
-    return [i for i, line in enumerate(lines) if i and line.strip()
-            and not line.strip().startswith("#")]
-
-
-_PANEL_TEXT = Path(PANEL).read_text(encoding="utf-8")
-_CLASSES_TEXT = Path(CLASSES).read_text(encoding="utf-8")
-
-
-def _permuted(text: str, order) -> str:
-    """`text` with its data rows put in `order`; other lines stay put."""
-    lines = text.splitlines()
-    slots = _data_rows(text)
+    slots = [i for i, line in enumerate(lines)
+             if i and line.strip() and not line.strip().startswith("#")]
     rows = [lines[i] for i in slots]
-    for slot, j in zip(slots, order):
-        lines[slot] = rows[j]
+    rng.shuffle(rows)
+    for slot, row in zip(slots, rows):
+        lines[slot] = row
     return "\n".join(lines) + "\n"
 
 
@@ -732,15 +723,12 @@ def _run_in(work: Path, panel_text: str, classes_text: str, argv):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    argv=st.sampled_from(_SHUFFLE_ARGV),
-    panel_order=st.permutations(range(len(_data_rows(_PANEL_TEXT)))),
-    classes_order=st.permutations(range(len(_data_rows(_CLASSES_TEXT)))),
-)
-def test_row_order_does_not_change_output(argv, panel_order, classes_order):
+@given(argv=st.sampled_from(_SHUFFLE_ARGV), rng=st.randoms(use_true_random=False))
+def test_row_order_does_not_change_output(argv, rng):
+    panel_text = Path(PANEL).read_text(encoding="utf-8")
+    classes_text = Path(CLASSES).read_text(encoding="utf-8")
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        before = _run_in(work, _PANEL_TEXT, _CLASSES_TEXT, argv)
-        after = _run_in(work, _permuted(_PANEL_TEXT, panel_order),
-                        _permuted(_CLASSES_TEXT, classes_order), argv)
+        before = _run_in(work, panel_text, classes_text, argv)
+        after = _run_in(work, _shuffled(panel_text, rng), _shuffled(classes_text, rng), argv)
     assert after == before
