@@ -15,7 +15,6 @@ from .engine import (
 )
 from .ingest import (
     WEF_DEFAULT,
-    DatasetManifest,
     default_wef_tree,
     dump_tree,
     emit_report,
@@ -70,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChiSquareResult",
     "CorrelationResult",
-    "DatasetManifest",
     "Decision",
     "IndexTree",
     "InnovatorClass",

@@ -18,17 +18,19 @@ from .engine import MissingPolicy, compute_all
 from .errors import GciError
 from .ingest import (
     WEF_DEFAULT,
-    DatasetManifest,
     _fmt6,
     _json_number,
+    _record,
     _write,
     emit_report,
+    load_classes,
+    load_panel,
     load_score_table,
+    load_tree,
     render_report,
 )
 from .model import IndexTree, Panel, ScoreTable
 from .ranking import (
-    format_delta,
     rank_delta,
     rank_scores,
     rank_table_from_indicator,
@@ -38,8 +40,8 @@ from .svg import line_chart
 from .whatif import Scenario, apply_scenario, min_delta_for_rank_gain
 
 _DECISION_TEXT = {
-    Decision.REJECT: "reject the null hypothesis",
-    Decision.DO_NOT_REJECT: "do not reject the null hypothesis",
+    Decision.REJECT.value: "reject the null hypothesis",
+    Decision.DO_NOT_REJECT.value: "do not reject the null hypothesis",
 }
 
 
@@ -83,13 +85,9 @@ def _add_dataset_flags(parser: argparse.ArgumentParser, data_required: bool = Tr
 
 
 def _load(args) -> tuple:
-    manifest = DatasetManifest(
-        panel=args.data,
-        classes=getattr(args, "classes", None),
-        tree=args.tree,
-        policy=args.policy,
-    )
-    return manifest.load()
+    """(panel, tree, policy) from the dataset flags."""
+    classes = load_classes(args.classes) if args.classes is not None else None
+    return load_panel(args.data, classes), load_tree(args.tree), MissingPolicy(args.policy)
 
 
 def _deliver(args, results, node: Optional[str] = None) -> None:
@@ -100,6 +98,19 @@ def _deliver(args, results, node: Optional[str] = None) -> None:
         emit_report(results, fmt, out, node=node)
     else:
         sys.stdout.write(render_report(results, fmt, node=node))
+
+
+def _print_record(args, result, head: str = "") -> int:
+    """Print `head`, then one 'name value' line per csv column of a one-row
+    result (with '-' for '_'), and write the result to --out if given."""
+    cells = _record(result)
+    if "decision" in cells:
+        cells["decision"] = _DECISION_TEXT[cells["decision"]]
+    sys.stdout.write(head + "".join(f"{name.replace('_', '-')} {cell}\n"
+                                    for name, cell in cells.items()))
+    if args.out:
+        emit_report(result, args.format, args.out)
+    return 0
 
 
 def _score_years(args, panel: Panel, tree: IndexTree, policy: MissingPolicy,
@@ -177,15 +188,8 @@ def _cmd_trend(args) -> int:
     panel, tree, policy = _load(args)
     points = _series(_score_years(args, panel, tree, policy, args.country),
                      args.country, args.node)
-    result = ols_fit(points)
-    sys.stdout.write(
-        f"country {args.country}\nnode {args.node}\n"
-        f"years {points[0][0]}-{points[-1][0]}\n"
-        f"slope {_fmt6(result.slope)}\nintercept {_fmt6(result.intercept)}\nn {result.n}\n"
-    )
-    if args.out:
-        emit_report(result, args.format, args.out)
-    return 0
+    return _print_record(args, ols_fit(points), f"country {args.country}\nnode {args.node}\n"
+                                                f"years {points[0][0]}-{points[-1][0]}\n")
 
 
 def _cmd_correlate(args) -> int:
@@ -196,27 +200,15 @@ def _cmd_correlate(args) -> int:
     series_b = dict(_series({y: tables[y] for y in series_a}, args.country, node_b))
     years = list(series_b)
     result = pearson([series_a[y] for y in years], [series_b[y] for y in years])
-    sys.stdout.write(
-        f"country {args.country}\nnodes {node_a},{node_b}\n"
-        f"years {years[0]}-{years[-1]}\nr {_fmt6(result.r)}\nn {result.n}\n"
-    )
-    if args.out:
-        emit_report(result, args.format, args.out)
-    return 0
+    return _print_record(args, result, f"country {args.country}\nnodes {node_a},{node_b}\n"
+                                       f"years {years[0]}-{years[-1]}\n")
 
 
 def _cmd_chisq(args) -> int:
     panel, tree, policy = _load(args)
     prev, cur = _rank_tables(args, panel, tree, policy)
-    result = rank_homogeneity_test(prev, cur, alpha=args.alpha, design=args.design)
-    sys.stdout.write(
-        f"statistic {_fmt6(result.statistic)}\ndf {result.df}\n"
-        f"p-value {_fmt6(result.p_value)}\ncritical-value {_fmt6(result.critical_value)}\n"
-        f"alpha {_fmt6(result.alpha)}\ndecision {_DECISION_TEXT[result.decision]}\n"
-    )
-    if args.out:
-        emit_report(result, args.format, args.out)
-    return 0
+    return _print_record(args, rank_homogeneity_test(prev, cur, alpha=args.alpha,
+                                                     design=args.design))
 
 
 def _cmd_whatif(args) -> int:
@@ -236,16 +228,7 @@ def _cmd_whatif(args) -> int:
         current = scores.score(args.country, args.node)
         outcome = apply_scenario(tree, scores, classes,
                                  Scenario(args.country, args.node, current + delta))
-    sys.stdout.write(
-        f"country {outcome.country}\nnode {outcome.node}\n"
-        f"override {_fmt6(outcome.override)}\n"
-        f"baseline-gci {_fmt6(outcome.baseline_gci)}\nnew-gci {_fmt6(outcome.new_gci)}\n"
-        f"baseline-rank {outcome.baseline_rank}\nnew-rank {outcome.new_rank}\n"
-        f"delta-rank {format_delta(outcome.delta_rank)}\n"
-    )
-    if args.out:
-        emit_report(outcome, args.format, args.out)
-    return 0
+    return _print_record(args, outcome)
 
 
 def _cmd_report(args) -> int:

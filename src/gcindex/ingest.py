@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -37,7 +37,6 @@ from .model import (
     _check_year,
     validate_tree,
 )
-from .engine import MissingPolicy
 from .ranking import RankDeltaReport, format_delta
 from .stats import ChiSquareResult, CorrelationResult, Decision, TrendResult
 from .whatif import WhatIfOutcome
@@ -66,19 +65,31 @@ def _read_text(path: Union[str, Path]) -> str:
 
 def _data_lines(text: str):
     """(line number, stripped line) for each line that is not blank or a
-    '#' comment."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    '#' comment.  Lines end at '\n' only: reading the text already turned
+    '\r\n' and '\r' into '\n', and str.splitlines would also break at
+    '\x85', '\u2028' and other characters a field may hold."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         yield lineno, stripped
 
 
-def _split_row(path, lineno: int, line: str, n_fields: int, header: str):
-    fields = [f.strip() for f in line.split(",")]
-    if len(fields) != n_fields:
-        raise ParseError(path, lineno, f"expected {n_fields} fields ({header}), got {len(fields)}")
-    return fields
+def _rows(path, text: str, header: str):
+    """(line number, stripped fields) for each data row under `header`,
+    which must be the first data line; every row has the header's number
+    of fields."""
+    lines = _data_lines(text)
+    first = next(lines, None)
+    if first is None or first[1].replace(" ", "") != header:
+        raise ParseError(path, first[0] if first else 1, f"expected header {header!r}")
+    n_fields = header.count(",") + 1
+    for lineno, line in lines:
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) != n_fields:
+            raise ParseError(path, lineno,
+                             f"expected {n_fields} fields ({header}), got {len(fields)}")
+        yield lineno, fields
 
 
 def _parse_int(path, lineno: int, column: int, token: str) -> int:
@@ -101,12 +112,7 @@ def _parse_float(path, lineno: int, column: int, token: str) -> float:
 def load_classes(path: Union[str, Path]) -> Dict[str, InnovatorClass]:
     """Read a country -> innovator-class CSV (header: country,class)."""
     classes: Dict[str, InnovatorClass] = {}
-    rows = _data_lines(_read_text(path))
-    header = next(rows, None)
-    if header is None or header[1].replace(" ", "") != CLASS_HEADER:
-        raise ParseError(path, header[0] if header else 1, f"expected header {CLASS_HEADER!r}")
-    for lineno, line in rows:
-        country, cls_token = _split_row(path, lineno, line, 2, CLASS_HEADER)
+    for lineno, (country, cls_token) in _rows(path, _read_text(path), CLASS_HEADER):
         try:
             cls = InnovatorClass(cls_token.lower())
         except ValueError:
@@ -132,12 +138,7 @@ def load_panel(
     by_year: Dict[int, Dict[Tuple[str, str], float]] = {}
     checked = set()  # country and indicator tokens that passed _check_token
     text = _read_text(path)
-    rows = _data_lines(text)
-    header = next(rows, None)
-    if header is None or header[1].replace(" ", "") != PANEL_HEADER:
-        raise ParseError(path, header[0] if header else 1, f"expected header {PANEL_HEADER!r}")
-    for lineno, line in rows:
-        year_t, country, indicator, value_t = _split_row(path, lineno, line, 4, PANEL_HEADER)
+    for lineno, (year_t, country, indicator, value_t) in _rows(path, text, PANEL_HEADER):
         year = _parse_int(path, lineno, 1, year_t)
         value = _parse_float(path, lineno, 4, value_t)
         values = by_year.get(year)
@@ -157,20 +158,17 @@ def load_panel(
         if key in values:
             raise DuplicateKeyError(
                 f"{path}:{lineno}: duplicate observation {(year, *key)}"
-                f" (first at line {_first_line(text, year, key)})"
+                f" (first at line {_first_line(path, text, year, key)})"
             )
         values[key] = value
     return Panel._from_years(by_year, classes)
 
 
-def _first_line(text: str, year: int, key: Tuple[str, str]) -> int:
+def _first_line(path, text: str, year: int, key: Tuple[str, str]) -> int:
     """Line of the first panel row with this year and (country, indicator).
     Every row before a duplicate parsed, so the scan stops before any that
     did not."""
-    rows = _data_lines(text)
-    next(rows)  # header
-    for lineno, line in rows:
-        year_t, country, indicator, _ = (f.strip() for f in line.split(","))
+    for lineno, (year_t, country, indicator, _) in _rows(path, text, PANEL_HEADER):
         if int(year_t) == year and (country, indicator) == key:
             return lineno
 
@@ -179,12 +177,7 @@ def load_score_table(path: Union[str, Path]) -> ScoreTable:
     """Read back a score CSV written by emit_report."""
     entries: Dict[Tuple[str, str], float] = {}
     year: Optional[int] = None
-    rows = _data_lines(_read_text(path))
-    header = next(rows, None)
-    if header is None or header[1].replace(" ", "") != SCORE_HEADER:
-        raise ParseError(path, header[0] if header else 1, f"expected header {SCORE_HEADER!r}")
-    for lineno, line in rows:
-        year_t, country, node, score_t = _split_row(path, lineno, line, 4, SCORE_HEADER)
+    for lineno, (year_t, country, node, score_t) in _rows(path, _read_text(path), SCORE_HEADER):
         row_year = _parse_int(path, lineno, 1, year_t)
         if year is None:
             year = row_year
@@ -351,6 +344,33 @@ def _score_rows(results, node: Optional[str]):
             for c in table.countries() if table.get(c, node) is not None]
 
 
+def _json_number(value: float) -> float:
+    return float(_fmt6(value))
+
+
+_ONE_ROW = (TrendResult, CorrelationResult, ChiSquareResult, WhatIfOutcome)
+
+
+def _record(result, number=_fmt6, signed=format_delta) -> Dict[str, object]:
+    """{column: cell} of a one-row result, in field order.  Fields annotated
+    float go through `number` (by annotation, so an int override is still a
+    number), delta_rank through `signed` and a Decision as its value;
+    new_scores is left out."""
+    record: Dict[str, object] = {}
+    for field in fields(result):
+        if field.name == "new_scores":
+            continue
+        value = getattr(result, field.name)
+        if field.name == "delta_rank":
+            value = signed(value)
+        elif field.type in ("float", float):
+            value = number(value)
+        elif isinstance(value, Decision):
+            value = value.value
+        record[field.name] = value
+    return record
+
+
 def _render_csv(results, node: Optional[str]) -> str:
     if isinstance(results, (ScoreTable, dict)):
         lines = [SCORE_HEADER]
@@ -372,31 +392,10 @@ def _render_csv(results, node: Optional[str]) -> str:
         if results.leavers:
             lines.append("# leavers: " + ",".join(results.leavers))
         return "\n".join(lines) + "\n"
-    if isinstance(results, TrendResult):
-        return (
-            "slope,intercept,n\n"
-            f"{_fmt6(results.slope)},{_fmt6(results.intercept)},{results.n}\n"
-        )
-    if isinstance(results, CorrelationResult):
-        return f"r,n\n{_fmt6(results.r)},{results.n}\n"
-    if isinstance(results, ChiSquareResult):
-        return (
-            "statistic,df,p_value,critical_value,alpha,decision\n"
-            f"{_fmt6(results.statistic)},{results.df},{_fmt6(results.p_value)},"
-            f"{_fmt6(results.critical_value)},{_fmt6(results.alpha)},{results.decision.value}\n"
-        )
-    if isinstance(results, WhatIfOutcome):
-        return (
-            "country,node,override,baseline_gci,new_gci,baseline_rank,new_rank,delta_rank\n"
-            f"{results.country},{results.node},{_fmt6(results.override)},"
-            f"{_fmt6(results.baseline_gci)},{_fmt6(results.new_gci)},"
-            f"{results.baseline_rank},{results.new_rank},{format_delta(results.delta_rank)}\n"
-        )
+    if isinstance(results, _ONE_ROW):
+        record = _record(results)
+        return ",".join(record) + "\n" + ",".join(map(str, record.values())) + "\n"
     raise UnsupportedFormatError(f"cannot render {type(results).__name__} as csv")
-
-
-def _json_number(value: float) -> float:
-    return float(_fmt6(value))
 
 
 def _render_json(results, node: Optional[str]) -> str:
@@ -431,34 +430,8 @@ def _render_json(results, node: Optional[str]) -> str:
             "entrants": list(results.entrants),
             "leavers": list(results.leavers),
         }
-    elif isinstance(results, TrendResult):
-        doc = {
-            "slope": _json_number(results.slope),
-            "intercept": _json_number(results.intercept),
-            "n": results.n,
-        }
-    elif isinstance(results, CorrelationResult):
-        doc = {"r": _json_number(results.r), "n": results.n}
-    elif isinstance(results, ChiSquareResult):
-        doc = {
-            "statistic": _json_number(results.statistic),
-            "df": results.df,
-            "p_value": _json_number(results.p_value),
-            "critical_value": _json_number(results.critical_value),
-            "alpha": _json_number(results.alpha),
-            "decision": results.decision.value,
-        }
-    elif isinstance(results, WhatIfOutcome):
-        doc = {
-            "country": results.country,
-            "node": results.node,
-            "override": _json_number(results.override),
-            "baseline_gci": _json_number(results.baseline_gci),
-            "new_gci": _json_number(results.new_gci),
-            "baseline_rank": results.baseline_rank,
-            "new_rank": results.new_rank,
-            "delta_rank": results.delta_rank,
-        }
+    elif isinstance(results, _ONE_ROW):
+        doc = _record(results, _json_number, int)
     else:
         raise UnsupportedFormatError(f"cannot render {type(results).__name__} as json")
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -513,24 +486,3 @@ def render_report(results, format: str, node: Optional[str] = None) -> str:
         return _render_svg(results, node)
     raise UnsupportedFormatError(f"unknown format {format!r}")
 
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Paths to panel/classes/tree inputs plus the missing-data policy."""
-
-    panel: Union[str, Path]
-    classes: Optional[Union[str, Path]] = None
-    tree: Union[str, Path] = WEF_DEFAULT
-    policy: str = "strict"
-
-    def load(self) -> Tuple[Panel, IndexTree, MissingPolicy]:
-        classes = load_classes(self.classes) if self.classes is not None else None
-        panel = load_panel(self.panel, classes)
-        tree = load_tree(self.tree)
-        try:
-            policy = MissingPolicy(self.policy)
-        except ValueError:
-            raise SchemaError(
-                f"policy must be strict or renormalize, got {self.policy!r}"
-            ) from None
-        return panel, tree, policy

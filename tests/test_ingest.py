@@ -20,7 +20,6 @@ from gcindex.errors import (
     WeightSumError,
 )
 from gcindex.ingest import (
-    DatasetManifest,
     default_wef_tree,
     dump_tree,
     emit_report,
@@ -83,6 +82,20 @@ class TestLoadPanel:
         with pytest.raises(ParseError) as err:
             load_panel(path)
         assert str(err.value) == f"{path}:4: {message}"
+
+    @pytest.mark.parametrize("text,message", [
+        # '\x85' ends a line for str.splitlines but is whitespace inside a field
+        ("2005,A\x85B,TI,3.5\n", "2: country must be non-empty without whitespace: 'A\\x85B'"),
+        # a line ending in '\u2028' is still one line
+        ("2005,A,TI,3.5\u2028\n2005,A,x,x\n", "3: column 4: invalid number 'x'"),
+        ("2005,A,TI,3.5\r\n2005,A,x,x\r\n", "3: column 4: invalid number 'x'"),
+    ])
+    def test_lines_end_at_newline_only(self, tmp_path, text, message):
+        path = tmp_path / "lines.csv"
+        path.write_text("year,country,indicator,value\n" + text, encoding="utf-8", newline="")
+        with pytest.raises(ParseError) as err:
+            load_panel(path)
+        assert str(err.value) == f"{path}:{message}"
 
     def test_duplicate_after_comments_and_other_years(self, tmp_path):
         # '02005' is the year 2005; padded fields are stripped.
@@ -326,20 +339,3 @@ class TestEmitReport:
             ), "svg")
         assert ranks  # silence unused warning
 
-
-class TestDatasetManifest:
-    def test_load_bundled(self):
-        manifest = DatasetManifest(
-            panel=fixture_path(BALKANS_PANEL),
-            classes=fixture_path(BALKANS_CLASSES),
-            tree=fixture_path(BALKANS_TREE),
-        )
-        panel, tree, policy = manifest.load()
-        assert panel.years() == (2001, 2002, 2003, 2004, 2005, 2006)
-        assert tree.root == "GCI"
-        assert policy.value == "strict"
-
-    def test_bad_policy(self):
-        manifest = DatasetManifest(panel=fixture_path(BALKANS_PANEL), policy="lenient")
-        with pytest.raises(SchemaError):
-            manifest.load()
