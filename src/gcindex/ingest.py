@@ -8,9 +8,9 @@ stable ordering, 6-decimal numbers, '.' decimal separator, '\n' newlines.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -357,7 +357,7 @@ def _record(result, number=_fmt6, signed=format_delta) -> Dict[str, object]:
     number), delta_rank through `signed` and a Decision as its value;
     new_scores is left out."""
     record: Dict[str, object] = {}
-    for field in fields(result):
+    for field in dataclasses.fields(result):
         if field.name == "new_scores":
             continue
         value = getattr(result, field.name)
