@@ -28,7 +28,7 @@ from gcindex.model import (
     Observation,
     Panel,
 )
-from util import make_assignment, make_random_tree, oracle_eval
+from util import make_assignment, make_random_tree, oracle_eval, reference_scores
 
 CORE = InnovatorClass.CORE
 NONCORE = InnovatorClass.NONCORE
@@ -330,3 +330,43 @@ class TestExactSum:
                     assert _aggregate(kept, len(edges)) == expected
                 checked += 1
         assert checked > 500
+
+
+class TestMatchesReference:
+    """compute_all against tests/util.reference_scores, bit for bit."""
+
+    @staticmethod
+    def _assert_bit_identical(table, expected):
+        assert {k: v.hex() for k, v in table.entries.items()} == \
+            {k: v.hex() for k, v in expected.items()}
+
+    @pytest.mark.parametrize("policy", list(MissingPolicy))
+    def test_random_per_class_trees(self, policy):
+        rng = Random(4242)
+        for _ in range(60):
+            tree = make_random_tree(rng, max_depth=4, max_children=5, per_class=True)
+            rows, classes = [], {}
+            for i in range(8):
+                country = f"C{i}"
+                classes[country] = CORE if i % 3 == 0 else NONCORE
+                needed = tree.leaves(classes[country])
+                for j, leaf in enumerate(tree.leaves()):
+                    if policy is MissingPolicy.RENORMALIZE and leaf != needed[0] \
+                            and rng.random() < 0.3:
+                        continue  # dropped; the class's first leaf always stays
+                    value = rng.choice((1.0, math.nextafter(1.0, 2.0), math.nextafter(2.0, 1.0),
+                                        math.nextafter(7.0, 1.0), 7.0, rng.uniform(1.0, 7.0)))
+                    rows.append((2006, country, leaf, value))
+            panel = _panel(rows, classes)
+            self._assert_bit_identical(compute_all(tree, panel, 2006, policy),
+                                       reference_scores(tree, panel, 2006))
+
+    @pytest.mark.parametrize("policy,drop", [
+        (MissingPolicy.STRICT, ()),
+        (MissingPolicy.RENORMALIZE, ("internet_hosts", "TTS")),
+    ])
+    def test_wef_tree_with_observed_bounds(self, wef_tree, policy, drop):
+        panel = _wef_panel(wef_tree, 60, seed=17, drop=drop)
+        assert any(wef_tree.node(leaf).normalize == OBSERVED for leaf in wef_tree.leaves())
+        self._assert_bit_identical(compute_all(wef_tree, panel, 2006, policy),
+                                   reference_scores(wef_tree, panel, 2006))

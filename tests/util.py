@@ -1,7 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles deliberately avoid the package's evaluation path: plain-float
-recursion for tree scoring, adaptive Simpson for the chi-square tail.
+and per-node Fraction recursion for tree scoring, adaptive Simpson for the
+chi-square tail.
 """
 
 from __future__ import annotations
@@ -11,13 +12,24 @@ import math
 from fractions import Fraction
 from random import Random
 
-from gcindex.model import IndexTree, InnovatorClass, Node, validate_tree
+from gcindex.engine import normalize_minmax
+from gcindex.model import OBSERVED, IndexTree, InnovatorClass, Node, Normalization, validate_tree
 
 
-def make_random_tree(rng: Random, max_depth: int = 3, max_children: int = 4) -> IndexTree:
-    """Random valid tree with survey-style leaves and exact rational weights."""
+def make_random_tree(
+    rng: Random, max_depth: int = 3, max_children: int = 4, per_class: bool = False
+) -> IndexTree:
+    """Random valid tree with survey-style leaves and exact rational weights.
+
+    With per_class, every aggregate draws its own weights for each class, and
+    the non-core class sometimes drops a child.
+    """
     counter = itertools.count()
     nodes = {}
+
+    def weigh(children):
+        raw = [rng.randint(1, 9) for _ in children]
+        return tuple((c, Fraction(w, sum(raw))) for c, w in zip(children, raw))
 
     def build(depth: int) -> str:
         node_id = f"n{next(counter)}"
@@ -26,10 +38,14 @@ def make_random_tree(rng: Random, max_depth: int = 3, max_children: int = 4) -> 
             return node_id
         k = rng.randint(2, max_children)
         children = [build(depth + 1) for _ in range(k)]
-        raw = [rng.randint(1, 9) for _ in range(k)]
-        total = sum(raw)
-        edges = tuple((c, Fraction(w, total)) for c, w in zip(children, raw))
-        nodes[node_id] = Node(node_id, edges=edges)
+        if not per_class:
+            nodes[node_id] = Node(node_id, edges=weigh(children))
+            return node_id
+        noncore = [c for c in children if rng.random() < 0.8] or children[:1]
+        nodes[node_id] = Node(node_id, edges_by_class={
+            InnovatorClass.CORE: weigh(children),
+            InnovatorClass.NONCORE: weigh(noncore),
+        })
         return node_id
 
     root = build(0)
@@ -49,6 +65,49 @@ def oracle_eval(tree: IndexTree, node_id: str, cls: InnovatorClass, leaves, coun
         float(w) * oracle_eval(tree, child, cls, leaves, country)
         for child, w in node.children(cls)
     )
+
+
+def reference_scores(tree: IndexTree, panel, year: int) -> dict:
+    """{(country, node): score} for every node of `year` that has data, by
+    recursion from the root with each node rounded once:
+    float(sum(Fraction(w) / sum of present w * Fraction(child))) over the
+    children that have a score (all of them when no leaf is missing).
+    Leaves go through normalize_minmax, with observed bounds taken by a
+    plain scan of the year; no package walk, cache or integer sum is used.
+    """
+    countries = panel.countries(year)
+    values = {(c, leaf): panel.value(year, c, leaf) for c in countries for leaf in tree.nodes}
+    values = {key: v for key, v in values.items() if v is not None}
+
+    def leaf_score(country, leaf):
+        raw = values.get((country, leaf))
+        spec = tree.node(leaf).normalize
+        if raw is None or spec is None:
+            return raw
+        if spec == OBSERVED:
+            seen = [v for (_, n), v in values.items() if n == leaf]
+            spec = Normalization(min(seen), max(seen))
+        return normalize_minmax(raw, spec)
+
+    def score(country, cls, node_id, memo):
+        if node_id not in memo:
+            node = tree.node(node_id)
+            if node.is_leaf:
+                memo[node_id] = leaf_score(country, node_id)
+            else:
+                parts = [(Fraction(w), score(country, cls, child, memo))
+                         for child, w in node.children(cls)]
+                parts = [(w, Fraction(s)) for w, s in parts if s is not None]
+                present = sum(w for w, _ in parts)
+                memo[node_id] = float(sum(w / present * s for w, s in parts)) if parts else None
+        return memo[node_id]
+
+    result = {}
+    for country in countries:
+        memo: dict = {}
+        score(country, panel.innovator_class(country), tree.root, memo)
+        result.update(((country, n), s) for n, s in memo.items() if s is not None)
+    return result
 
 
 def chi2_pdf(x: float, df: int) -> float:
