@@ -8,10 +8,9 @@ weights.  Pure functions throughout: same inputs, bit-identical outputs.
 
 from __future__ import annotations
 
-import math
+from collections import defaultdict
 from enum import Enum
-from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import (
     DegenerateRangeError,
@@ -25,13 +24,11 @@ from .model import (
     Normalization,
     Panel,
     ScoreTable,
+    Step,
 )
 
 #: (country, leaf-id) -> raw value for one year.
 LeafAssignment = Mapping[Tuple[str, str], float]
-
-#: leaf-id -> observed bounds, filled lazily within one evaluation pass.
-BoundsCache = Dict[str, Normalization]
 
 
 class MissingPolicy(Enum):
@@ -56,11 +53,8 @@ def normalize_minmax(x: float, norm: Normalization) -> float:
     return min(7.0, max(1.0, score))
 
 
-def observed_bounds(leaves: LeafAssignment, leaf_id: str) -> Normalization:
-    """Cross-country min/max bounds for one leaf in one year's assignment."""
-    values = [v for (_, leaf), v in leaves.items() if leaf == leaf_id]
-    if not values:
-        raise DegenerateRangeError(f"no observed values for leaf {leaf_id!r}")
+def observed_bounds(values: Sequence[float], leaf_id: str) -> Normalization:
+    """Cross-country min/max bounds for one leaf from its year's values."""
     lo, hi = min(values), max(values)
     if not hi > lo:
         raise DegenerateRangeError(
@@ -69,53 +63,39 @@ def observed_bounds(leaves: LeafAssignment, leaf_id: str) -> Normalization:
     return Normalization(min=lo, max=hi)
 
 
-def _leaf_score(
-    tree: IndexTree,
-    leaf_id: str,
-    leaves: LeafAssignment,
-    country: str,
-    bounds: BoundsCache,
-) -> float:
-    raw = leaves[(country, leaf_id)]
-    spec = tree.node(leaf_id).normalize
-    if spec is None:
-        if not 1.0 <= raw <= 7.0:
-            raise OutOfScaleError(
-                f"leaf {leaf_id!r} for {country}: {raw} outside [1, 7] and no normalization"
-            )
-        return float(raw)
-    if spec == OBSERVED:
-        # Computed the first time a country needs it, so a degenerate range
-        # raises while evaluating the first country that reaches the leaf.
-        spec = bounds.get(leaf_id)
-        if spec is None:
-            spec = bounds[leaf_id] = observed_bounds(leaves, leaf_id)
-    return normalize_minmax(raw, spec)
+class _Bounds(dict):
+    """leaf-id -> observed bounds over one year's assignment, grouped by
+    leaf once.  A leaf's bounds are computed by observed_bounds on its first
+    lookup, so a degenerate range raises at the first country that reaches
+    the leaf."""
+
+    def __init__(self, leaves: LeafAssignment):
+        super().__init__()
+        self.by_leaf = defaultdict(list)
+        for (_, leaf), value in leaves.items():
+            self.by_leaf[leaf].append(value)
+
+    def __missing__(self, leaf_id: str) -> Normalization:
+        bounds = self[leaf_id] = observed_bounds(self.by_leaf[leaf_id], leaf_id)
+        return bounds
 
 
-def _aggregate(parts: Sequence[Tuple[Fraction, float]], n_edges: int) -> float:
-    """Weighted sum of the present children's scores, rounded once.
+def _aggregate(parts: Iterable[Tuple[int, float]]) -> float:
+    """Weighted mean sum(a * s) / sum(a) of (integer weight, score) pairs,
+    rounded once: bit for bit float(sum(w / total * Fraction(s))) for the
+    rational weights w = a / D.
 
-    When some of the node's `n_edges` children were dropped (RENORMALIZE),
-    the surviving weights are rescaled to sum to 1; a validated tree's full
-    edge list already does.  The result equals, bit for bit,
-    ``float(sum(w / total * Fraction(s) for w, s in parts))``: every term is
-    the exact ratio of integers (w.num * s.num) / (w.den * s.den), the terms
-    go over their lcm, and one int / int true division rounds correctly, as
-    Fraction.__float__ does.  Rounding once keeps a convex combination inside
-    [min(children), max(children)].
+    Scores are in [1, 7], and a float >= 1 is a whole multiple of 2**-52,
+    so int(s * 2**52) is exact; one int / int true division then rounds
+    correctly, as Fraction.__float__ does.  Dividing by the weights present
+    is the RENORMALIZE rescaling (a validated node's full weights sum to D),
+    and rounding once keeps the mean inside [min(children), max(children)].
     """
-    nums, dens = [], []
-    for w, s in parts:
-        n, d = s.as_integer_ratio()
-        nums.append(w.numerator * n)
-        dens.append(w.denominator * d)
-    den = math.lcm(*dens)
-    num = sum(n * (den // d) for n, d in zip(nums, dens))
-    if len(parts) < n_edges:
-        total = sum(w for w, _ in parts)
-        num, den = num * total.denominator, den * total.numerator
-    return num / den
+    num = den = 0
+    for a, s in parts:
+        num += a * int(s * 2.0 ** 52)  # 2.0 ** 52 folds to a float constant
+        den += a
+    return num / (den << 52)
 
 
 def evaluate_node(
@@ -135,42 +115,40 @@ def evaluate_node(
     rescaled; a node with no surviving children propagates as missing.  An
     unknown node raises DanglingChildError.  `tree` must have passed
     validate_tree (load_tree and default_wef_tree return such trees): a
-    node's full class weights are taken to sum to 1 and are not rescaled.
+    node's full class weights are taken to sum to 1.
     """
-    order = IndexTree(tree.nodes, node_id).reachable(cls)
-    absent = sorted(
-        (country, n) for n in order if tree.node(n).is_leaf and (country, n) not in leaves
-    )
+    plan = IndexTree(tree.nodes, node_id).plan(cls)
+    absent = sorted((country, n) for n, _, w in plan if w is None and (country, n) not in leaves)
     if absent and policy is MissingPolicy.STRICT:
         raise MissingLeafError(absent)
-    scores = _score_order(tree, order, cls, leaves, country, {})
+    scores = _score_plan(plan, leaves, country, _Bounds(leaves))
     if node_id not in scores:
         raise MissingLeafError(absent or [(country, node_id)])
     return scores[node_id]
 
 
-def _score_order(
-    tree: IndexTree,
-    order: Sequence[str],
-    cls: InnovatorClass,
-    leaves: LeafAssignment,
-    country: str,
-    bounds: BoundsCache,
+def _score_plan(
+    plan: Sequence[Step], leaves: LeafAssignment, country: str, bounds: _Bounds
 ) -> Dict[str, float]:
-    """Scores of the nodes in `order` (children first) that have data: a
-    leaf with a value, an aggregate with any scored child (_aggregate
-    rescales over the scored ones)."""
+    """Scores of the plan's nodes (children first) that have data: a leaf
+    with a value, an aggregate with any scored child (_aggregate divides by
+    the weights of the scored ones)."""
     scores: Dict[str, float] = {}
-    for node_id in order:
-        node = tree.node(node_id)
-        if node.is_leaf:
-            if (country, node_id) in leaves:
-                scores[node_id] = _leaf_score(tree, node_id, leaves, country, bounds)
+    for node_id, spec, weights in plan:
+        if weights is not None:
+            parts = [(a, scores[child]) for child, a in weights if child in scores]
+            if parts:
+                scores[node_id] = _aggregate(parts)
+        elif (raw := leaves.get((country, node_id))) is None:
             continue
-        edges = node.children(cls)
-        parts = [(w, scores[child]) for child, w in edges if child in scores]
-        if parts:
-            scores[node_id] = _aggregate(parts, len(edges))
+        elif spec is not None:
+            scores[node_id] = normalize_minmax(raw, bounds[node_id] if spec == OBSERVED else spec)
+        elif 1.0 <= raw <= 7.0:
+            scores[node_id] = float(raw)
+        else:
+            raise OutOfScaleError(
+                f"leaf {node_id!r} for {country}: {raw} outside [1, 7] and no normalization"
+            )
     return scores
 
 
@@ -186,19 +164,19 @@ def compute_all(
     evaluated over the node set reachable for its innovator class.  STRICT
     raises one MissingLeafError listing all absent (country, leaf) pairs.
     Cost is O(countries x nodes): observed bounds are computed once per leaf
-    per call, and each country is one loop over its class's reachable order,
-    which the tree walks once per class.  `tree` must have passed
-    validate_tree, as for evaluate_node.
+    per call, from one grouping of the year's values by leaf, and each
+    country is one loop over its class's plan, which the tree builds once
+    per class.  `tree` must have passed validate_tree, as for evaluate_node.
     """
     countries = panel.countries(year)
     if not countries:
         raise MissingLeafError([], f"year {year} not found in panel")
     leaves: LeafAssignment = panel.slice_year(year, tree.leaves())
     classes = {country: panel.innovator_class(country) for country in countries}
-    # Per class present: its reachable nodes (children first) and leaves.
-    order = {cls: tree.reachable(cls) for cls in dict.fromkeys(classes.values())}
+    # Per class present: its plan (reachable nodes, children first) and leaves.
+    plans = {cls: tree.plan(cls) for cls in dict.fromkeys(classes.values())}
     class_leaves = {
-        cls: tuple(n for n in nodes if tree.node(n).is_leaf) for cls, nodes in order.items()
+        cls: tuple(n for n, _, weights in plan if weights is None) for cls, plan in plans.items()
     }
 
     if policy is MissingPolicy.STRICT:
@@ -211,11 +189,11 @@ def compute_all(
         if absent:
             raise MissingLeafError(sorted(absent))
 
-    bounds: BoundsCache = {}
+    bounds = _Bounds(leaves)
     entries: Dict[Tuple[str, str], float] = {}
     for country in countries:
         cls = classes[country]
-        scores = _score_order(tree, order[cls], cls, leaves, country, bounds)
+        scores = _score_plan(plans[cls], leaves, country, bounds)
         if tree.root not in scores:
             raise MissingLeafError(
                 [(country, leaf) for leaf in class_leaves[cls]],

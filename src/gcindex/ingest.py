@@ -33,6 +33,7 @@ from .model import (
     Panel,
     RankTable,
     ScoreTable,
+    _check_scores,
     _check_token,
     _check_year,
     validate_tree,
@@ -174,7 +175,8 @@ def _first_line(path, text: str, year: int, key: Tuple[str, str]) -> int:
 
 
 def load_score_table(path: Union[str, Path]) -> ScoreTable:
-    """Read back a score CSV written by emit_report."""
+    """Read back a score CSV written by emit_report.  A score outside
+    [1, 7] fails with its line, as any other bad cell does."""
     entries: Dict[Tuple[str, str], float] = {}
     year: Optional[int] = None
     for lineno, (year_t, country, node, score_t) in _rows(path, _read_text(path), SCORE_HEADER):
@@ -187,6 +189,10 @@ def load_score_table(path: Union[str, Path]) -> ScoreTable:
         if key in entries:
             raise DuplicateKeyError(f"{path}:{lineno}: duplicate score row for {key}")
         entries[key] = _parse_float(path, lineno, 4, score_t)
+        try:
+            _check_scores([(key, entries[key])])
+        except ValueError as exc:
+            raise ParseError(path, lineno, f"column 4: {exc}") from None
     if year is None:
         raise ParseError(path, 1, "score table has no rows")
     return ScoreTable(year=year, entries=entries)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
     CycleError,
@@ -209,29 +209,55 @@ class Node:
         return ()
 
 
+#: IndexTree.plan step: (leaf, normalize spec, None) or (aggregate, None, ((child, weight), ...))
+Step = Tuple[str, NormalizeSpec, Optional[Tuple[Tuple[str, int], ...]]]
+
+
 @dataclass(frozen=True)
 class IndexTree:
     """Weighted aggregation DAG with a designated root node."""
 
     nodes: Mapping[str, Node]
     root: str
-    # {cls: order}, kept outside the dataclass fields (== and repr ignore
-    # it) and replaced, never mutated, by reachable() through
-    # object.__setattr__, so threads sharing the tree at worst repeat a walk.
-    _orders = None
+    # {(kind, cls): order or plan}, kept outside the dataclass fields (== and
+    # repr ignore it) and replaced, never mutated, by _cached() through
+    # object.__setattr__, so threads sharing the tree at worst repeat a build.
+    _cache = None
 
     def node(self, node_id: str) -> Node:
         return self.nodes[node_id]
+
+    def _cached(self, key: tuple, build: Callable[[], tuple]) -> tuple:
+        cache = self._cache or {}
+        if key not in cache:
+            cache = {**cache, key: build()}
+            object.__setattr__(self, "_cache", cache)
+        return cache[key]
 
     def reachable(self, cls: Optional[InnovatorClass] = None) -> Tuple[str, ...]:
         """Node ids reachable from the root, in deterministic topological
         order (children before parents).  With cls=None the union of both
         classes' edges is walked.  The walk runs once per tree and class."""
-        orders = self._orders or {}
-        if cls not in orders:
-            orders = {**orders, cls: self._walk(cls)}
-            object.__setattr__(self, "_orders", orders)
-        return orders[cls]
+        return self._cached(("order", cls), lambda: self._walk(cls))
+
+    def plan(self, cls: InnovatorClass) -> Tuple[Step, ...]:
+        """reachable(cls) as scoring steps: each leaf with its normalize
+        spec, each aggregate with its class weights w as integers a = w * D
+        over their common denominator D, so the mean over any subset of the
+        children is sum(a * s) / sum(a).  Built once per tree and class; the
+        tree must have passed validate_tree."""
+        return self._cached(("plan", cls), lambda: self._weigh(cls))
+
+    def _weigh(self, cls: InnovatorClass) -> Tuple[Step, ...]:
+        def step(node_id: str) -> Step:
+            node = self.nodes[node_id]
+            if node.is_leaf:
+                return node_id, node.normalize, None
+            edges = node.children(cls)
+            den = math.lcm(*(w.denominator for _, w in edges))
+            return node_id, None, tuple((child, int(w * den)) for child, w in edges)
+
+        return tuple(map(step, self.reachable(cls)))
 
     def _walk(self, cls: Optional[InnovatorClass]) -> Tuple[str, ...]:
         order: list = []

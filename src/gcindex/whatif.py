@@ -74,18 +74,17 @@ def _path_weight(
     `node` always counts: apply_scenario re-derives it."""
     if node not in tree.nodes:
         raise NotAnAncestorPathError(f"unknown node {node!r}")
-    # reachable() is topological with children first, so one pass suffices;
-    # only nodes with a path to `node` get a (positive) coefficient.
+    # plan() is topological with children first, so one pass suffices; only
+    # nodes with a path to `node` get a (positive) coefficient.  Dividing by
+    # the kept children's integer weights rescales over them; with all kept
+    # it divides by their denominator, giving the rational weights as they are.
     coeff: Dict[str, Fraction] = {node: Fraction(1)}
-    for current in tree.reachable(cls):
-        edges = tree.node(current).children(cls)
-        if current == node or not any(child in coeff for child, _ in edges):
+    for current, _, weights in tree.plan(cls):
+        if current == node or not weights or not any(child in coeff for child, _ in weights):
             continue
-        total = sum(w * coeff[child] for child, w in edges if child in coeff)
-        kept = [w for child, w in edges if child in coeff or has_score(child)]
-        if len(kept) < len(edges):
-            total /= sum(kept)
-        coeff[current] = total
+        total = sum(a * coeff[child] for child, a in weights if child in coeff)
+        kept = sum(a for child, a in weights if child in coeff or has_score(child))
+        coeff[current] = total / kept
     return coeff.get(tree.root, Fraction(0))
 
 
@@ -104,22 +103,13 @@ def _updated_scores(
     engine's evaluation semantics.
     """
     updates: Dict[str, float] = {node: float(override)}
-
-    def value(current: str) -> Optional[float]:
-        if current in updates:
-            return updates[current]
-        return scores.get(country, current)
-
-    # reachable() is topological with children first, so one pass suffices.
-    for node_id in tree.reachable(cls):
-        current = tree.node(node_id)
-        if current.is_leaf or node_id == node:
+    # plan() is topological with children first, so one pass suffices.
+    for node_id, _, weights in tree.plan(cls):
+        if not weights or node_id == node or not any(child in updates for child, _ in weights):
             continue
-        edges = current.children(cls)
-        if not any(child in updates for child, _ in edges):
-            continue
-        parts = [(w, value(child)) for child, w in edges if value(child) is not None]
-        updates[node_id] = _aggregate(parts, len(edges))
+        parts = [(a, s) for child, a in weights
+                 if (s := updates.get(child, scores.get(country, child))) is not None]
+        updates[node_id] = _aggregate(parts)
     return updates
 
 

@@ -130,6 +130,16 @@ class TestRank:
         assert code == 0
         assert from_file == from_data
 
+    def test_rank_rejects_out_of_scale_score(self, capsys, tmp_path):
+        scores_path = tmp_path / "scores.csv"
+        scores_path.write_text("year,country,node,score\n2005,A,GCI,8.5\n")
+        code, out, err = run_cli(capsys, "rank", "--scores", str(scores_path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {scores_path}:2: column 4: score 8.5 for (A, GCI) outside [1, 7]\n"
+        )
+
     def test_rank_needs_scores_or_data(self, capsys):
         code, _, err = run_cli(capsys, "rank")
         assert code == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -258,28 +259,44 @@ class TestLinearCost:
     def test_bounds_once_per_leaf_and_one_walk_per_class(
         self, wef_tree, monkeypatch, n_countries, policy, drop
     ):
-        panel = _wef_panel(wef_tree, n_countries, seed=n_countries, drop=drop)
-        observed = {leaf for leaf in wef_tree.leaves() if wef_tree.node(leaf).normalize == OBSERVED}
+        tree = IndexTree(wef_tree.nodes, wef_tree.root)  # nothing walked or weighed yet
+        panel = _wef_panel(tree, n_countries, seed=n_countries, drop=drop)
+        observed = {leaf for leaf in tree.leaves() if tree.node(leaf).normalize == OBSERVED}
         bounds_calls = Counter()
         walks = Counter()
+        builds = Counter()
         real_bounds = engine.observed_bounds
         real_reachable = IndexTree.reachable
 
-        def counting_bounds(leaves, leaf_id):
+        def counting_bounds(values, leaf_id):
             bounds_calls[leaf_id] += 1
-            return real_bounds(leaves, leaf_id)
+            return real_bounds(values, leaf_id)
 
         def counting_reachable(self, cls=None):
             walks[cls] += 1
             return real_reachable(self, cls)
 
+        def counting_build(kind, real):
+            def build(self, cls):
+                builds[(kind, cls)] += 1
+                return real(self, cls)
+            return build
+
         monkeypatch.setattr(engine, "observed_bounds", counting_bounds)
         monkeypatch.setattr(IndexTree, "reachable", counting_reachable)
-        table = compute_all(wef_tree, panel, 2006, policy)
+        monkeypatch.setattr(IndexTree, "_walk", counting_build("walk", IndexTree._walk))
+        monkeypatch.setattr(IndexTree, "_weigh", counting_build("weigh", IndexTree._weigh))
+        table = compute_all(tree, panel, 2006, policy)
         assert bounds_calls == Counter({leaf: 1 for leaf in observed - set(drop)})
         assert all(count == 1 for count in walks.values())
         assert len(table.countries()) == n_countries
-
+        # one walk (order) and one integer weighting (plan) per class, ever;
+        # the union order was walked above, to build the panel
+        once = Counter({("walk", CORE): 1, ("walk", NONCORE): 1,
+                        ("weigh", CORE): 1, ("weigh", NONCORE): 1})
+        assert builds == once
+        assert compute_all(tree, panel, 2006, policy) == table
+        assert builds == once
 
     def test_reads_only_its_year(self, component_tree):
         # Every key comparison against a year other than the scored one is a
@@ -307,29 +324,47 @@ class TestLinearCost:
 
 
 class TestExactSum:
+    #: Scores on the edges of the 2**-52 grid: the scale ends, the first
+    #: float above 1, and the last floats below 2 and 7.
+    EDGES = (1.0, math.nextafter(1.0, 2.0), math.nextafter(2.0, 1.0),
+             math.nextafter(7.0, 1.0), 7.0)
+
     def test_matches_fraction_sum_bit_for_bit(self):
+        # _aggregate takes the plan's integer weights; the oracle sums the
+        # node's rational weights as Fractions and rounds once.
         rng = Random(31337)
         checked = 0
         for _ in range(500):
             tree = make_random_tree(rng, max_depth=3, max_children=6)
-            for node_id in tree.reachable(NONCORE):
-                edges = tree.node(node_id).children(NONCORE)
-                if not edges:
+            for node_id, _, weights in tree.plan(NONCORE):
+                if not weights:
                     continue
+                edges = tree.node(node_id).children(NONCORE)
+                assert [child for child, _ in weights] == [child for child, _ in edges]
                 scores = [rng.uniform(1.0, 7.0) for _ in edges]
                 if rng.random() < 0.3:
-                    scores = [rng.choice((1.0, 7.0, 1.0 + 2.0 ** -52, 7.0 - 2.0 ** -50, 4.0))
+                    scores = [rng.choice(self.EDGES + (1.0 + 2.0 ** -51, 7.0 - 2.0 ** -50, 4.0))
                               for _ in edges]
                 full = list(zip((w for _, w in edges), scores))
-                assert _aggregate(full, len(edges)) == float(sum(w * Fraction(s) for w, s in full))
+                ints = list(zip((a for _, a in weights), scores))
+                assert _aggregate(ints) == float(sum(w * Fraction(s) for w, s in full))
                 # renormalized: drop a random proper subset of the children
-                kept = [part for part in full if rng.random() < 0.6] or full[:1]
+                kept = [i for i in range(len(full)) if rng.random() < 0.6] or [0]
                 if len(kept) < len(full):
-                    total = sum(w for w, _ in kept)
-                    expected = float(sum((w / total) * Fraction(s) for w, s in kept))
-                    assert _aggregate(kept, len(edges)) == expected
+                    total = sum(full[i][0] for i in kept)
+                    expected = float(sum((full[i][0] / total) * Fraction(full[i][1]) for i in kept))
+                    assert _aggregate([ints[i] for i in kept]) == expected
                 checked += 1
         assert checked > 500
+
+    @pytest.mark.parametrize("weights", [(1, 1), (1, 2, 3), (7, 1, 5, 3), (1,)])
+    def test_grid_edge_scores(self, weights):
+        for scores in itertools.product(self.EDGES, repeat=len(weights)):
+            parts = list(zip(weights, scores))
+            total = sum(weights)
+            expected = float(sum(Fraction(a, total) * Fraction(s) for a, s in parts))
+            assert _aggregate(parts).hex() == expected.hex()
+            assert min(scores) <= _aggregate(parts) <= max(scores)
 
 
 class TestMatchesReference:

@@ -279,6 +279,16 @@ class TestEmitReport:
         again = emit_report(reloaded, "csv", tmp_path / "scores2.csv")
         assert again.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("score", ["8.5", "0.999", "-0.0", "7.0000001"])
+    def test_score_outside_scale_names_its_row(self, tmp_path, score):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"year,country,node,score\n2005,B,GCI,4.0\n2005,A,GCI,{score}\n")
+        with pytest.raises(ParseError) as err:
+            load_score_table(path)
+        assert str(err.value) == (
+            f"{path}:3: column 4: score {float(score)} for (A, GCI) outside [1, 7]"
+        )
+
     def test_delta_report_contains_quoted_movements(self, tmp_path, balkans):
         panel, _ = balkans
         prev = rank_table_from_indicator(panel, 2005, "GCI_RANK")

@@ -408,14 +408,18 @@ def test_country_index_built_once_per_query(component_tree):
 
 
 def test_queries_reuse_the_walk_order(component_tree, monkeypatch):
+    # Builds of a class's order (_walk) and of its integer weights (_weigh)
+    # across compute_all and what-if queries: at most one per tree and class.
     walks = []
-    real_walk = IndexTree._walk
 
-    def counting_walk(self, cls):
-        walks.append((id(self), cls))
-        return real_walk(self, cls)
+    def counting(kind, real):
+        def build(self, cls):
+            walks.append((kind, id(self), cls))
+            return real(self, cls)
+        return build
 
-    monkeypatch.setattr(IndexTree, "_walk", counting_walk)
+    monkeypatch.setattr(IndexTree, "_walk", counting("walk", IndexTree._walk))
+    monkeypatch.setattr(IndexTree, "_weigh", counting("weigh", IndexTree._weigh))
     tree = IndexTree(component_tree.nodes, component_tree.root)
     rng = Random(11)
     rows = [Observation(2006, f"C{i:02d}", leaf, rng.uniform(2.0, 6.0))
@@ -431,7 +435,8 @@ def test_queries_reuse_the_walk_order(component_tree, monkeypatch):
 
     query("C00", "TI")
     query("C01", "TI")
-    assert len(walks) == len(set(walks))  # at most one walk per (tree, class)
+    assert len(walks) == len(set(walks))  # at most one build per (kind, tree, class)
+    assert {(kind, cls) for kind, _, cls in walks} >= {("weigh", CORE), ("weigh", NONCORE)}
     walks.clear()
     for i in range(20):
         query(f"C{i:02d}", ("TI", "CS", "MSS", "GW")[i % 4])
