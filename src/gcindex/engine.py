@@ -117,7 +117,7 @@ def evaluate_node(
     validate_tree (load_tree and default_wef_tree return such trees): a
     node's full class weights are taken to sum to 1.
     """
-    plan = IndexTree(tree.nodes, node_id).plan(cls)
+    plan = (tree if node_id == tree.root else IndexTree(tree.nodes, node_id)).plan(cls)
     absent = sorted((country, n) for n, _, w in plan if w is None and (country, n) not in leaves)
     if absent and policy is MissingPolicy.STRICT:
         raise MissingLeafError(absent)

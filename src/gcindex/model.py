@@ -255,7 +255,7 @@ class IndexTree:
                 return node_id, node.normalize, None
             edges = node.children(cls)
             den = math.lcm(*(w.denominator for _, w in edges))
-            return node_id, None, tuple((child, int(w * den)) for child, w in edges)
+            return node_id, None, tuple((c, w.numerator * (den // w.denominator)) for c, w in edges)
 
         return tuple(map(step, self.reachable(cls)))
 
