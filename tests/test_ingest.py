@@ -1,7 +1,12 @@
 import json
+import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcindex.data import (
     BALKANS_CLASSES,
@@ -349,3 +354,94 @@ class TestEmitReport:
             ), "svg")
         assert ranks  # silence unused warning
 
+
+
+#: Every str.isspace() code point except '\n' and '\r', which end a line
+#: when a file is read; strip() removes exactly these from a field's ends.
+_PADDING = "".join(ch for ch in map(chr, range(sys.maxunicode + 1))
+                   if ch.isspace() and ch not in "\n\r")
+_BUNDLED_SCORES = render_report(compute_all(
+    load_tree(fixture_path(BALKANS_TREE)),
+    load_panel(fixture_path(BALKANS_PANEL), load_classes(fixture_path(BALKANS_CLASSES))),
+    2006,
+), "csv")
+#: (file, loader, column, bad token): a bad cell put into one data row
+_BAD_CELLS = [
+    ("panel", load_panel, 0, "x"),
+    ("panel", load_panel, 0, "1980"),
+    ("panel", load_panel, 1, "A B"),
+    ("panel", load_panel, 3, "abc"),
+    ("panel", load_panel, 3, "nan"),
+    ("classes", load_classes, 1, "middling"),
+    ("scores", load_score_table, 0, "x"),
+    ("scores", load_score_table, 3, "8.5"),
+]
+
+
+def _pad_fields(text, rng, offset):
+    """`text` with every field of every data row (not the header, blank or
+    '#' lines) wrapped in 0-3 padding characters on each side, taken in turn
+    from _PADDING starting at `offset`, so a file uses every one of them."""
+    lines = text.split("\n")
+    data = [i for i, line in enumerate(lines)
+            if line.strip() and not line.strip().startswith("#")][1:]
+    turn = offset
+
+    def pad():
+        nonlocal turn
+        n = rng.randint(0, 3)
+        turn += n
+        return "".join(_PADDING[j % len(_PADDING)] for j in range(turn - n, turn))
+
+    for i in data:
+        lines[i] = ",".join(pad() + field + pad() for field in lines[i].split(","))
+    return "\n".join(lines)
+
+
+def _load_all(work, texts):
+    """(panel contents, class map, score table) of the three files' texts."""
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = Path(work) / f"{name}.csv"
+        paths[name].write_text(text, encoding="utf-8")
+    panel = load_panel(paths["panel"], load_classes(paths["classes"]))
+    indicators = {line.split(",")[2].strip() for line in texts["panel"].split("\n")[1:]
+                  if line and not line.startswith("#")}
+    contents = (panel.years(), panel.countries(), panel.classes,
+                {year: panel.slice_year(year, indicators) for year in panel.years()})
+    return contents, load_classes(paths["classes"]), load_score_table(paths["scores"])
+
+
+def _load_error(path, text, loader):
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        loader(path)
+    return str(err.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), offset=st.integers(0, len(_PADDING) - 1),
+       bad=st.sampled_from(_BAD_CELLS), row=st.integers(0, 9))
+def test_whitespace_padding_is_invisible(seed, offset, bad, row):
+    rng = Random(seed)
+    clean = {
+        "panel": fixture_path(BALKANS_PANEL).read_text(encoding="utf-8"),
+        "classes": fixture_path(BALKANS_CLASSES).read_text(encoding="utf-8"),
+        "scores": _BUNDLED_SCORES,
+    }
+    padded = {name: _pad_fields(text, rng, offset) for name, text in clean.items()}
+    assert padded != clean
+    with tempfile.TemporaryDirectory() as work:
+        assert _load_all(work, padded) == _load_all(work, clean)
+        # the same bad cell, clean and padded, fails with the same message
+        name, loader, column, token = bad
+        lines = clean[name].split("\n")
+        data = [i for i, line in enumerate(lines) if line and not line.startswith("#")][1:]
+        fields = lines[data[row]].split(",")
+        fields[column] = token
+        lines[data[row]] = ",".join(fields)
+        broken = "\n".join(lines)
+        path = Path(work) / f"bad-{name}.csv"
+        message = _load_error(path, broken, loader)
+        assert f"{path}:{data[row] + 1}: " in message
+        assert _load_error(path, _pad_fields(broken, rng, offset), loader) == message
