@@ -113,11 +113,14 @@ def evaluate_node(
     MissingLeafError listing every absent leaf under the node.  Under
     RENORMALIZE, children without data are dropped and the surviving weights
     rescaled; a node with no surviving children propagates as missing.  An
-    unknown node raises DanglingChildError.  `tree` must have passed
-    validate_tree (load_tree and default_wef_tree return such trees): a
-    node's full class weights are taken to sum to 1.
+    unknown node raises DanglingChildError.  A node's plan is built once per
+    tree, node and class.  `tree` must have passed validate_tree (load_tree
+    and default_wef_tree return such trees): a node's full class weights are
+    taken to sum to 1.
     """
-    plan = (tree if node_id == tree.root else IndexTree(tree.nodes, node_id)).plan(cls)
+    rooted = tree if node_id == tree.root else tree._cached(
+        ("subtree", node_id), lambda: IndexTree(tree.nodes, node_id))
+    plan = rooted.plan(cls)
     absent = sorted((country, n) for n, _, w in plan if w is None and (country, n) not in leaves)
     if absent and policy is MissingPolicy.STRICT:
         raise MissingLeafError(absent)

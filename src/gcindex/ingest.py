@@ -58,35 +58,45 @@ def _fmt6(value: float) -> str:
 
 
 def _read_text(path: Union[str, Path]) -> str:
+    """The file's text, '\r\n' and '\r' read as '\n'.  A byte that is not
+    UTF-8 fails with the line that holds the first one."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-
-
-def _data_lines(text: str):
-    """(line number, stripped line) for each line that is not blank or a
-    '#' comment.  Lines end at '\n' only: reading the text already turned
-    '\r\n' and '\r' into '\n', and str.splitlines would also break at
-    '\x85', '\u2028' and other characters a field may hold."""
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped
+    except UnicodeDecodeError:
+        # each byte that does not decode reads as one of U+DC80..U+DCFF
+        text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+        at = next(i for i, ch in enumerate(text) if "\udc80" <= ch <= "\udcff")
+        raise ParseError(path, text.count("\n", 0, at) + 1,
+                         f"invalid UTF-8 byte 0x{ord(text[at]) - 0xdc00:02x}") from None
 
 
 def _rows(path, text: str, header: str):
     """(line number, stripped fields) for each data row under `header`,
-    which must be the first data line; every row has the header's number
-    of fields."""
-    lines = _data_lines(text)
-    first = next(lines, None)
-    if first is None or first[1].replace(" ", "") != header:
-        raise ParseError(path, first[0] if first else 1, f"expected header {header!r}")
+    which must be the first data line (not blank and not a '#' comment);
+    every row has the header's number of fields.  Lines end at '\n' only:
+    reading the text already turned '\r\n' and '\r' into '\n', and
+    str.splitlines would also break at '\x85', '\u2028' and other
+    characters a field may hold.  Fields are stripped only on a line that
+    holds whitespace: str.split() breaks at exactly what str.strip() removes."""
+    lines = enumerate(text.split("\n"), start=1)
+    for lineno, line in lines:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        lineno, line = 1, ""
+    if line.replace(" ", "") != header:
+        raise ParseError(path, lineno, f"expected header {header!r}")
     n_fields = header.count(",") + 1
     for lineno, line in lines:
-        fields = [f.strip() for f in line.split(",")]
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if line.split() != [line]:
+            fields = [f.strip() for f in fields]
         if len(fields) != n_fields:
             raise ParseError(path, lineno,
                              f"expected {n_fields} fields ({header}), got {len(fields)}")
@@ -137,16 +147,24 @@ def load_panel(
     class map is given, in which case everyone defaults to non-core.
     """
     by_year: Dict[int, Dict[Tuple[str, str], float]] = {}
+    years = {}  # year field -> (year, that year's values), once the year passed
     checked = set()  # country and indicator tokens that passed _check_token
     text = _read_text(path)
     for lineno, (year_t, country, indicator, value_t) in _rows(path, text, PANEL_HEADER):
-        year = _parse_int(path, lineno, 1, year_t)
-        value = _parse_float(path, lineno, 4, value_t)
-        values = by_year.get(year)
+        year, values = years.get(year_t) or (_parse_int(path, lineno, 1, year_t), None)
+        try:
+            value = float(value_t)
+        except ValueError:
+            raise ParseError(path, lineno, f"column 4: invalid number {value_t!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(path, lineno, f"column 4: non-finite number {value_t!r}")
         try:
             if values is None:
-                _check_year(year)
-                values = by_year[year] = {}
+                values = by_year.get(year)
+                if values is None:
+                    _check_year(year)
+                    values = by_year[year] = {}
+                years[year_t] = year, values
             if country not in checked:
                 _check_token("country", country)
                 checked.add(country)
@@ -228,10 +246,9 @@ def load_tree(source: Union[str, Path]) -> IndexTree:
     """Build a validated IndexTree from a JSON config, or the literal
     "wef-default" for the bundled WEF tree config."""
     path = fixture_path(WEF_TREE_CONFIG) if str(source) == WEF_DEFAULT else Path(source)
+    text = _read_text(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "nodes" not in doc or "root" not in doc:

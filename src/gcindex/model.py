@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
     CycleError,
@@ -219,15 +219,16 @@ class IndexTree:
 
     nodes: Mapping[str, Node]
     root: str
-    # {(kind, cls): order or plan}, kept outside the dataclass fields (== and
-    # repr ignore it) and replaced, never mutated, by _cached() through
-    # object.__setattr__, so threads sharing the tree at worst repeat a build.
+    # {(kind, cls): order or plan, ("subtree", node id): that node's rooted
+    # tree}, kept outside the dataclass fields (== and repr ignore it) and
+    # replaced, never mutated, by _cached() through object.__setattr__, so
+    # threads sharing the tree at worst repeat a build.
     _cache = None
 
     def node(self, node_id: str) -> Node:
         return self.nodes[node_id]
 
-    def _cached(self, key: tuple, build: Callable[[], tuple]) -> tuple:
+    def _cached(self, key: tuple, build: Callable[[], Any]) -> Any:
         cache = self._cache or {}
         if key not in cache:
             cache = {**cache, key: build()}

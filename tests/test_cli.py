@@ -558,6 +558,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: cannot write {tmp_path}: ")
 
+    @pytest.mark.parametrize("flag", ["--data", "--classes", "--tree", "--scores"])
+    def test_bad_utf8_names_file_and_line(self, capsys, tmp_path, flag):
+        # A byte that is not UTF-8 on line 5; lines 1-3 end in '\r\n', '\r\n'
+        # and '\r', which count as one line end each.
+        source = {"--data": PANEL, "--classes": CLASSES, "--tree": TREE}.get(flag)
+        text = (Path(source).read_bytes() if source else
+                b"year,country,node,score\n" + b"".join(
+                    b"2006,%s,GCI,4.000000\n" % c.encode() for c in "ABCDEFG"))
+        lines = text.split(b"\n")
+        lines[4] = lines[4][:2] + b"\xff" + lines[4][2:]
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\r\n".join(lines[:3]) + b"\r" + b"\n".join(lines[3:]))
+        argv = (["rank", "--scores", str(path)] if flag == "--scores" else
+                ["compute", *DATA, "--year", "2006"])
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {path}:5: invalid UTF-8 byte 0xff\n")
+
     def test_help_documents_flags(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gcindex.cli", "chisq", "--help"],

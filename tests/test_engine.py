@@ -16,6 +16,7 @@ from gcindex.engine import (
     normalize_minmax,
 )
 from gcindex.errors import (
+    DanglingChildError,
     DegenerateRangeError,
     GciError,
     MissingLeafError,
@@ -103,8 +104,9 @@ class TestEvaluateNode:
         assert whole.value.missing == err.value.missing
 
     def test_unknown_node_is_a_domain_error(self, technology_tree):
-        with pytest.raises(GciError, match="^unknown node 'NOPE'$"):
-            evaluate_node(technology_tree, "NOPE", NONCORE, {("X", "IS"): 4.0}, "X")
+        for _ in range(2):
+            with pytest.raises(DanglingChildError, match="^unknown node 'NOPE'$"):
+                evaluate_node(technology_tree, "NOPE", NONCORE, {("X", "IS"): 4.0}, "X")
 
     def test_unnormalized_leaf_out_of_scale(self, technology_tree):
         leaves = {("X", "IS"): 40.0, ("X", "TTS"): 4.0,
@@ -296,6 +298,16 @@ class TestLinearCost:
                         ("weigh", CORE): 1, ("weigh", NONCORE): 1})
         assert builds == once
         assert compute_all(tree, panel, 2006, policy) == table
+        assert builds == once
+        # evaluate_node below the root walks and weighs the rooted subtree
+        # once per node and class, however often it is asked
+        builds.clear()
+        leaves = panel.slice_year(2006, tree.leaves())
+        for i in range(20):
+            country = table.countries()[i % 10]  # C0000 and C0005 are core
+            score = evaluate_node(tree, "TI", panel.innovator_class(country), leaves, country,
+                                  policy)
+            assert score == table.score(country, "TI")
         assert builds == once
 
     def test_reads_only_its_year(self, component_tree):

@@ -1,5 +1,6 @@
 import json
 import sys
+from collections import Counter
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -15,6 +16,7 @@ from gcindex.data import (
     WEF_TREE_CONFIG,
     fixture_path,
 )
+from gcindex import ingest
 from gcindex.engine import compute_all
 from gcindex.errors import (
     DuplicateKeyError,
@@ -119,6 +121,41 @@ class TestLoadPanel:
         assert str(err.value) == (
             f"{path}:7: duplicate observation (2005, 'A', 'TI') (first at line 4)"
         )
+
+    def test_each_year_field_and_token_is_checked_once(self, tmp_path, monkeypatch):
+        # '2005' and ' 2005 ' are one year field once stripped, '02005' is
+        # another for the same year 2005, and '2006' is a second year.
+        path = tmp_path / "panel.csv"
+        path.write_text(
+            "year,country,indicator,value\n"
+            "2005,A,TI,3.5\n"
+            " 2005 ,B,TI,3.5\n"
+            "02005,C,TI,3.5\n"
+            "2006,A,TI,3.5\n"
+            "2005,A,PI,3.5\n"
+            " 02005,B , PI,3.5\n"
+            "2006,B,TI,3.5\n"
+        )
+        calls = Counter()
+
+        def count(name):
+            real = getattr(ingest, name)
+
+            def counted(*args):
+                calls[name, args[-1]] += 1
+                return real(*args)
+            monkeypatch.setattr(ingest, name, counted)
+
+        for name in ("_parse_int", "_check_year", "_check_token"):
+            count(name)
+        panel = load_panel(path)
+        assert len(panel) == 7
+        assert panel.years() == (2005, 2006)
+        assert calls == Counter({
+            ("_parse_int", "2005"): 1, ("_parse_int", "02005"): 1, ("_parse_int", "2006"): 1,
+            ("_check_year", 2005): 1, ("_check_year", 2006): 1,
+            **{("_check_token", token): 1 for token in ("A", "B", "C", "TI", "PI")},
+        })
 
     def test_country_without_class_is_named(self, tmp_path):
         path = tmp_path / "panel.csv"
