@@ -18,7 +18,6 @@ from gcindex.engine import (
 from gcindex.errors import (
     DanglingChildError,
     DegenerateRangeError,
-    GciError,
     MissingLeafError,
     OutOfScaleError,
 )

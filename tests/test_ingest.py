@@ -397,11 +397,6 @@ class TestEmitReport:
 #: when a file is read; strip() removes exactly these from a field's ends.
 _PADDING = "".join(ch for ch in map(chr, range(sys.maxunicode + 1))
                    if ch.isspace() and ch not in "\n\r")
-_BUNDLED_SCORES = render_report(compute_all(
-    load_tree(fixture_path(BALKANS_TREE)),
-    load_panel(fixture_path(BALKANS_PANEL), load_classes(fixture_path(BALKANS_CLASSES))),
-    2006,
-), "csv")
 #: (file, loader, column, bad token): a bad cell put into one data row
 _BAD_CELLS = [
     ("panel", load_panel, 0, "x"),
@@ -459,12 +454,13 @@ def _load_error(path, text, loader):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), offset=st.integers(0, len(_PADDING) - 1),
        bad=st.sampled_from(_BAD_CELLS), row=st.integers(0, 9))
-def test_whitespace_padding_is_invisible(seed, offset, bad, row):
+def test_whitespace_padding_is_invisible(balkans, seed, offset, bad, row):
     rng = Random(seed)
+    panel, tree = balkans
     clean = {
         "panel": fixture_path(BALKANS_PANEL).read_text(encoding="utf-8"),
         "classes": fixture_path(BALKANS_CLASSES).read_text(encoding="utf-8"),
-        "scores": _BUNDLED_SCORES,
+        "scores": render_report(compute_all(tree, panel, 2006), "csv"),
     }
     padded = {name: _pad_fields(text, rng, offset) for name, text in clean.items()}
     assert padded != clean
