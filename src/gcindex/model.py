@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
     CycleError,
     DanglingChildError,
     DuplicateKeyError,
     MissingClassError,
+    MissingNodeError,
     WeightSumError,
 )
 
@@ -346,16 +347,20 @@ def _check_scores(scores: Iterable[Tuple[Tuple[str, str], float]]) -> None:
 class ScoreTable:
     """Per-country, per-node scores on the 1-7 scale for one year.
 
-    The sorted country tuple is built from the entries on first use and kept
-    with the table (it takes no part in equality).
+    The sorted country tuple, each node's column and each column's scores in
+    ascending order are built from the entries on first use and kept with
+    the table (they take no part in equality).
     """
 
     year: int
     entries: Mapping[Tuple[str, str], float]
-    # Filled by countries() through object.__setattr__, as a plain instance
-    # attribute: functools.cached_property would go through the instance
-    # __dict__, and a materialized __dict__ slows every later attribute read.
+    # Filled by countries(), _column() and _ascending() through
+    # object.__setattr__, as plain instance attributes:
+    # functools.cached_property would go through the instance __dict__, and a
+    # materialized __dict__ slows every later attribute read.
     _country_index = None
+    _columns = None  # node -> {country: score}
+    _ascending_scores = None  # node -> that column's scores, ascending
 
     def __post_init__(self):
         _check_scores(self.entries.items())
@@ -372,6 +377,36 @@ class ScoreTable:
             object.__setattr__(self, "_country_index", index)
         return self._country_index
 
+    def _column(self, node: str) -> Dict[str, float]:
+        """{country: score} on `node` for every country, in country order,
+        built once per node; callers must not mutate it.  Raises
+        MissingNodeError unless every country has a score for the node (on
+        every call: an incomplete column is not kept)."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", {})
+        column = self._columns.get(node)
+        if column is None:
+            countries = self.countries()
+            get = self.entries.get
+            column = {c: s for c in countries if (s := get((c, node))) is not None}
+            if not column:
+                raise MissingNodeError(f"no scores for node {node!r}")
+            if len(column) < len(countries):
+                missing = [c for c in countries if c not in column]
+                raise MissingNodeError(f"node {node!r} has no score for: {missing}")
+            self._columns[node] = column
+        return column
+
+    def _ascending(self, node: str) -> List[float]:
+        """_column(node)'s scores in ascending order, sorted once per node;
+        callers must not mutate it."""
+        if self._ascending_scores is None:
+            object.__setattr__(self, "_ascending_scores", {})
+        ordered = self._ascending_scores.get(node)
+        if ordered is None:
+            ordered = self._ascending_scores[node] = sorted(self._column(node).values())
+        return ordered
+
     def nodes(self) -> Tuple[str, ...]:
         return tuple(sorted({n for (_, n) in self.entries}))
 
@@ -382,7 +417,8 @@ class ScoreTable:
         [1, 7], NaN included): the base entries were checked when this table
         was built.  The copy is one dict merge; when `country` is already in
         the table, the new table shares this table's country tuple instead
-        of rebuilding it.
+        of rebuilding it.  It shares no column: each is built from the new
+        entries on first use.
         """
         overrides = {(country, node): score for node, score in updates.items()}
         _check_scores(overrides.items())

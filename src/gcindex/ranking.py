@@ -17,17 +17,9 @@ from .model import COMPETITION, Panel, RankTable, ScoreTable
 
 def score_column(scores: ScoreTable, node: str) -> Dict[str, float]:
     """{country: score} on one node for every country in the table, in
-    country order.  Raises MissingNodeError unless every country has a
-    score for the node."""
-    countries = scores.countries()
-    get = scores.entries.get
-    column = {c: s for c in countries if (s := get((c, node))) is not None}
-    if not column:
-        raise MissingNodeError(f"no scores for node {node!r}")
-    if len(column) < len(countries):
-        missing = [c for c in countries if c not in column]
-        raise MissingNodeError(f"node {node!r} has no score for: {missing}")
-    return column
+    country order, as a fresh dict.  Raises MissingNodeError unless every
+    country has a score for the node."""
+    return dict(scores._column(node))
 
 
 def rank_scores(scores: ScoreTable, node: str) -> RankTable:
@@ -37,7 +29,7 @@ def rank_scores(scores: ScoreTable, node: str) -> RankTable:
     score to rank r + k, so a country's rank is 1 + the number of countries
     with a strictly higher score.  Exactly equal float scores count as ties.
     """
-    column = score_column(scores, node)
+    column = scores._column(node)
     # Sort by (-score, country) so tied countries appear in code order.
     ordered = sorted(column.items(), key=lambda item: (-item[1], item[0]))
     ranks: Dict[str, int] = {}

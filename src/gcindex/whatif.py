@@ -13,9 +13,10 @@ improvement buys k rank positions".
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from .engine import _aggregate
 from .errors import (
@@ -25,7 +26,6 @@ from .errors import (
     UnknownCountryError,
 )
 from .model import IndexTree, InnovatorClass, ScoreTable
-from .ranking import score_column
 
 #: Margin added to closed-form deltas so the overtake is strict rather than
 #: a ranking-policy-dependent exact tie.  Score-scale units.
@@ -113,12 +113,12 @@ def _updated_scores(
     return updates
 
 
-def _competition_rank(root: Mapping[str, float], country: str, score: float) -> int:
-    """Rank of `country` at root score `score` with every other country's
-    score frozen: 1 + the number of others strictly above, which is the rank
-    rank_scores assigns, ties included."""
-    above = len([s for s in root.values() if s > score])
-    return 1 + above - (root[country] > score)
+def _competition_rank(ordered: List[float], own: float, score: float) -> int:
+    """Rank at root score `score` of the country whose stored root is `own`,
+    with every other country's score frozen: 1 + the number of others
+    strictly above, which is the rank rank_scores assigns, ties included.
+    `ordered` is every country's stored root, ascending, `own` among them."""
+    return 1 + len(ordered) - bisect_right(ordered, score) - (own > score)
 
 
 def apply_scenario(
@@ -130,10 +130,12 @@ def apply_scenario(
     """Evaluate one override: new root score and rank for the country.
 
     Only the override node's ancestors are re-derived; every other country's
-    scores stay frozen, so both ranks are counted from the root column
-    instead of re-ranking.  Cost is O(countries + ancestors) plus one copy of
-    the entries into `new_scores`.  `tree` must have passed validate_tree,
-    as for engine.evaluate_node.
+    scores stay frozen, so both ranks are bisected from the table's sorted
+    root column instead of re-ranking.  After the table's first query builds
+    and sorts that column, cost is O(nodes + log countries), one pass over
+    the class plan plus two bisects, and one copy of the entries into
+    `new_scores`.  `tree` must have passed
+    validate_tree, as for engine.evaluate_node.
     """
     country = scenario.country
     if country not in scores.countries():
@@ -141,13 +143,13 @@ def apply_scenario(
     if scenario.node not in tree.nodes:
         raise NotAnAncestorPathError(f"unknown node {scenario.node!r}")
     cls = classes[country]
-    root = score_column(scores, tree.root)
-    baseline_gci = root[country]
+    ordered = scores._ascending(tree.root)
+    baseline_gci = scores.score(country, tree.root)
     updates = _updated_scores(tree, scores, cls, country, scenario.node, scenario.override)
     new_table = scores.with_overrides(country, updates)
     new_gci = new_table.score(country, tree.root)
-    baseline_rank = _competition_rank(root, country, baseline_gci)
-    new_rank = _competition_rank(root, country, new_gci)
+    baseline_rank = _competition_rank(ordered, baseline_gci, baseline_gci)
+    new_rank = _competition_rank(ordered, baseline_gci, new_gci)
     return WhatIfOutcome(
         country=country,
         node=scenario.node,
@@ -167,11 +169,13 @@ def _solve(
     cls: InnovatorClass,
     country: str,
     node: str,
-    target: float,
+    target: Optional[float],
     margin: float,
 ) -> Optional[float]:
     """Increase of `node`'s score lifting `country`'s root strictly above
-    `target`, or None when it would push the node past 7.
+    `target`, or None when it would push the node past 7.  A None target
+    means the country already holds the goal: 0.0, once `node` has passed
+    the same checks.
 
     The slope is the country's effective path weight (each parent's weights
     rescaled over the children that have a score, as apply_scenario
@@ -185,6 +189,8 @@ def _solve(
     current = scores.get(country, node)
     if current is None:
         raise MissingNodeError(f"no baseline score for ({country}, {node})")
+    if target is None:
+        return 0.0
     start = _updated_scores(tree, scores, cls, country, node, current)[tree.root]
     delta = (target - start) / float(w_eff) + margin
     if current + delta > 7.0:
@@ -211,18 +217,20 @@ def min_delta_for_rank_gain(
     root as apply_scenario re-derives it at the node's current score.
     Returns None (infeasible) when even a score of 7 cannot achieve the gain:
     either fewer than k countries sit strictly above, or the required node
-    score exceeds the scale.  Cost is O(countries + nodes), plus sorting the
-    root scores above the country.
+    score exceeds the scale.  A gain k <= 0 costs 0.0 once `node` has passed
+    the checks a positive gain makes.  After the table's first query builds
+    and sorts its root column, cost is O(nodes + log countries): the target
+    is bisected from that sorted column.
     """
     if country not in scores.countries():
         raise UnknownCountryError(f"country {country!r} not in score table")
-    if k <= 0:
-        return 0.0
-    root = score_column(scores, tree.root)
-    own = root[country]
-    above = [s for s in root.values() if s > own]
-    # with fewer than k countries above, no score reaches the gain
-    target = sorted(above)[k - 1] if k <= len(above) else math.inf
+    ordered = scores._ascending(tree.root)
+    target = None
+    if k > 0:
+        # the k-th score strictly above the country's; with fewer than k
+        # countries above, no score reaches the gain
+        at = bisect_right(ordered, scores.score(country, tree.root)) + k - 1
+        target = ordered[at] if at < len(ordered) else math.inf
     return _solve(tree, scores, classes[country], country, node, target, margin)
 
 
@@ -236,14 +244,14 @@ def min_delta_to_overtake(
     margin: float = STRICT_MARGIN,
 ) -> Optional[float]:
     """Smallest increase of `node`'s score putting `country` strictly above
-    `target_country` on the root index; 0.0 if already strictly above, None
-    if the scale cannot reach it.  Solved as min_delta_for_rank_gain is."""
+    `target_country` on the root index; 0.0 if already strictly above (once
+    `node` has passed the checks the solve makes), None if the scale cannot
+    reach it.  Solved as min_delta_for_rank_gain is."""
     if country not in scores.countries():
         raise UnknownCountryError(f"country {country!r} not in score table")
     if target_country not in scores.countries():
         raise UnknownCountryError(f"country {target_country!r} not in score table")
     own = scores.score(country, tree.root)
     target = scores.score(target_country, tree.root)
-    if own > target:
-        return 0.0
-    return _solve(tree, scores, classes[country], country, node, target, margin)
+    return _solve(tree, scores, classes[country], country, node,
+                  None if own > target else target, margin)

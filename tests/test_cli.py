@@ -398,6 +398,27 @@ class TestWhatif:
         assert out.startswith("min-delta 0.000000\n")
         assert "delta-rank 0" in out
 
+    @pytest.mark.parametrize("gain", ["0", "1"])
+    @pytest.mark.parametrize("node,message", [
+        ("NOPE", "unknown node 'NOPE'"),
+        ("MEI", "no baseline score for (C, MEI)"),
+    ])
+    def test_unscored_node_exits_one_at_any_gain(self, capsys, tmp_path, gain, node, message):
+        # C has no MEI data, so under renormalize it has no MEI score
+        data = tmp_path / "trio.csv"
+        rows = ["year,country,indicator,value"]
+        for country, g in (("A", 4.4), ("B", 3.8), ("C", 3.5)):
+            for leaf in ("IS", "TTS", "ICTS", "PII", "MEI")[:4 if country == "C" else 5]:
+                rows.append(f"2006,{country},{leaf},{g}")
+        data.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            capsys, "whatif", "--data", str(data), "--tree", TREE, "--year", "2006",
+            "--policy", "renormalize", "--country", "C", "--node", node, "--gain", gain,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("gain,message", [
         ("-2", "must be a non-negative integer, got -2"),
         ("x", "invalid integer 'x'"),

@@ -1,11 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gcindex.engine import MissingPolicy, compute_all
 from gcindex.errors import (
+    MissingNodeError,
     NotAnAncestorPathError,
     OverrideOutOfScaleError,
     UnknownCountryError,
@@ -20,7 +22,7 @@ from gcindex.model import (
     ScoreTable,
     validate_tree,
 )
-from gcindex.ranking import rank_scores
+from gcindex.ranking import rank_scores, score_column
 from gcindex.whatif import (
     STRICT_MARGIN,
     Scenario,
@@ -380,31 +382,44 @@ def test_counted_ranks_equal_rank_scores(component_tree, levels, pick, override)
 
 
 class _ScanCountingDict(dict):
-    """Counts Python-level iterations over the keys; get() and the C-level
-    copy in a {**d} merge do not iterate through __iter__."""
+    """Counts Python-level iterations over the keys, and get() reads per
+    node; the C-level copy in a {**d} merge goes through neither."""
 
     scans = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = Counter()
 
     def __iter__(self):
         self.scans += 1
         return super().__iter__()
 
+    def get(self, key, default=None):
+        self.reads[key[1]] += 1
+        return super().get(key, default)
+
 
 def test_country_index_built_once_per_query(component_tree):
-    computed, classes = _three_country_table(
-        component_tree, {c: 2.0 + i / 10 for i, c in enumerate("ABCDEFGH")}
-    )
+    targets = {c: 2.0 + i / 10 for i, c in enumerate("ABCDEFGH")}
+    computed, classes = _three_country_table(component_tree, targets)
     entries = _ScanCountingDict(computed.entries)
     scores = ScoreTable(computed.year, entries)
-    delta = min_delta_for_rank_gain(component_tree, scores, classes, "A", 3, "TI")
-    outcome = apply_scenario(
-        component_tree, scores, classes, Scenario("A", "TI", scores.score("A", "TI") + delta)
-    )
-    assert outcome.delta_rank >= 3
-    assert rank_scores(outcome.new_scores, "GCI").rank("A") == outcome.new_rank
+    for i in range(20):
+        country, k = "ABCDEFGH"[i % 8], 1 + i % 3
+        delta = min_delta_for_rank_gain(component_tree, scores, classes, country, k, "TI")
+        override = 7.0 if delta is None else scores.score(country, "TI") + delta
+        outcome = apply_scenario(
+            component_tree, scores, classes, Scenario(country, "TI", override)
+        )
+        assert rank_scores(outcome.new_scores, "GCI").rank(country) == outcome.new_rank
+        if delta is not None:
+            assert outcome.delta_rank >= k
+        # the scenario's table shares the base table's index instead of rescanning
+        assert outcome.new_scores.countries() is scores.countries()
     assert entries.scans == 1
-    # the scenario's table shares the base table's index instead of rescanning
-    assert outcome.new_scores.countries() is scores.countries()
+    # 20 queries read each country's root score once: one root column build
+    assert entries.reads["GCI"] == len(targets)
 
 
 def test_queries_reuse_the_walk_order(component_tree, monkeypatch):
@@ -441,3 +456,132 @@ def test_queries_reuse_the_walk_order(component_tree, monkeypatch):
     for i in range(20):
         query(f"C{i:02d}", ("TI", "CS", "MSS", "GW")[i % 4])
     assert walks == []
+
+
+def _scored(component_tree, levels):
+    """compute_all table over one leaf row per entry of `levels`; country i
+    is core when i is odd."""
+    rows = [Observation(2006, f"c{i}", leaf, value)
+            for i, row in enumerate(levels)
+            for leaf, value in zip(("TI", "CLS", "CS", "MSS", "CCR", "GW"), row)]
+    panel = Panel(rows, {f"c{i}": (CORE if i % 2 else NONCORE) for i in range(len(levels))})
+    return compute_all(component_tree, panel, 2006), panel.classes
+
+
+_GRID = [2.0, 3.0, 3.5, 4.0, 5.0]
+_SCORE = st.floats(1.0, 7.0)
+
+
+@given(
+    # a grid level on every leaf ties countries exactly on GCI, whatever
+    # their class; free leaves give untied tables
+    levels=st.lists(
+        st.one_of(st.sampled_from(_GRID).map(lambda v: [v] * 6),
+                  st.lists(_SCORE, min_size=6, max_size=6)),
+        min_size=1, max_size=8),
+    pick=st.integers(0, 7),
+    node=st.sampled_from(["TI", "CS", "MSS", "GW", "PII", "MEI", "GCI"]),
+    override=st.one_of(st.sampled_from(_GRID), _SCORE),
+    k=st.integers(0, 10),
+)
+@example(levels=[[4.0] * 6, [4.0] * 6, [4.0] * 6, [3.0] * 6], pick=3, node="TI",
+         override=3.0, k=1)  # three countries tied at the target score
+@example(levels=[[4.0] * 6, [4.0] * 6, [3.0] * 6], pick=2, node="TI",
+         override=3.0, k=3)  # k past the countries above
+def test_bisected_ranks_and_targets_equal_the_linear_reference(
+    component_tree, levels, pick, node, override, k
+):
+    scores, classes = _scored(component_tree, levels)
+    country = f"c{pick % len(levels)}"
+    outcome = apply_scenario(component_tree, scores, classes, Scenario(country, node, override))
+    assert outcome.baseline_rank == rank_scores(scores, "GCI").rank(country)
+    assert outcome.new_rank == rank_scores(outcome.new_scores, "GCI").rank(country)
+
+    root = {c: scores.score(c, "GCI") for c in scores.countries()}
+    above = sorted([s for s in root.values() if s > root[country]])
+    if k <= 0:
+        expected = 0.0
+    elif k > len(above):
+        expected = None
+    else:
+        # any country at the target score is the one to overtake
+        target = min(c for c in root if root[c] == above[k - 1])
+        expected = min_delta_to_overtake(component_tree, scores, classes, country, target, node)
+    assert min_delta_for_rank_gain(component_tree, scores, classes, country, k, node) == expected
+
+
+class TestColumnCache:
+    def test_scenario_table_builds_its_own_root(self, component_tree):
+        scores, classes = _three_country_table(
+            component_tree, {"A": 4.0, "B": 3.9, "C": 3.5}
+        )
+        rank_scores(scores, "GCI")
+        min_delta_for_rank_gain(component_tree, scores, classes, "C", 1, "TI")
+        outcome = apply_scenario(component_tree, scores, classes, Scenario("C", "TI", 6.0))
+        assert outcome.new_gci != outcome.baseline_gci
+        assert score_column(outcome.new_scores, "GCI")["C"] == outcome.new_gci
+        assert rank_scores(outcome.new_scores, "GCI").rank("C") == outcome.new_rank == 1
+        again = apply_scenario(component_tree, outcome.new_scores, classes,
+                               Scenario("C", "TI", scores.score("C", "TI")))
+        assert (again.baseline_rank, again.new_rank) == (1, 3)
+
+    def test_mutating_a_returned_column_changes_nothing(self, component_tree):
+        scores, classes = _three_country_table(
+            component_tree, {"A": 4.0, "B": 3.9, "C": 3.5}
+        )
+        before = (
+            rank_scores(scores, "GCI"),
+            min_delta_for_rank_gain(component_tree, scores, classes, "C", 1, "TI"),
+            apply_scenario(component_tree, scores, classes, Scenario("C", "TI", 4.85)).new_rank,
+        )
+        column = score_column(scores, "GCI")
+        assert list(column) == ["A", "B", "C"]
+        column["C"] = 7.0
+        column["Z"] = 1.0
+        assert score_column(scores, "GCI") == {"A": 4.0, "B": 3.9, "C": 3.5}
+        assert before == (
+            rank_scores(scores, "GCI"),
+            min_delta_for_rank_gain(component_tree, scores, classes, "C", 1, "TI"),
+            apply_scenario(component_tree, scores, classes, Scenario("C", "TI", 4.85)).new_rank,
+        )
+
+    def test_incomplete_root_raises_on_every_call(self, component_tree):
+        scores = ScoreTable(2006, {("A", "GCI"): 4.0, ("A", "TI"): 4.0, ("B", "TI"): 3.0})
+        classes = {"A": NONCORE, "B": NONCORE}
+        calls = [
+            lambda: score_column(scores, "GCI"),
+            lambda: rank_scores(scores, "GCI"),
+            lambda: min_delta_for_rank_gain(component_tree, scores, classes, "A", 1, "TI"),
+            lambda: apply_scenario(component_tree, scores, classes, Scenario("A", "TI", 5.0)),
+        ]
+        for call in calls + calls:
+            with pytest.raises(MissingNodeError) as exc:
+                call()
+            assert str(exc.value) == "node 'GCI' has no score for: ['B']"
+
+    def test_warm_columns_leave_equality_and_repr_alone(self, component_tree):
+        scores, classes = _three_country_table(component_tree, {"A": 4.0, "B": 3.9})
+        cold = ScoreTable(scores.year, dict(scores.entries))
+        text = repr(scores)
+        min_delta_for_rank_gain(component_tree, scores, classes, "B", 1, "TI")
+        rank_scores(scores, "TI")
+        assert scores == cold and repr(scores) == repr(cold) == text
+        assert scores.entries == cold.entries
+
+
+@pytest.mark.parametrize("node,error", [
+    ("nonexistent", NotAnAncestorPathError),
+    ("MEI", MissingNodeError),
+])
+def test_solvers_check_the_node_when_the_goal_is_held(component_tree, node, error):
+    # B leads A but has no MEI data, so under renormalize no MEI score
+    rows = [Observation(2006, "A", leaf, 4.0)
+            for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")]
+    rows += [Observation(2006, "B", leaf, 5.0) for leaf in ("TI", "CLS", "CS")]
+    panel = Panel(rows)
+    scores = compute_all(component_tree, panel, 2006, MissingPolicy.RENORMALIZE)
+    for k in (0, 1):
+        with pytest.raises(error):
+            min_delta_for_rank_gain(component_tree, scores, panel.classes, "B", k, node)
+    with pytest.raises(error):
+        min_delta_to_overtake(component_tree, scores, panel.classes, "B", "A", node)
