@@ -25,6 +25,7 @@ from .model import (
     Panel,
     ScoreTable,
     Step,
+    _cached,
 )
 
 #: (country, leaf-id) -> raw value for one year.
@@ -118,8 +119,8 @@ def evaluate_node(
     and default_wef_tree return such trees): a node's full class weights are
     taken to sum to 1.
     """
-    rooted = tree if node_id == tree.root else tree._cached(
-        ("subtree", node_id), lambda: IndexTree(tree.nodes, node_id))
+    rooted = tree if node_id == tree.root else _cached(
+        tree, ("subtree", node_id), lambda: IndexTree(tree.nodes, node_id))
     plan = rooted.plan(cls)
     absent = sorted((country, n) for n, _, w in plan if w is None and (country, n) not in leaves)
     if absent and policy is MissingPolicy.STRICT:

@@ -214,33 +214,37 @@ class Node:
 Step = Tuple[str, NormalizeSpec, Optional[Tuple[Tuple[str, int], ...]]]
 
 
+def _cached(owner: Any, key: tuple, build: Callable[[], Any]) -> Any:
+    """`owner`'s kept result for `key`, built on first use.  The store is the
+    owner's `_cache`, kept outside the dataclass fields (== and repr ignore
+    it) and replaced, never mutated, through object.__setattr__, so threads
+    sharing the owner at worst repeat a build.  A build that raises keeps
+    nothing."""
+    cache = owner._cache or {}
+    if key not in cache:
+        cache = {**cache, key: build()}
+        object.__setattr__(owner, "_cache", cache)
+    return cache[key]
+
+
 @dataclass(frozen=True)
 class IndexTree:
     """Weighted aggregation DAG with a designated root node."""
 
     nodes: Mapping[str, Node]
     root: str
-    # {(kind, cls): order or plan, ("subtree", node id): that node's rooted
-    # tree}, kept outside the dataclass fields (== and repr ignore it) and
-    # replaced, never mutated, by _cached() through object.__setattr__, so
-    # threads sharing the tree at worst repeat a build.
+    # _cached() store: {(kind, cls): order or plan, ("subtree", node id):
+    # that node's rooted tree}
     _cache = None
 
     def node(self, node_id: str) -> Node:
         return self.nodes[node_id]
 
-    def _cached(self, key: tuple, build: Callable[[], Any]) -> Any:
-        cache = self._cache or {}
-        if key not in cache:
-            cache = {**cache, key: build()}
-            object.__setattr__(self, "_cache", cache)
-        return cache[key]
-
     def reachable(self, cls: Optional[InnovatorClass] = None) -> Tuple[str, ...]:
         """Node ids reachable from the root, in deterministic topological
         order (children before parents).  With cls=None the union of both
         classes' edges is walked.  The walk runs once per tree and class."""
-        return self._cached(("order", cls), lambda: self._walk(cls))
+        return _cached(self, ("order", cls), lambda: self._walk(cls))
 
     def plan(self, cls: InnovatorClass) -> Tuple[Step, ...]:
         """reachable(cls) as scoring steps: each leaf with its normalize
@@ -248,7 +252,7 @@ class IndexTree:
         over their common denominator D, so the mean over any subset of the
         children is sum(a * s) / sum(a).  Built once per tree and class; the
         tree must have passed validate_tree."""
-        return self._cached(("plan", cls), lambda: self._weigh(cls))
+        return _cached(self, ("plan", cls), lambda: self._weigh(cls))
 
     def _weigh(self, cls: InnovatorClass) -> Tuple[Step, ...]:
         def step(node_id: str) -> Step:
@@ -354,13 +358,13 @@ class ScoreTable:
 
     year: int
     entries: Mapping[Tuple[str, str], float]
-    # Filled by countries(), _column() and _ascending() through
-    # object.__setattr__, as plain instance attributes:
-    # functools.cached_property would go through the instance __dict__, and a
-    # materialized __dict__ slows every later attribute read.
+    # Filled by countries() through object.__setattr__, as a plain instance
+    # attribute: functools.cached_property would go through the instance
+    # __dict__, and a materialized __dict__ slows every later attribute read.
     _country_index = None
-    _columns = None  # node -> {country: score}
-    _ascending_scores = None  # node -> that column's scores, ascending
+    # _cached() store: {("column", node): {country: score},
+    # ("ascending", node): that column's scores in ascending order}
+    _cache = None
 
     def __post_init__(self):
         _check_scores(self.entries.items())
@@ -380,12 +384,9 @@ class ScoreTable:
     def _column(self, node: str) -> Dict[str, float]:
         """{country: score} on `node` for every country, in country order,
         built once per node; callers must not mutate it.  Raises
-        MissingNodeError unless every country has a score for the node (on
-        every call: an incomplete column is not kept)."""
-        if self._columns is None:
-            object.__setattr__(self, "_columns", {})
-        column = self._columns.get(node)
-        if column is None:
+        MissingNodeError, on every call, unless every country has a score
+        for the node."""
+        def build() -> Dict[str, float]:
             countries = self.countries()
             get = self.entries.get
             column = {c: s for c in countries if (s := get((c, node))) is not None}
@@ -394,18 +395,14 @@ class ScoreTable:
             if len(column) < len(countries):
                 missing = [c for c in countries if c not in column]
                 raise MissingNodeError(f"node {node!r} has no score for: {missing}")
-            self._columns[node] = column
-        return column
+            return column
+
+        return _cached(self, ("column", node), build)
 
     def _ascending(self, node: str) -> List[float]:
         """_column(node)'s scores in ascending order, sorted once per node;
         callers must not mutate it."""
-        if self._ascending_scores is None:
-            object.__setattr__(self, "_ascending_scores", {})
-        ordered = self._ascending_scores.get(node)
-        if ordered is None:
-            ordered = self._ascending_scores[node] = sorted(self._column(node).values())
-        return ordered
+        return _cached(self, ("ascending", node), lambda: sorted(self._column(node).values()))
 
     def nodes(self) -> Tuple[str, ...]:
         return tuple(sorted({n for (_, n) in self.entries}))

@@ -251,7 +251,7 @@ def min_delta_to_overtake(
         raise UnknownCountryError(f"country {country!r} not in score table")
     if target_country not in scores.countries():
         raise UnknownCountryError(f"country {target_country!r} not in score table")
-    own = scores.score(country, tree.root)
-    target = scores.score(target_country, tree.root)
+    root = scores._column(tree.root)
+    own, target = root[country], root[target_country]
     return _solve(tree, scores, classes[country], country, node,
                   None if own > target else target, margin)

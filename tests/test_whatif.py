@@ -552,6 +552,7 @@ class TestColumnCache:
             lambda: score_column(scores, "GCI"),
             lambda: rank_scores(scores, "GCI"),
             lambda: min_delta_for_rank_gain(component_tree, scores, classes, "A", 1, "TI"),
+            lambda: min_delta_to_overtake(component_tree, scores, classes, "A", "B", "TI"),
             lambda: apply_scenario(component_tree, scores, classes, Scenario("A", "TI", 5.0)),
         ]
         for call in calls + calls:
