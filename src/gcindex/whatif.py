@@ -113,6 +113,13 @@ def _updated_scores(
     return updates
 
 
+def _check_country(scores: ScoreTable, country: str, root: str) -> None:
+    # a root score proves the country is in the table in one lookup; the
+    # O(countries) scan of the country tuple runs only without one
+    if (country, root) not in scores.entries and country not in scores.countries():
+        raise UnknownCountryError(f"country {country!r} not in score table")
+
+
 def _competition_rank(ordered: List[float], own: float, score: float) -> int:
     """Rank at root score `score` of the country whose stored root is `own`,
     with every other country's score frozen: 1 + the number of others
@@ -138,8 +145,7 @@ def apply_scenario(
     validate_tree, as for engine.evaluate_node.
     """
     country = scenario.country
-    if country not in scores.countries():
-        raise UnknownCountryError(f"country {country!r} not in score table")
+    _check_country(scores, country, tree.root)
     if scenario.node not in tree.nodes:
         raise NotAnAncestorPathError(f"unknown node {scenario.node!r}")
     cls = classes[country]
@@ -222,8 +228,7 @@ def min_delta_for_rank_gain(
     and sorts its root column, cost is O(nodes + log countries): the target
     is bisected from that sorted column.
     """
-    if country not in scores.countries():
-        raise UnknownCountryError(f"country {country!r} not in score table")
+    _check_country(scores, country, tree.root)
     ordered = scores._ascending(tree.root)
     target = None
     if k > 0:
@@ -247,10 +252,8 @@ def min_delta_to_overtake(
     `target_country` on the root index; 0.0 if already strictly above (once
     `node` has passed the checks the solve makes), None if the scale cannot
     reach it.  Solved as min_delta_for_rank_gain is."""
-    if country not in scores.countries():
-        raise UnknownCountryError(f"country {country!r} not in score table")
-    if target_country not in scores.countries():
-        raise UnknownCountryError(f"country {target_country!r} not in score table")
+    _check_country(scores, country, tree.root)
+    _check_country(scores, target_country, tree.root)
     root = scores._column(tree.root)
     own, target = root[country], root[target_country]
     return _solve(tree, scores, classes[country], country, node,

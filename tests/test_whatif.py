@@ -559,6 +559,19 @@ class TestColumnCache:
             with pytest.raises(MissingNodeError) as exc:
                 call()
             assert str(exc.value) == "node 'GCI' has no score for: ['B']"
+        # an unknown country wins, then an unknown node
+        for error, call in [
+            (UnknownCountryError,
+             lambda: min_delta_for_rank_gain(component_tree, scores, classes, "Z", 1, "TI")),
+            (UnknownCountryError,
+             lambda: min_delta_to_overtake(component_tree, scores, classes, "A", "Z", "TI")),
+            (UnknownCountryError,
+             lambda: apply_scenario(component_tree, scores, classes, Scenario("Z", "NOPE", 5.0))),
+            (NotAnAncestorPathError,
+             lambda: apply_scenario(component_tree, scores, classes, Scenario("B", "NOPE", 5.0))),
+        ]:
+            with pytest.raises(error):
+                call()
 
     def test_warm_columns_leave_equality_and_repr_alone(self, component_tree):
         scores, classes = _three_country_table(component_tree, {"A": 4.0, "B": 3.9})
