@@ -364,23 +364,6 @@ def test_solved_deltas_reach_the_gain_on_a_reloaded_score_csv(component_tree, tm
     assert solved >= 60
 
 
-@given(
-    levels=st.lists(st.sampled_from([2.0, 3.0, 3.5, 4.0, 5.0]), min_size=1, max_size=8),
-    pick=st.integers(0, 7),
-    override=st.sampled_from([1.0, 2.0, 3.0, 3.5, 4.0, 5.0, 7.0]),
-)
-def test_counted_ranks_equal_rank_scores(component_tree, levels, pick, override):
-    # every component of a country holds its level, so equal levels tie on
-    # GCI, and overrides from the same grid tie them again (exactly: the
-    # aggregate is rounded once)
-    targets = {f"c{i}": level for i, level in enumerate(levels)}
-    scores, classes = _three_country_table(component_tree, targets)
-    country = f"c{pick % len(levels)}"
-    outcome = apply_scenario(component_tree, scores, classes, Scenario(country, "TI", override))
-    assert outcome.baseline_rank == rank_scores(scores, "GCI").rank(country)
-    assert outcome.new_rank == rank_scores(outcome.new_scores, "GCI").rank(country)
-
-
 class _ScanCountingDict(dict):
     """Counts Python-level iterations over the keys, and get() reads per
     node; the C-level copy in a {**d} merge goes through neither."""
@@ -488,9 +471,9 @@ _SCORE = st.floats(1.0, 7.0)
          override=3.0, k=1)  # three countries tied at the target score
 @example(levels=[[4.0] * 6, [4.0] * 6, [3.0] * 6], pick=2, node="TI",
          override=3.0, k=3)  # k past the countries above
-def test_bisected_ranks_and_targets_equal_the_linear_reference(
-    component_tree, levels, pick, node, override, k
-):
+def test_counted_ranks_equal_rank_scores(component_tree, levels, pick, node, override, k):
+    # ranks against rank_scores, and the solver against the linear target
+    # (the k-th root strictly above the country's) solved as an overtake
     scores, classes = _scored(component_tree, levels)
     country = f"c{pick % len(levels)}"
     outcome = apply_scenario(component_tree, scores, classes, Scenario(country, node, override))
