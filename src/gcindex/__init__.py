@@ -29,7 +29,6 @@ from .model import (
     InnovatorClass,
     Node,
     Normalization,
-    Observation,
     Panel,
     RankTable,
     ScoreTable,
@@ -76,7 +75,6 @@ __all__ = [
     "MissingPolicy",
     "Node",
     "Normalization",
-    "Observation",
     "Panel",
     "RankDeltaReport",
     "RankTable",

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from fractions import Fraction
+from math import isfinite
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
@@ -34,8 +34,6 @@ from .model import (
     RankTable,
     ScoreTable,
     _check_scores,
-    _check_token,
-    _check_year,
     validate_tree,
 )
 from .ranking import RankDeltaReport, format_delta
@@ -91,12 +89,13 @@ def _rows(path, text: str, header: str):
         raise ParseError(path, lineno, f"expected header {header!r}")
     n_fields = header.count(",") + 1
     for lineno, line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
+        if line.split() == [line]:  # not blank, and no whitespace to strip
+            fields = line.split(",")
+        else:
+            line = line.strip()
+            fields = [f.strip() for f in line.split(",")]
+        if not line or line[0] == "#":
             continue
-        fields = line.split(",")
-        if line.split() != [line]:
-            fields = [f.strip() for f in fields]
         if len(fields) != n_fields:
             raise ParseError(path, lineno,
                              f"expected {n_fields} fields ({header}), got {len(fields)}")
@@ -115,7 +114,7 @@ def _parse_float(path, lineno: int, column: int, token: str) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(path, lineno, f"column {column}: invalid number {token!r}") from None
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise ParseError(path, lineno, f"column {column}: non-finite number {token!r}")
     return value
 
@@ -142,54 +141,36 @@ def load_panel(
 ) -> Panel:
     """Read an observation panel CSV (header: year,country,indicator,value).
 
-    '#' lines are comments.  Duplicate (year, country, indicator) keys fail
-    with the offending line; countries without a class entry fail unless no
+    '#' lines are comments.  Each distinct year field is parsed once; Panel
+    checks the rows, and a failure names its line (a duplicate key also the
+    line of its first row).  Countries without a class entry fail unless no
     class map is given, in which case everyone defaults to non-core.
     """
-    by_year: Dict[int, Dict[Tuple[str, str], float]] = {}
-    years = {}  # year field -> (year, that year's values), once the year passed
-    checked = set()  # country and indicator tokens that passed _check_token
     text = _read_text(path)
-    for lineno, (year_t, country, indicator, value_t) in _rows(path, text, PANEL_HEADER):
-        year, values = years.get(year_t) or (_parse_int(path, lineno, 1, year_t), None)
-        try:
-            value = float(value_t)
-        except ValueError:
-            raise ParseError(path, lineno, f"column 4: invalid number {value_t!r}") from None
-        if not math.isfinite(value):
-            raise ParseError(path, lineno, f"column 4: non-finite number {value_t!r}")
-        try:
-            if values is None:
-                values = by_year.get(year)
-                if values is None:
-                    _check_year(year)
-                    values = by_year[year] = {}
-                years[year_t] = year, values
-            if country not in checked:
-                _check_token("country", country)
-                checked.add(country)
-            if indicator not in checked:
-                _check_token("indicator", indicator)
-                checked.add(indicator)
-        except ValueError as exc:
-            raise ParseError(path, lineno, str(exc)) from None
-        key = (country, indicator)
-        if key in values:
-            raise DuplicateKeyError(
-                f"{path}:{lineno}: duplicate observation {(year, *key)}"
-                f" (first at line {_first_line(path, text, year, key)})"
-            )
-        values[key] = value
-    return Panel._from_years(by_year, classes)
+    lineno = 0
 
+    def rows():
+        nonlocal lineno
+        years = {}  # year field -> year
+        field = None  # the previous row's year field, which parsed to `year`
+        for lineno, (year_t, country, indicator, value_t) in _rows(path, text, PANEL_HEADER):
+            if year_t != field:
+                year = years.get(year_t)
+                if year is None:
+                    year = years[year_t] = _parse_int(path, lineno, 1, year_t)
+                field = year_t
+            yield year, country, indicator, _parse_float(path, lineno, 4, value_t)
 
-def _first_line(path, text: str, year: int, key: Tuple[str, str]) -> int:
-    """Line of the first panel row with this year and (country, indicator).
-    Every row before a duplicate parsed, so the scan stops before any that
-    did not."""
-    for lineno, (year_t, country, indicator, _) in _rows(path, text, PANEL_HEADER):
-        if int(year_t) == year and (country, indicator) == key:
-            return lineno
+    try:
+        return Panel(rows(), classes)
+    except ValueError as exc:
+        raise ParseError(path, lineno, str(exc)) from None
+    except DuplicateKeyError as exc:
+        first = {}  # key -> line of its first row; every row up to `lineno` parsed
+        for n, (year_t, country, indicator, _) in _rows(path, text, PANEL_HEADER):
+            at = first.setdefault((int(year_t), country, indicator), n)
+            if n == lineno:
+                raise DuplicateKeyError(f"{path}:{lineno}: {exc} (first at line {at})") from None
 
 
 def load_score_table(path: Union[str, Path]) -> ScoreTable:
@@ -253,6 +234,8 @@ def load_tree(source: Union[str, Path]) -> IndexTree:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "nodes" not in doc or "root" not in doc:
         raise SchemaError(f"{path}: tree config needs 'nodes' and 'root'")
+    if not isinstance(doc["nodes"], list):
+        raise SchemaError(f"{path}: 'nodes' must be a list")
     nodes: Dict[str, Node] = {}
     for spec in doc["nodes"]:
         if not isinstance(spec, dict) or "id" not in spec:
@@ -266,10 +249,6 @@ def load_tree(source: Union[str, Path]) -> IndexTree:
             edges = _parse_edges(node_id, spec["children"])
         if "weights_by_class" in spec:
             by_class = spec["weights_by_class"]
-            if edges is not None:
-                raise SchemaError(
-                    f"node {node_id!r}: 'children' and 'weights_by_class' are exclusive"
-                )
             if not isinstance(by_class, dict):
                 raise SchemaError(f"node {node_id!r}: weights_by_class must be an object")
             edges_by_class = {}

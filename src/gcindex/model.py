@@ -47,40 +47,19 @@ def _check_token(name: str, token: str) -> None:
         raise ValueError(f"{name} must be non-empty without whitespace: {token!r}")
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One (year, country, indicator, value) data point.
-
-    Hard indicators carry raw units; survey indicators are already on the
-    1-7 scale.  The value must be finite.
-    """
-
-    year: int
-    country: str
-    indicator: str
-    value: float
-
-    def __post_init__(self):
-        _check_year(self.year)
-        _check_token("country", self.country)
-        _check_token("indicator", self.indicator)
-        if not math.isfinite(self.value):
-            raise ValueError(f"value {self.value} is not finite")
-
-    @property
-    def key(self) -> Tuple[int, str, str]:
-        return (self.year, self.country, self.indicator)
-
-
 class Panel:
     """Immutable observations indexed by year, plus a country -> class map.
 
-    Duplicate (year, country, indicator) keys are rejected, and every country
-    appearing in the observations must have a class entry.
+    Built from plain (year, country, indicator, value) rows, the one place
+    they are checked: each distinct year in [1990, 2100], each distinct
+    country or indicator token non-empty without whitespace, each value
+    finite (ValueError otherwise; raw units for hard indicators, 1-7 for
+    survey ones) and each key unique (DuplicateKeyError).  Every country in
+    the rows must have a class entry.
 
     Values are kept as {year: {(country, indicator): value}}, with the
     sorted year tuple and each year's sorted country tuple; all are built
-    once, at construction, in O(observations).  Costs after that:
+    once, at construction, in O(rows).  Costs after that:
     `years()` and `countries(year)` O(1), returning the kept tuples;
     `value` and `innovator_class` one dict lookup; `slice_year(year, ...)`
     O(that year's entries), never reading another year; `countries()`
@@ -89,31 +68,32 @@ class Panel:
 
     def __init__(
         self,
-        observations: Iterable[Observation],
+        rows: Iterable[Tuple[int, str, str, float]],
         classes: Optional[Mapping[str, InnovatorClass]] = None,
     ):
-        by_year: dict = {}
-        for obs in observations:
-            values = by_year.setdefault(obs.year, {})
-            key = (obs.country, obs.indicator)
+        by_year: Dict[int, Dict[Tuple[str, str], float]] = {}
+        checked = set()  # country and indicator tokens that passed _check_token
+        isfinite = math.isfinite
+        last = None  # the previous row's year, whose values dict is `values`
+        for year, country, indicator, value in rows:
+            if year != last:
+                values = by_year.get(year)
+                if values is None:
+                    _check_year(year)
+                    values = by_year[year] = {}
+                last = year
+            if country not in checked:
+                _check_token("country", country)
+                checked.add(country)
+            if indicator not in checked:
+                _check_token("indicator", indicator)
+                checked.add(indicator)
+            if not isfinite(value):
+                raise ValueError(f"value {value} is not finite")
+            key = (country, indicator)
             if key in values:
-                raise DuplicateKeyError(f"duplicate observation {obs.key}")
-            values[key] = obs.value
-        self._index(by_year, classes)
-
-    @classmethod
-    def _from_years(
-        cls,
-        by_year: Dict[int, Dict[Tuple[str, str], float]],
-        classes: Optional[Mapping[str, InnovatorClass]],
-    ) -> "Panel":
-        """A panel that takes over an already-checked year-indexed dict
-        (load_panel's path: no Observation per row, no copy)."""
-        panel = object.__new__(cls)
-        panel._index(by_year, classes)
-        return panel
-
-    def _index(self, by_year: dict, classes: Optional[Mapping[str, InnovatorClass]]) -> None:
+                raise DuplicateKeyError(f"duplicate observation {(year, *key)}")
+            values[key] = value
         countries = {
             year: tuple(sorted({c for c, _ in values})) for year, values in by_year.items()
         }
@@ -165,6 +145,8 @@ class Normalization:
     max: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError(f"normalization needs finite bounds, got [{self.min}, {self.max}]")
         if not self.max > self.min:
             raise ValueError(f"normalization needs max > min, got [{self.min}, {self.max}]")
 
@@ -219,10 +201,11 @@ def _cached(owner: Any, key: tuple, build: Callable[[], Any]) -> Any:
     owner's `_cache`, kept outside the dataclass fields (== and repr ignore
     it) and replaced, never mutated, through object.__setattr__, so threads
     sharing the owner at worst repeat a build.  A build that raises keeps
-    nothing."""
+    nothing; what a build keeps itself (a nested _cached call) stays kept."""
     cache = owner._cache or {}
     if key not in cache:
-        cache = {**cache, key: build()}
+        value = build()
+        cache = {**(owner._cache or {}), key: value}
         object.__setattr__(owner, "_cache", cache)
     return cache[key]
 
@@ -358,11 +341,8 @@ class ScoreTable:
 
     year: int
     entries: Mapping[Tuple[str, str], float]
-    # Filled by countries() through object.__setattr__, as a plain instance
-    # attribute: functools.cached_property would go through the instance
-    # __dict__, and a materialized __dict__ slows every later attribute read.
-    _country_index = None
-    # _cached() store: {("column", node): {country: score},
+    # _cached() store: {("countries",): sorted country tuple,
+    # ("column", node): {country: score},
     # ("ascending", node): that column's scores in ascending order}
     _cache = None
 
@@ -376,10 +356,7 @@ class ScoreTable:
         return self.entries.get((country, node))
 
     def countries(self) -> Tuple[str, ...]:
-        if self._country_index is None:
-            index = tuple(sorted({c for (c, _) in self.entries}))
-            object.__setattr__(self, "_country_index", index)
-        return self._country_index
+        return _cached(self, ("countries",), lambda: tuple(sorted({c for (c, _) in self.entries})))
 
     def _column(self, node: str) -> Dict[str, float]:
         """{country: score} on `node` for every country, in country order,
@@ -422,9 +399,9 @@ class ScoreTable:
         table = object.__new__(ScoreTable)  # skips __post_init__'s full re-check
         object.__setattr__(table, "year", self.year)
         object.__setattr__(table, "entries", {**self.entries, **overrides})
-        index = self._country_index
+        index = (self._cache or {}).get(("countries",))
         if index is not None and country in index:
-            object.__setattr__(table, "_country_index", index)
+            object.__setattr__(table, "_cache", {("countries",): index})
         return table
 
 

@@ -579,6 +579,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: cannot write {tmp_path}: ")
 
+    @pytest.mark.parametrize("tree_text,message", [
+        ('{"root": "A", "nodes": 5}', "{path}: 'nodes' must be a list"),
+        ('{"root": "R", "nodes": [{"id": "R", "normalization": {"min": 0, "max": "inf"}}]}',
+         "node 'R': normalization needs finite bounds, got [0.0, inf]"),
+        ('{"root": "R", "nodes": [{"id": "R", "normalization": {"min": -Infinity, "max": 9}}]}',
+         "node 'R': normalization needs finite bounds, got [-inf, 9.0]"),
+    ], ids=["nodes-not-a-list", "inf-string", "infinity-literal"])
+    def test_bad_tree_config_is_one_error_line(self, capsys, tmp_path, tree_text, message):
+        path = tmp_path / "tree.json"
+        path.write_text(tree_text)
+        code, out, err = run_cli(capsys, "compute", *DATA[:4], "--tree", str(path),
+                                 "--year", "2006")
+        assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n")
+
     @pytest.mark.parametrize("flag", ["--data", "--classes", "--tree", "--scores"])
     def test_bad_utf8_names_file_and_line(self, capsys, tmp_path, flag):
         # A byte that is not UTF-8 on line 5; lines 1-3 end in '\r\n', '\r\n'

@@ -26,7 +26,6 @@ from gcindex.model import (
     IndexTree,
     InnovatorClass,
     Normalization,
-    Observation,
     Panel,
 )
 from util import make_assignment, make_random_tree, oracle_eval, reference_scores
@@ -99,7 +98,7 @@ class TestEvaluateNode:
         assert list(err.value.missing) == absent
         subtree = IndexTree(technology_tree.nodes, node)
         with pytest.raises(MissingLeafError) as whole:
-            compute_all(subtree, _panel([(2006, "X", "IS", 4.0)]), 2006)
+            compute_all(subtree, Panel([(2006, "X", "IS", 4.0)]), 2006)
         assert whole.value.missing == err.value.missing
 
     def test_unknown_node_is_a_domain_error(self, technology_tree):
@@ -125,15 +124,11 @@ class TestEvaluateNode:
             assert mine == pytest.approx(ref, abs=1e-12)
 
 
-def _panel(rows, classes=None):
-    return Panel([Observation(*r) for r in rows], classes)
-
-
 class TestComputeAll:
     def test_noncore_composite(self, component_tree):
         rows = [(2006, "A", "TI", 4.5), (2006, "A", "CLS", 3.0), (2006, "A", "CS", 5.0),
                 (2006, "A", "MSS", 4.0), (2006, "A", "CCR", 6.0), (2006, "A", "GW", 2.0)]
-        table = compute_all(component_tree, _panel(rows), 2006)
+        table = compute_all(component_tree, Panel(rows), 2006)
         assert table.score("A", "PII") == pytest.approx(4.0, abs=1e-12)
         assert table.score("A", "MEI") == pytest.approx(4.0, abs=1e-12)
         assert table.score("A", "GCI") == pytest.approx(25.0 / 6.0, abs=1e-12)
@@ -141,34 +136,34 @@ class TestComputeAll:
     def test_core_composite(self, component_tree):
         rows = [(2006, "A", "TI", 4.5), (2006, "A", "CLS", 3.0), (2006, "A", "CS", 5.0),
                 (2006, "A", "MSS", 4.0), (2006, "A", "CCR", 6.0), (2006, "A", "GW", 2.0)]
-        table = compute_all(component_tree, _panel(rows, {"A": CORE}), 2006)
+        table = compute_all(component_tree, Panel(rows, {"A": CORE}), 2006)
         assert table.score("A", "GCI") == pytest.approx(4.25, abs=1e-12)
 
     def test_class_sensitivity(self, component_tree):
         # TI above the institutions/macro mean, so the 1/2 weight wins.
         rows = [(2006, "A", "TI", 4.5), (2006, "A", "CLS", 4.0), (2006, "A", "CS", 4.0),
                 (2006, "A", "MSS", 4.0), (2006, "A", "CCR", 4.0), (2006, "A", "GW", 4.0)]
-        core = compute_all(component_tree, _panel(rows, {"A": CORE}), 2006)
-        noncore = compute_all(component_tree, _panel(rows, {"A": NONCORE}), 2006)
+        core = compute_all(component_tree, Panel(rows, {"A": CORE}), 2006)
+        noncore = compute_all(component_tree, Panel(rows, {"A": NONCORE}), 2006)
         assert core.score("A", "GCI") > noncore.score("A", "GCI")
 
     def test_missing_leaf_lists_all_pairs(self, component_tree):
         rows = [(2006, "A", "TI", 4.5), (2006, "B", "TI", 4.0)]
         with pytest.raises(MissingLeafError) as err:
-            compute_all(component_tree, _panel(rows), 2006)
+            compute_all(component_tree, Panel(rows), 2006)
         assert ("A", "CLS") in err.value.missing
         assert ("B", "GW") in err.value.missing
 
     def test_year_not_found(self, component_tree):
         rows = [(2006, "A", "TI", 4.5)]
         with pytest.raises(MissingLeafError, match="year 1999 not found"):
-            compute_all(component_tree, _panel(rows), 1999)
+            compute_all(component_tree, Panel(rows), 1999)
 
     def test_renormalize_drops_missing_children(self, component_tree):
         # B lacks CCR and GW: MEI collapses onto MSS alone.
         rows = [(2006, "B", "TI", 4.0), (2006, "B", "CLS", 4.0), (2006, "B", "CS", 4.0),
                 (2006, "B", "MSS", 5.0)]
-        table = compute_all(component_tree, _panel(rows), 2006, MissingPolicy.RENORMALIZE)
+        table = compute_all(component_tree, Panel(rows), 2006, MissingPolicy.RENORMALIZE)
         assert table.score("B", "MEI") == pytest.approx(5.0, abs=1e-12)
         assert table.score("B", "GCI") == pytest.approx((4.0 + 4.0 + 5.0) / 3.0, abs=1e-12)
         assert table.get("B", "CCR") is None
@@ -178,7 +173,7 @@ class TestComputeAll:
                 (2006, "A", "MSS", 4.0), (2006, "A", "CCR", 4.0), (2006, "A", "GW", 4.0),
                 (2006, "B", "unrelated", 1.0)]
         with pytest.raises(MissingLeafError):
-            compute_all(component_tree, _panel(rows), 2006, MissingPolicy.RENORMALIZE)
+            compute_all(component_tree, Panel(rows), 2006, MissingPolicy.RENORMALIZE)
 
     def test_observed_bounds_normalization(self, wef_tree):
         # Three countries span each hard indicator; the middle one lands mid-scale.
@@ -187,7 +182,7 @@ class TestComputeAll:
             for leaf in wef_tree.leaves(NONCORE):
                 hard_leaf = wef_tree.node(leaf).normalize is not None
                 rows.append((2006, country, leaf, hard if hard_leaf else survey))
-        table = compute_all(wef_tree, _panel(rows), 2006)
+        table = compute_all(wef_tree, Panel(rows), 2006)
         assert table.score("LO", "ICThd") == pytest.approx(1.0, abs=1e-12)
         assert table.score("MID", "ICThd") == pytest.approx(4.0, abs=1e-12)
         assert table.score("HI", "ICThd") == pytest.approx(7.0, abs=1e-12)
@@ -198,7 +193,7 @@ class TestComputeAll:
             for leaf in wef_tree.leaves(NONCORE):
                 rows.append((2006, country, leaf, 4.0))
         with pytest.raises(DegenerateRangeError):
-            compute_all(wef_tree, _panel(rows), 2006)
+            compute_all(wef_tree, Panel(rows), 2006)
 
     def test_determinism(self, balkans):
         panel, tree = balkans
@@ -234,7 +229,7 @@ class TestTreeProperties:
                 assert after >= scores[node_id] - 1e-15
 
 
-def _wef_panel(tree, n_countries, seed, drop=()):
+def _wefPanel(tree, n_countries, seed, drop=()):
     """One complete 2006 year for n countries, a fifth of them core; leaves in
     `drop` are absent for everyone."""
     rng = Random(seed)
@@ -248,7 +243,7 @@ def _wef_panel(tree, n_countries, seed, drop=()):
             hard = tree.node(leaf).normalize is not None
             value = rng.uniform(0.0, 500.0) if hard else rng.uniform(1.0, 7.0)
             rows.append((2006, country, leaf, value))
-    return _panel(rows, classes)
+    return Panel(rows, classes)
 
 
 class TestLinearCost:
@@ -261,7 +256,7 @@ class TestLinearCost:
         self, wef_tree, monkeypatch, n_countries, policy, drop
     ):
         tree = IndexTree(wef_tree.nodes, wef_tree.root)  # nothing walked or weighed yet
-        panel = _wef_panel(tree, n_countries, seed=n_countries, drop=drop)
+        panel = _wefPanel(tree, n_countries, seed=n_countries, drop=drop)
         observed = {leaf for leaf in tree.leaves() if tree.node(leaf).normalize == OBSERVED}
         bounds_calls = Counter()
         walks = Counter()
@@ -326,11 +321,11 @@ class TestLinearCost:
                 for year in (2003, 2004, 2005, 2006, 2007)
                 for i, country in enumerate(("A", "B", "C"))
                 for leaf in leaves]
-        panel = _panel(rows)
+        panel = Panel(rows)
         touched.clear()
         table = compute_all(component_tree, panel, 2006)
         assert {year: n for year, n in touched.items() if year != 2006} == {}
-        only = _panel([(int(y), c, leaf, v) for y, c, leaf, v in rows if y == 2006])
+        only = Panel([(int(y), c, leaf, v) for y, c, leaf, v in rows if y == 2006])
         assert table == compute_all(component_tree, only, 2006)
 
 
@@ -403,7 +398,7 @@ class TestMatchesReference:
                     value = rng.choice((1.0, math.nextafter(1.0, 2.0), math.nextafter(2.0, 1.0),
                                         math.nextafter(7.0, 1.0), 7.0, rng.uniform(1.0, 7.0)))
                     rows.append((2006, country, leaf, value))
-            panel = _panel(rows, classes)
+            panel = Panel(rows, classes)
             self._assert_bit_identical(compute_all(tree, panel, 2006, policy),
                                        reference_scores(tree, panel, 2006))
 
@@ -412,7 +407,7 @@ class TestMatchesReference:
         (MissingPolicy.RENORMALIZE, ("internet_hosts", "TTS")),
     ])
     def test_wef_tree_with_observed_bounds(self, wef_tree, policy, drop):
-        panel = _wef_panel(wef_tree, 60, seed=17, drop=drop)
+        panel = _wefPanel(wef_tree, 60, seed=17, drop=drop)
         assert any(wef_tree.node(leaf).normalize == OBSERVED for leaf in wef_tree.leaves())
         self._assert_bit_identical(compute_all(wef_tree, panel, 2006, policy),
                                    reference_scores(wef_tree, panel, 2006))

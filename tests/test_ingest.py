@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from collections import Counter
 import tempfile
@@ -16,7 +17,7 @@ from gcindex.data import (
     WEF_TREE_CONFIG,
     fixture_path,
 )
-from gcindex import ingest
+from gcindex import ingest, model
 from gcindex.engine import compute_all
 from gcindex.errors import (
     DuplicateKeyError,
@@ -138,16 +139,17 @@ class TestLoadPanel:
         )
         calls = Counter()
 
-        def count(name):
-            real = getattr(ingest, name)
+        def count(module, name):
+            real = getattr(module, name)
 
             def counted(*args):
                 calls[name, args[-1]] += 1
                 return real(*args)
-            monkeypatch.setattr(ingest, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
-        for name in ("_parse_int", "_check_year", "_check_token"):
-            count(name)
+        count(ingest, "_parse_int")
+        count(model, "_check_year")
+        count(model, "_check_token")
         panel = load_panel(path)
         assert len(panel) == 7
         assert panel.years() == (2005, 2006)
@@ -291,12 +293,26 @@ class TestLoadTree:
                                     {"id": "a"}]},  # float weight
             {"root": "R", "nodes": [{"id": "R"}, {"id": "R"}]},  # duplicate id
             {"root": "R", "nodes": [{"id": "R", "normalization": {"min": 2, "max": 1}}]},
+            {"root": "R", "nodes": 5},  # nodes not a list
+            # infinite bounds, as a string and as the Infinity literal
+            {"root": "R", "nodes": [{"id": "R", "normalization": {"min": 0, "max": "inf"}}]},
+            {"root": "R", "nodes": [{"id": "R", "normalization": {"min": 0, "max": math.inf}}]},
         ]
         for i, doc in enumerate(cases):
             path = tmp_path / f"schema{i}.json"
             path.write_text(json.dumps(doc))
             with pytest.raises(SchemaError):
                 load_tree(path)
+
+    def test_children_and_weights_by_class_are_exclusive(self, tmp_path):
+        path = tmp_path / "tree.json"
+        edges = [{"id": "a", "weight": "1"}]
+        path.write_text(json.dumps({"root": "R", "nodes": [
+            {"id": "R", "children": edges, "weights_by_class": {"core": edges}}, {"id": "a"},
+        ]}))
+        with pytest.raises(SchemaError) as err:
+            load_tree(path)
+        assert str(err.value) == f"{path}: node R: shared and per-class edges are exclusive"
 
 
 class TestEmitReport:

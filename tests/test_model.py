@@ -17,7 +17,6 @@ from gcindex.model import (
     InnovatorClass,
     Node,
     Normalization,
-    Observation,
     Panel,
     RankTable,
     ScoreTable,
@@ -44,41 +43,41 @@ ICT_HARD_LEAVES = (
 
 def test_observation_rejects_bad_year():
     with pytest.raises(ValueError):
-        Observation(year=1980, country="A", indicator="x", value=1.0)
+        Panel([(1980, "A", "x", 1.0)])
     with pytest.raises(ValueError):
-        Observation(year=2101, country="A", indicator="x", value=1.0)
+        Panel([(2101, "A", "x", 1.0)])
 
 
 @pytest.mark.parametrize("country,indicator", [("", "x"), ("A B", "x"), ("A", ""), ("A", "x y")])
 def test_observation_rejects_whitespace_tokens(country, indicator):
     with pytest.raises(ValueError):
-        Observation(year=2005, country=country, indicator=indicator, value=1.0)
+        Panel([(2005, country, indicator, 1.0)])
 
 
 def test_observation_whitespace_is_str_isspace():
     # Exactly the characters str.isspace() accepts are rejected, NBSP and
     # the information separators (\x1c-\x1f) included.
     chars = [chr(c) for c in range(sys.maxunicode + 1)]
-    Observation(2005, "".join(ch for ch in chars if not ch.isspace()), "x", 1.0)
+    Panel([(2005, "".join(ch for ch in chars if not ch.isspace()), "x", 1.0)])
     spaces = [ch for ch in chars if ch.isspace()]
     assert {"\xa0", "\x1c", "\u2003", " "} <= set(spaces)
     for ch in spaces:
         token = f"x{ch}y"
         with pytest.raises(ValueError) as err:
-            Observation(2005, "A", token, 1.0)
+            Panel([(2005, "A", token, 1.0)])
         assert str(err.value) == f"indicator must be non-empty without whitespace: {token!r}"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_observation_rejects_non_finite_value(value):
     with pytest.raises(ValueError):
-        Observation(year=2005, country="A", indicator="x", value=value)
+        Panel([(2005, "A", "x", value)])
 
 
 def test_panel_rejects_duplicate_keys():
     obs = [
-        Observation(2005, "A", "x", 1.0),
-        Observation(2005, "A", "x", 2.0),
+        (2005, "A", "x", 1.0),
+        (2005, "A", "x", 2.0),
     ]
     with pytest.raises(DuplicateKeyError) as err:
         Panel(obs)
@@ -86,19 +85,41 @@ def test_panel_rejects_duplicate_keys():
 
 
 def test_panel_requires_class_for_every_country():
-    obs = [Observation(2005, "A", "x", 1.0), Observation(2005, "B", "x", 2.0)]
+    obs = [(2005, "A", "x", 1.0), (2005, "B", "x", 2.0)]
     with pytest.raises(MissingClassError):
         Panel(obs, {"A": InnovatorClass.CORE})
 
 
 def test_panel_defaults_to_noncore():
-    panel = Panel([Observation(2005, "A", "x", 1.0)])
+    panel = Panel([(2005, "A", "x", 1.0)])
     assert panel.innovator_class("A") is InnovatorClass.NONCORE
 
 
 def test_normalization_requires_max_above_min():
     with pytest.raises(ValueError):
         Normalization(min=3.0, max=3.0)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0)])
+def test_normalization_requires_finite_bounds(lo, hi):
+    with pytest.raises(ValueError) as err:
+        Normalization(min=lo, max=hi)
+    assert str(err.value) == f"normalization needs finite bounds, got [{lo}, {hi}]"
+
+
+def test_nested_cache_builds_stay_kept(monkeypatch):
+    # A kept result whose build keeps another (ascending -> column ->
+    # countries, plan -> walk order) keeps both.
+    table = ScoreTable(year=2005, entries={("A", "GCI"): 4.0, ("B", "GCI"): 3.0})
+    assert table._ascending("GCI") == [3.0, 4.0]
+    assert set(table._cache) == {("ascending", "GCI"), ("column", "GCI"), ("countries",)}
+    walks = []
+    walk = IndexTree._walk
+    monkeypatch.setattr(IndexTree, "_walk", lambda self, cls: walks.append(cls) or walk(self, cls))
+    tree = IndexTree({"R": Node("R", edges=(("a", Fraction(1)),)), "a": Node("a")}, "R")
+    tree.plan(InnovatorClass.CORE)
+    assert tree.reachable(InnovatorClass.CORE) == ("a", "R")
+    assert walks == [InnovatorClass.CORE]
 
 
 class TestValidateTree:

@@ -17,7 +17,6 @@ from gcindex.model import (
     IndexTree,
     InnovatorClass,
     Node,
-    Observation,
     Panel,
     ScoreTable,
     validate_tree,
@@ -42,7 +41,7 @@ def _three_country_table(component_tree, gci_targets):
     rows = []
     for country, g in gci_targets.items():
         for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW"):
-            rows.append(Observation(2006, country, leaf, g))
+            rows.append((2006, country, leaf, g))
     panel = Panel(rows)
     return compute_all(component_tree, panel, 2006), panel.classes
 
@@ -120,7 +119,7 @@ class TestApplyScenario:
         rng = Random(42)
         for country in ("A", "B", "C", "D"):
             for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW"):
-                rows.append(Observation(2006, country, leaf, round(rng.uniform(2.0, 6.0), 2)))
+                rows.append((2006, country, leaf, round(rng.uniform(2.0, 6.0), 2)))
         panel = Panel(rows)
         scores = compute_all(component_tree, panel, 2006)
         override = 5.5
@@ -128,8 +127,8 @@ class TestApplyScenario:
             component_tree, scores, panel.classes, Scenario("B", "CS", override)
         )
         mutated = [
-            o if not (o.country == "B" and o.indicator == "CS")
-            else Observation(2006, "B", "CS", override)
+            o if o[1:3] != ("B", "CS")
+            else (2006, "B", "CS", override)
             for o in rows
         ]
         recomputed = compute_all(component_tree, Panel(mutated), 2006)
@@ -285,9 +284,9 @@ class TestMinDeltaToOvertake:
 def test_scenario_on_renormalized_table(component_tree):
     # B has no CCR/GW data; the macro branch collapsed onto MSS.  An MSS
     # override must re-derive with the same rescaled weights.
-    rows = [Observation(2006, "A", leaf, 4.5)
+    rows = [(2006, "A", leaf, 4.5)
             for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")]
-    rows += [Observation(2006, "B", leaf, 4.0) for leaf in ("TI", "CLS", "CS", "MSS")]
+    rows += [(2006, "B", leaf, 4.0) for leaf in ("TI", "CLS", "CS", "MSS")]
     panel = Panel(rows)
     scores = compute_all(component_tree, panel, 2006, MissingPolicy.RENORMALIZE)
     outcome = apply_scenario(
@@ -315,10 +314,10 @@ def test_solvers_use_the_renormalized_path_weight(component_tree):
     # B has no CCR/GW data, so under renormalize its MEI is MSS alone and
     # the MSS -> GCI slope is 1/3, not the tree's fixed 1/6.  With the fixed
     # weight both solvers would ask for MSS = 9 and report infeasible.
-    rows = [Observation(2006, "A", leaf, 4.5)
+    rows = [(2006, "A", leaf, 4.5)
             for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")]
-    rows += [Observation(2006, "B", leaf, 4.0) for leaf in ("TI", "CLS", "CS")]
-    rows.append(Observation(2006, "B", "MSS", 2.0))
+    rows += [(2006, "B", leaf, 4.0) for leaf in ("TI", "CLS", "CS")]
+    rows.append((2006, "B", "MSS", 2.0))
     panel = Panel(rows)
     scores = compute_all(component_tree, panel, 2006, MissingPolicy.RENORMALIZE)
     delta = min_delta_for_rank_gain(component_tree, scores, panel.classes, "B", 1, "MSS")
@@ -337,7 +336,7 @@ def test_solved_deltas_reach_the_gain_on_a_reloaded_score_csv(component_tree, tm
     # than the solvers' strict margin.
     rng = Random(5)
     rows = [
-        Observation(2006, f"C{i:02d}", leaf, rng.uniform(2.0, 6.0))
+        (2006, f"C{i:02d}", leaf, rng.uniform(2.0, 6.0))
         for i in range(30)
         for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")
     ]
@@ -420,7 +419,7 @@ def test_queries_reuse_the_walk_order(component_tree, monkeypatch):
     monkeypatch.setattr(IndexTree, "_weigh", counting("weigh", IndexTree._weigh))
     tree = IndexTree(component_tree.nodes, component_tree.root)
     rng = Random(11)
-    rows = [Observation(2006, f"C{i:02d}", leaf, rng.uniform(2.0, 6.0))
+    rows = [(2006, f"C{i:02d}", leaf, rng.uniform(2.0, 6.0))
             for i in range(20)
             for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")]
     panel = Panel(rows, {f"C{i:02d}": (CORE if i % 2 else NONCORE) for i in range(20)})
@@ -444,7 +443,7 @@ def test_queries_reuse_the_walk_order(component_tree, monkeypatch):
 def _scored(component_tree, levels):
     """compute_all table over one leaf row per entry of `levels`; country i
     is core when i is odd."""
-    rows = [Observation(2006, f"c{i}", leaf, value)
+    rows = [(2006, f"c{i}", leaf, value)
             for i, row in enumerate(levels)
             for leaf, value in zip(("TI", "CLS", "CS", "MSS", "CCR", "GW"), row)]
     panel = Panel(rows, {f"c{i}": (CORE if i % 2 else NONCORE) for i in range(len(levels))})
@@ -572,9 +571,9 @@ class TestColumnCache:
 ])
 def test_solvers_check_the_node_when_the_goal_is_held(component_tree, node, error):
     # B leads A but has no MEI data, so under renormalize no MEI score
-    rows = [Observation(2006, "A", leaf, 4.0)
+    rows = [(2006, "A", leaf, 4.0)
             for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")]
-    rows += [Observation(2006, "B", leaf, 5.0) for leaf in ("TI", "CLS", "CS")]
+    rows += [(2006, "B", leaf, 5.0) for leaf in ("TI", "CLS", "CS")]
     panel = Panel(rows)
     scores = compute_all(component_tree, panel, 2006, MissingPolicy.RENORMALIZE)
     for k in (0, 1):
