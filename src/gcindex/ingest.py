@@ -85,7 +85,7 @@ def _rows(path, text: str, header: str):
             break
     else:
         lineno, line = 1, ""
-    if line.replace(" ", "") != header:
+    if [field.strip() for field in line.split(",")] != header.split(","):
         raise ParseError(path, lineno, f"expected header {header!r}")
     n_fields = header.count(",") + 1
     for lineno, line in lines:
@@ -202,7 +202,7 @@ def load_score_table(path: Union[str, Path]) -> ScoreTable:
 # ---------------------------------------------------------------------------
 
 def _parse_weight(node_id: str, token) -> Fraction:
-    if isinstance(token, int):
+    if isinstance(token, int) and not isinstance(token, bool):
         return Fraction(token)
     if isinstance(token, str):
         try:
@@ -267,6 +267,8 @@ def load_tree(source: Union[str, Path]) -> IndexTree:
                 normalize = OBSERVED
             elif isinstance(norm, dict) and set(norm) == {"min", "max"}:
                 try:
+                    if bool in map(type, norm.values()):  # float(True) would read as 1.0
+                        raise TypeError(f"normalization bounds must be numbers, got {norm}")
                     normalize = Normalization(min=float(norm["min"]), max=float(norm["max"]))
                 except (TypeError, ValueError) as exc:
                     raise SchemaError(f"node {node_id!r}: {exc}") from None

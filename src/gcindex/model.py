@@ -384,26 +384,6 @@ class ScoreTable:
     def nodes(self) -> Tuple[str, ...]:
         return tuple(sorted({n for (_, n) in self.entries}))
 
-    def with_overrides(self, country: str, updates: Mapping[str, float]) -> "ScoreTable":
-        """A copy with `country`'s scores for the given nodes replaced.
-
-        Only the updated scores are range-checked (ValueError outside
-        [1, 7], NaN included): the base entries were checked when this table
-        was built.  The copy is one dict merge; when `country` is already in
-        the table, the new table shares this table's country tuple instead
-        of rebuilding it.  It shares no column: each is built from the new
-        entries on first use.
-        """
-        overrides = {(country, node): score for node, score in updates.items()}
-        _check_scores(overrides.items())
-        table = object.__new__(ScoreTable)  # skips __post_init__'s full re-check
-        object.__setattr__(table, "year", self.year)
-        object.__setattr__(table, "entries", {**self.entries, **overrides})
-        index = (self._cache or {}).get(("countries",))
-        if index is not None and country in index:
-            object.__setattr__(table, "_cache", {("countries",): index})
-        return table
-
 
 #: Tie policy used throughout: tied scores share the best rank and the next
 #: distinct score skips accordingly (1-2-2-4).

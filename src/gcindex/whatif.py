@@ -49,6 +49,13 @@ class Scenario:
 
 @dataclass(frozen=True)
 class WhatIfOutcome:
+    """`country`'s result with `node` set to `override`: its root score
+    (`baseline_gci`, `new_gci`) and competition rank on the root with every
+    other country frozen, before and after; `delta_rank` is baseline_rank -
+    new_rank, positive for a rise.  `new_scores` is {node id: score} of what
+    the scenario re-derived: `node` and its ancestors on the country's class
+    plan (the root among them unless that plan does not reach `node`)."""
+
     country: str
     node: str
     override: float
@@ -56,8 +63,8 @@ class WhatIfOutcome:
     new_gci: float
     baseline_rank: int
     new_rank: int
-    delta_rank: int  # previous - current convention: positive = rise
-    new_scores: ScoreTable
+    delta_rank: int
+    new_scores: Dict[str, float]
 
 
 def path_weight(tree: IndexTree, node: str, cls: InnovatorClass) -> Fraction:
@@ -140,9 +147,8 @@ def apply_scenario(
     scores stay frozen, so both ranks are bisected from the table's sorted
     root column instead of re-ranking.  After the table's first query builds
     and sorts that column, cost is O(nodes + log countries), one pass over
-    the class plan plus two bisects, and one copy of the entries into
-    `new_scores`.  `tree` must have passed
-    validate_tree, as for engine.evaluate_node.
+    the class plan plus two bisects; the base table is not copied.  `tree`
+    must have passed validate_tree, as for engine.evaluate_node.
     """
     country = scenario.country
     _check_country(scores, country, tree.root)
@@ -152,8 +158,7 @@ def apply_scenario(
     ordered = scores._ascending(tree.root)
     baseline_gci = scores.score(country, tree.root)
     updates = _updated_scores(tree, scores, cls, country, scenario.node, scenario.override)
-    new_table = scores.with_overrides(country, updates)
-    new_gci = new_table.score(country, tree.root)
+    new_gci = updates.get(tree.root, baseline_gci)
     baseline_rank = _competition_rank(ordered, baseline_gci, baseline_gci)
     new_rank = _competition_rank(ordered, baseline_gci, new_gci)
     return WhatIfOutcome(
@@ -165,7 +170,7 @@ def apply_scenario(
         baseline_rank=baseline_rank,
         new_rank=new_rank,
         delta_rank=baseline_rank - new_rank,
-        new_scores=new_table,
+        new_scores=updates,
     )
 
 

@@ -585,7 +585,13 @@ class TestExitCodes:
          "node 'R': normalization needs finite bounds, got [0.0, inf]"),
         ('{"root": "R", "nodes": [{"id": "R", "normalization": {"min": -Infinity, "max": 9}}]}',
          "node 'R': normalization needs finite bounds, got [-inf, 9.0]"),
-    ], ids=["nodes-not-a-list", "inf-string", "infinity-literal"])
+        ('{"root": "R", "nodes": [{"id": "R", "children": [{"id": "a", "weight": true}]},'
+         ' {"id": "a", "normalization": {"min": false, "max": true}}]}',
+         "node 'R': weight must be a rational string like '1/3', got True"),
+        ('{"root": "R", "nodes": [{"id": "R", "children": [{"id": "a", "weight": "1"}]},'
+         ' {"id": "a", "normalization": {"min": false, "max": true}}]}',
+         "node 'a': normalization bounds must be numbers, got {{'min': False, 'max': True}}"),
+    ], ids=["nodes-not-a-list", "inf-string", "infinity-literal", "bool-weight", "bool-bounds"])
     def test_bad_tree_config_is_one_error_line(self, capsys, tmp_path, tree_text, message):
         path = tmp_path / "tree.json"
         path.write_text(tree_text)

@@ -297,6 +297,11 @@ class TestLoadTree:
             # infinite bounds, as a string and as the Infinity literal
             {"root": "R", "nodes": [{"id": "R", "normalization": {"min": 0, "max": "inf"}}]},
             {"root": "R", "nodes": [{"id": "R", "normalization": {"min": 0, "max": math.inf}}]},
+            # JSON booleans are not numbers: a weight, then bounds
+            {"root": "R", "nodes": [{"id": "R", "children": [{"id": "a", "weight": True}]},
+                                    {"id": "a", "normalization": {"min": False, "max": True}}]},
+            {"root": "R", "nodes": [{"id": "R", "children": [{"id": "a", "weight": "1"}]},
+                                    {"id": "a", "normalization": {"min": False, "max": True}}]},
         ]
         for i, doc in enumerate(cases):
             path = tmp_path / f"schema{i}.json"
@@ -427,12 +432,13 @@ _BAD_CELLS = [
 
 
 def _pad_fields(text, rng, offset):
-    """`text` with every field of every data row (not the header, blank or
-    '#' lines) wrapped in 0-3 padding characters on each side, taken in turn
-    from _PADDING starting at `offset`, so a file uses every one of them."""
+    """`text` with every field of the header and of every data row (not
+    blank or '#' lines) wrapped in 0-3 padding characters on each side, taken
+    in turn from _PADDING starting at `offset`, so a file uses every one of
+    them."""
     lines = text.split("\n")
     data = [i for i, line in enumerate(lines)
-            if line.strip() and not line.strip().startswith("#")][1:]
+            if line.strip() and not line.strip().startswith("#")]
     turn = offset
 
     def pad():

@@ -239,24 +239,6 @@ def test_score_table_rejects_out_of_scale():
         ScoreTable(year=2005, entries={("A", "GCI"): 7.5})
 
 
-@pytest.mark.parametrize("bad", [float("nan"), 0.5, 7.5])
-def test_with_overrides_rejects_out_of_scale_update(bad):
-    table = ScoreTable(year=2005, entries={("A", "GCI"): 4.0, ("A", "TI"): 4.0})
-    with pytest.raises(ValueError):
-        table.with_overrides("A", {"TI": 4.5, "GCI": bad})
-
-
-def test_with_overrides_keeps_equality_and_country_index():
-    table = ScoreTable(year=2005, entries={("A", "GCI"): 4.0, ("B", "GCI"): 3.0})
-    assert table.countries() == ("A", "B")
-    same = table.with_overrides("B", {"GCI": 3.0})
-    assert same == table
-    assert same.countries() is table.countries()
-    grown = table.with_overrides("C", {"GCI": 5.0})
-    assert grown.countries() == ("A", "B", "C")
-    assert grown == ScoreTable(2005, {("A", "GCI"): 4.0, ("B", "GCI"): 3.0, ("C", "GCI"): 5.0})
-
-
 def test_rank_table_rejects_nonpositive_rank():
     with pytest.raises(ValueError):
         RankTable(year=2005, ranks={"A": 0})
