@@ -405,6 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    first, last = getattr(args, "from_year", None), getattr(args, "to_year", None)
+    if first is not None and last is not None and first > last:
+        parser.error(f"--from {first} is after --to {last}")
     try:
         return args.func(args)
     except GciError as exc:

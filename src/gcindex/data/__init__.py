@@ -10,7 +10,6 @@ hard-data WEF tree; load_tree("wef-default") and default_wef_tree() read it.
 
 from __future__ import annotations
 
-from importlib.resources import files
 from pathlib import Path
 
 BALKANS_PANEL = "balkans-gci.csv"
@@ -21,7 +20,7 @@ WEF_TREE_CONFIG = "wef-default-tree.json"
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled data file."""
-    path = Path(str(files(__package__) / name))
+    path = Path(__file__).parent / name
     if not path.exists():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path

@@ -8,7 +8,6 @@ stable ordering, 6-decimal numbers, '.' decimal separator, '\n' newlines.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 from math import isfinite
@@ -361,17 +360,17 @@ def _record(result, number=_fmt6, signed=format_delta) -> Dict[str, object]:
     number), delta_rank through `signed` and a Decision as its value;
     new_scores is left out."""
     record: Dict[str, object] = {}
-    for field in dataclasses.fields(result):
-        if field.name == "new_scores":
+    for name, annotation in result._fields.items():
+        if name == "new_scores":
             continue
-        value = getattr(result, field.name)
-        if field.name == "delta_rank":
+        value = getattr(result, name)
+        if name == "delta_rank":
             value = signed(value)
-        elif field.type in ("float", float):
+        elif annotation == "float":
             value = number(value)
         elif isinstance(value, Decision):
             value = value.value
-        record[field.name] = value
+        record[name] = value
     return record
 
 

@@ -9,7 +9,6 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -137,8 +136,61 @@ class Panel:
         return {key: v for key, v in self._by_year.get(year, {}).items() if key[1] in wanted}
 
 
-@dataclass(frozen=True)
-class Normalization:
+class _Record:
+    """Base of the immutable value types: a record of named fields.
+
+    The fields are a subclass's own annotated names in declaration order,
+    kept with their annotation strings in `_fields`.  A class attribute of
+    a field's name is its default; an unannotated one (`_cache`) is no
+    field.  Fields are given by position or keyword; a missing, extra or
+    repeated argument raises TypeError, and `__post_init__` runs once they
+    are set.  Records are equal when of the same type with equal fields
+    (`==` with anything else returns NotImplemented) and hash as their field
+    tuple, so one holding a dict is unhashable.  repr is
+    `QualName(field=value!r, ...)`.  Setting or deleting an attribute raises
+    AttributeError; only object.__setattr__, as `_cached` uses it, gets by.
+    """
+
+    _fields: Dict[str, str] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = dict(vars(cls).get("__annotations__", {}))
+        # Compiled once per class, as dataclasses does: Python itself binds the
+        # arguments, and fields set one by one through object.__setattr__ keep
+        # the fast per-instance attribute layout that a __dict__ update loses.
+        params = ", ".join(f"{name}=cls_.{name}" if name in vars(cls) else name for name in fields)
+        body = "".join(f"    setattr_(self, {name!r}, {name})\n" for name in fields)
+        namespace = {"cls_": cls, "setattr_": object.__setattr__}
+        exec(f"def __init__(self, {params}):\n{body}    self.__post_init__()\n", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __post_init__(self) -> None:
+        """Check the fields once they are set; the base checks nothing."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        cells = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({cells})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Normalization(_Record):
     """Min-max bounds mapping a raw indicator onto the 1-7 scale."""
 
     min: float
@@ -155,8 +207,7 @@ Edge = Tuple[str, Fraction]
 NormalizeSpec = Union[Normalization, str, None]  # Normalization | OBSERVED | None
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(_Record):
     """One tree node: an aggregate with weighted children, or a leaf.
 
     Aggregates hold either a shared edge list or per-class edge lists (the
@@ -198,10 +249,10 @@ Step = Tuple[str, NormalizeSpec, Optional[Tuple[Tuple[str, int], ...]]]
 
 def _cached(owner: Any, key: tuple, build: Callable[[], Any]) -> Any:
     """`owner`'s kept result for `key`, built on first use.  The store is the
-    owner's `_cache`, kept outside the dataclass fields (== and repr ignore
-    it) and replaced, never mutated, through object.__setattr__, so threads
-    sharing the owner at worst repeat a build.  A build that raises keeps
-    nothing; what a build keeps itself (a nested _cached call) stays kept."""
+    owner's `_cache`, an unannotated class attribute and so no record field
+    (== and repr ignore it), replaced, never mutated, by object.__setattr__:
+    threads sharing the owner at worst repeat a build.  A build that raises
+    keeps nothing; what a build keeps itself (a nested _cached call) stays kept."""
     cache = owner._cache or {}
     if key not in cache:
         value = build()
@@ -210,8 +261,7 @@ def _cached(owner: Any, key: tuple, build: Callable[[], Any]) -> Any:
     return cache[key]
 
 
-@dataclass(frozen=True)
-class IndexTree:
+class IndexTree(_Record):
     """Weighted aggregation DAG with a designated root node."""
 
     nodes: Mapping[str, Node]
@@ -330,8 +380,7 @@ def _check_scores(scores: Iterable[Tuple[Tuple[str, str], float]]) -> None:
             raise ValueError(f"score {score} for ({country}, {node}) outside [1, 7]")
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+class ScoreTable(_Record):
     """Per-country, per-node scores on the 1-7 scale for one year.
 
     The sorted country tuple, each node's column and each column's scores in
@@ -390,8 +439,7 @@ class ScoreTable:
 COMPETITION = "competition"
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(_Record):
     """Ordinal positions for one year.  Rank 1 is the best."""
 
     year: int

@@ -8,11 +8,10 @@ this package uses this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from .errors import EmptyIntersectionError, MissingNodeError
-from .model import COMPETITION, Panel, RankTable, ScoreTable
+from .model import COMPETITION, Panel, RankTable, ScoreTable, _Record
 
 
 def score_column(scores: ScoreTable, node: str) -> Dict[str, float]:
@@ -65,8 +64,7 @@ def rank_table_from_indicator(panel: Panel, year: int, indicator: str) -> RankTa
     return RankTable(year=year, ranks=ranks, policy="ingested")
 
 
-@dataclass(frozen=True)
-class RankDeltaReport:
+class RankDeltaReport(_Record):
     """Rank movements over the common country set, plus coverage changes.
 
     deltas: country -> previous rank - current rank (positive = rise).

@@ -10,7 +10,6 @@ cap raises ConvergenceError rather than returning a silently wrong value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, Sequence, Tuple
 
@@ -22,7 +21,7 @@ from .errors import (
     NonPositiveExpectedError,
     ZeroVarianceError,
 )
-from .model import RankTable
+from .model import RankTable, _Record
 
 _EPS = 1e-15
 _MAX_ITER = 10_000
@@ -34,8 +33,7 @@ class Decision(Enum):
     DO_NOT_REJECT = "do-not-reject"
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class ChiSquareResult(_Record):
     """Everything a hypothesis-test report needs.
 
     decision is REJECT exactly when statistic > critical_value, which for a
@@ -50,8 +48,7 @@ class ChiSquareResult:
     decision: Decision
 
 
-@dataclass(frozen=True)
-class TrendResult:
+class TrendResult(_Record):
     slope: float
     intercept: float
     n: int
@@ -60,8 +57,7 @@ class TrendResult:
         return self.intercept + self.slope * year
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(_Record):
     r: float
     n: int
 

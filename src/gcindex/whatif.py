@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional
 
@@ -25,15 +24,14 @@ from .errors import (
     OverrideOutOfScaleError,
     UnknownCountryError,
 )
-from .model import IndexTree, InnovatorClass, ScoreTable
+from .model import IndexTree, InnovatorClass, ScoreTable, _Record
 
 #: Margin added to closed-form deltas so the overtake is strict rather than
 #: a ranking-policy-dependent exact tie.  Score-scale units.
 STRICT_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """Override one node's score for one country."""
 
     country: str
@@ -47,8 +45,7 @@ class Scenario:
             )
 
 
-@dataclass(frozen=True)
-class WhatIfOutcome:
+class WhatIfOutcome(_Record):
     """`country`'s result with `node` set to `override`: its root score
     (`baseline_gci`, `new_gci`) and competition rank on the root with every
     other country frozen, before and after; `delta_rank` is baseline_rank -

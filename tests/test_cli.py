@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gcindex.data
 from gcindex.cli import main
 from gcindex.data import (
     BALKANS_CLASSES,
     BALKANS_PANEL,
     BALKANS_TREE,
+    WEF_TREE_CONFIG,
     fixture_path,
 )
 
@@ -213,7 +215,7 @@ class TestTrendAndCorrelate:
          "node 'NOPE' has 0 scores for 'Macedonia' in 2003-2006; need at least two"),
         (["trend", "--country", "Macedonia", "--from", "2006"],
          "node 'GCI' has 1 score for 'Macedonia' in 2006; need at least two"),
-        (["trend", "--country", "Macedonia", "--from", "2007", "--to", "2003"],
+        (["trend", "--country", "Macedonia", "--from", "2001", "--to", "2002"],
          "country 'Macedonia' has no data in the requested years"),
         (["trend", "--country", "Nowhere"],
          "country 'Nowhere' has no data in the requested years"),
@@ -543,6 +545,23 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestFixture:
+    @pytest.mark.parametrize("name,file", [
+        ("panel", BALKANS_PANEL), ("classes", BALKANS_CLASSES),
+        ("tree", BALKANS_TREE), ("wef-tree", WEF_TREE_CONFIG),
+    ])
+    def test_prints_bundled_file_path(self, capsys, name, file):
+        code, out, err = run_cli(capsys, "fixture", name)
+        path = Path(out.rstrip("\n"))
+        assert (code, err, out) == (0, "", f"{path}\n")
+        assert path.is_absolute() and path.is_file()
+        assert path == Path(gcindex.data.__file__).parent / file
+
+    def test_unknown_name_is_file_not_found(self):
+        with pytest.raises(FileNotFoundError, match="no bundled data file named 'nope.csv'"):
+            fixture_path("nope.csv")
+
+
 class TestExitCodes:
     def test_usage_error_is_two(self):
         proc = subprocess.run(
@@ -550,6 +569,23 @@ class TestExitCodes:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv,years", [
+        (["trend", "--country", "Macedonia", "--node", "TI"], ("2006", "2001")),
+        (["correlate", "--country", "Macedonia"], ("2006", "2001")),
+        (["report", "--kind", "scores", "--node", "TI"], ("2003", "2002")),
+    ], ids=["trend", "correlate", "report"])
+    def test_reversed_year_range_is_usage_error(self, capsys, tmp_path, argv, years):
+        out_path = tmp_path / "report.svg"
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *DATA, *argv[1:], "--from", years[0], "--to", years[1],
+                  *(["--out", str(out_path)] if argv[0] == "report" else [])])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("usage: gcindex ")
+        assert captured.err.endswith(f"gcindex: error: --from {years[0]} is after --to {years[1]}\n")
+        assert not out_path.exists()
 
     def test_missing_file_is_one(self):
         proc = subprocess.run(

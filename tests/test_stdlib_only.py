@@ -1,7 +1,11 @@
 """The runtime is pure standard library: every module under src/gcindex
-imports only from sys.stdlib_module_names or from gcindex itself."""
+imports only from sys.stdlib_module_names or from gcindex itself.  And it
+stays cheap to start: a command loads none of the introspection modules
+behind `dataclasses`."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +35,34 @@ def test_runtime_imports_only_stdlib_and_gcindex():
         if module != "gcindex" and module not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+# Loaded by `import dataclasses`, and together about half the cost of
+# starting a gcindex process before they were dropped.
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+FOOTPRINT_CHILD = """\
+import contextlib, io, sys
+before = set(sys.modules)
+from gcindex.cli import main
+from gcindex.data import BALKANS_CLASSES, BALKANS_PANEL, BALKANS_TREE, fixture_path
+argv = ["compute", "--year", "2006", "--data", str(fixture_path(BALKANS_PANEL)),
+        "--classes", str(fixture_path(BALKANS_CLASSES)), "--tree", str(fixture_path(BALKANS_TREE))]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(argv)
+assert code == 0 and "2006,Slovenia,GCI,4.770000" in out.getvalue(), (code, out.getvalue())
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_compute_imports_no_introspection_modules():
+    # The child compares with its own modules before the import, so what the
+    # host's site preloads counts for neither side.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "gcindex.cli" in loaded
+    assert sorted(loaded & INTROSPECTION) == []
