@@ -9,7 +9,6 @@ separator; identical inputs and flags give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Dict, List, Optional
 
@@ -18,10 +17,9 @@ from .engine import MissingPolicy, compute_all
 from .errors import GciError
 from .ingest import (
     WEF_DEFAULT,
+    _emit_trend,
     _fmt6,
-    _json_number,
     _record,
-    _write,
     emit_report,
     load_classes,
     load_panel,
@@ -36,7 +34,6 @@ from .ranking import (
     rank_table_from_indicator,
 )
 from .stats import Decision, ols_fit, pearson, rank_homogeneity_test
-from .svg import line_chart
 from .whatif import Scenario, apply_scenario, min_delta_for_rank_gain
 
 _DECISION_TEXT = {
@@ -92,12 +89,10 @@ def _load(args) -> tuple:
 
 def _deliver(args, results, node: Optional[str] = None) -> None:
     """Send a result to --out via emit_report, or stdout in --format."""
-    fmt = getattr(args, "format", "csv")
-    out = getattr(args, "out", None)
-    if out:
-        emit_report(results, fmt, out, node=node)
+    if args.out:
+        emit_report(results, args.format, args.out, node=node)
     else:
-        sys.stdout.write(render_report(results, fmt, node=node))
+        sys.stdout.write(render_report(results, args.format, node=node))
 
 
 def _print_record(args, result, head: str = "") -> int:
@@ -242,45 +237,18 @@ def _cmd_report(args) -> int:
             raise GciError(f"node {args.node!r} has no scores in the requested years")
         # bars svg charts the one year's table; every other score report is the dict
         results = tables[args.year] if args.kind == "bars" and args.format == "svg" else tables
-        text = render_report(results, args.format, args.node)
+        _deliver(args, results, args.node)
     elif args.kind == "deltas":
         if args.prev_year is None or args.cur_year is None:
             raise GciError("report --kind deltas needs --prev-year and --cur-year")
         prev, cur = _rank_tables(args, panel, tree, policy)
-        text = render_report(rank_delta(prev, cur), args.format)
+        _deliver(args, rank_delta(prev, cur))
     elif args.kind == "trend":
         if not args.country:
             raise GciError("report --kind trend needs --country")
         tables = _score_years(args, panel, tree, policy, args.country)
-        series = {}
-        fits = {}
-        for node in args.nodes:
-            pts = _series(tables, args.country, node)
-            series[node] = [(float(y), v) for y, v in pts]
-            fits[node] = ols_fit(pts)
-        if args.format == "svg":
-            charted = dict(series)
-            for node, fit in fits.items():
-                xs = [x for x, _ in series[node]]
-                charted[f"{node}_fit"] = [(x, fit.predict(x)) for x in (min(xs), max(xs))]
-            text = line_chart(charted, f"{args.country}: {', '.join(args.nodes)}")
-        elif args.format == "json":
-            doc = {
-                "country": args.country,
-                "series": {n: [[int(x), _json_number(v)] for x, v in series[n]]
-                           for n in args.nodes},
-                "fits": {n: {"slope": _json_number(fits[n].slope),
-                             "intercept": _json_number(fits[n].intercept),
-                             "n": fits[n].n} for n in args.nodes},
-            }
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        else:
-            lines = ["year,node,score,fitted"]
-            for node in args.nodes:
-                for x, v in series[node]:
-                    lines.append(f"{int(x)},{node},{_fmt6(v)},{_fmt6(fits[node].predict(x))}")
-            text = "\n".join(lines) + "\n"
-    _write(args.out, text)
+        series = {node: _series(tables, args.country, node) for node in args.nodes}
+        _emit_trend(args.country, series, args.format, args.out)
     return 0
 
 

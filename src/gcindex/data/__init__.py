@@ -19,8 +19,9 @@ WEF_TREE_CONFIG = "wef-default-tree.json"
 
 
 def fixture_path(name: str) -> Path:
-    """Filesystem path of a bundled data file."""
+    """Filesystem path of a bundled data file, given the name of a file
+    directly in this package's directory."""
     path = Path(__file__).parent / name
-    if not path.exists():
+    if path.name != name or not path.is_file():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path

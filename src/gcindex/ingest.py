@@ -36,7 +36,7 @@ from .model import (
     validate_tree,
 )
 from .ranking import RankDeltaReport, format_delta
-from .stats import ChiSquareResult, CorrelationResult, Decision, TrendResult
+from .stats import ChiSquareResult, CorrelationResult, Decision, TrendResult, ols_fit
 from .whatif import WhatIfOutcome
 
 WEF_DEFAULT = "wef-default"
@@ -464,6 +464,30 @@ def _render_svg(results, node: Optional[str]) -> str:
             items, f"Rank movement {results.prev_year} to {results.cur_year}", baseline=0.0
         )
     raise UnsupportedFormatError(f"cannot render {type(results).__name__} as svg")
+
+
+def _emit_trend(country: str, series: dict, format: str, path: Union[str, Path]) -> Path:
+    """Write a country's trend report: each node's (year, score) points, in
+    year order, with their least-squares fit (in svg, a `<node>_fit` line)."""
+    fits = {node: ols_fit(points) for node, points in series.items()}
+    if format == "svg":
+        fitted = {f"{n}_fit": [(x, fits[n].predict(x)) for x in (points[0][0], points[-1][0])]
+                  for n, points in series.items()}
+        text = svg.line_chart({**series, **fitted}, f"{country}: {', '.join(series)}")
+    elif format == "json":
+        doc = {
+            "country": country,
+            "series": {n: [[x, _json_number(v)] for x, v in points]
+                       for n, points in series.items()},
+            "fits": {n: _record(fit, _json_number, int) for n, fit in fits.items()},
+        }
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = ["year,node,score,fitted"]
+        lines += [f"{x},{n},{_fmt6(v)},{_fmt6(fits[n].predict(x))}"
+                  for n, points in series.items() for x, v in points]
+        text = "\n".join(lines) + "\n"
+    return _write(path, text)
 
 
 def emit_report(results, format: str, path: Union[str, Path], node: Optional[str] = None) -> Path:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence, Tuple
 
 _FONT = 'font-family="sans-serif" font-size="11"'
+_WIDTH, _HEIGHT = 640, 360
 
 
 def _escape(text: str) -> str:
@@ -25,13 +26,13 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _header(width: int, height: int, title: str) -> list:
+def _header(title: str) -> list:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.0f}" y="18" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{_escape(title)}</text>',
     ]
 
@@ -39,8 +40,6 @@ def _header(width: int, height: int, title: str) -> list:
 def bar_chart(
     items: Sequence[Tuple[str, float]],
     title: str,
-    width: int = 640,
-    height: int = 360,
     baseline: float = 0.0,
 ) -> str:
     """Vertical bars, one per (label, value); labels along the x axis.
@@ -48,8 +47,8 @@ def bar_chart(
     Negative values hang below the baseline so rank movements read naturally.
     """
     left, right, top, bottom = 50, 15, 30, 70
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
     values = [v for _, v in items] or [0.0]
     lo = min(min(values), baseline)
     hi = max(max(values), baseline)
@@ -60,7 +59,7 @@ def bar_chart(
     def y_of(v: float) -> float:
         return top + plot_h * (hi - v) / span
 
-    out = _header(width, height, title)
+    out = _header(title)
     out.append(
         f'<line x1="{left}" y1="{_fmt(y_of(baseline))}" x2="{left + plot_w}" '
         f'y2="{_fmt(y_of(baseline))}" stroke="black" stroke-width="1"/>'
@@ -82,8 +81,8 @@ def bar_chart(
         )
         cx = x + bar_w / 2
         out.append(
-            f'<text x="{_fmt(cx)}" y="{height - bottom + 12}" text-anchor="end" {_FONT} '
-            f'transform="rotate(-45 {_fmt(cx)} {height - bottom + 12})">{_escape(label)}</text>'
+            f'<text x="{_fmt(cx)}" y="{_HEIGHT - bottom + 12}" text-anchor="end" {_FONT} '
+            f'transform="rotate(-45 {_fmt(cx)} {_HEIGHT - bottom + 12})">{_escape(label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
@@ -92,13 +91,11 @@ def bar_chart(
 def line_chart(
     series: Mapping[str, Sequence[Tuple[float, float]]],
     title: str,
-    width: int = 640,
-    height: int = 360,
 ) -> str:
     """One polyline per named series over a shared (x, y) plane."""
     left, right, top, bottom = 50, 120, 30, 40
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
     if not xs:
@@ -117,14 +114,14 @@ def line_chart(
 
     palette = ("steelblue", "firebrick", "seagreen", "darkorange", "purple",
                "teal", "goldenrod", "crimson", "slategray", "olive")
-    out = _header(width, height, title)
+    out = _header(title)
     out.append(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
     for label, x in ((f"{x_lo:g}", x_lo), (f"{x_hi:g}", x_hi)):
         out.append(
-            f'<text x="{pt(x, y_lo).split(",")[0]}" y="{height - bottom + 16}" '
+            f'<text x="{pt(x, y_lo).split(",")[0]}" y="{_HEIGHT - bottom + 16}" '
             f'text-anchor="middle" {_FONT}>{label}</text>'
         )
     for label, y in ((f"{y_lo:.2f}", y_lo), (f"{y_hi:.2f}", y_hi)):

@@ -178,7 +178,6 @@ def _solve(
     country: str,
     node: str,
     target: Optional[float],
-    margin: float,
 ) -> Optional[float]:
     """Increase of `node`'s score lifting `country`'s root strictly above
     `target`, or None when it would push the node past 7.  A None target
@@ -200,7 +199,7 @@ def _solve(
     if target is None:
         return 0.0
     start = _updated_scores(tree, scores, cls, country, node, current)[tree.root]
-    delta = (target - start) / float(w_eff) + margin
+    delta = (target - start) / float(w_eff) + STRICT_MARGIN
     if current + delta > 7.0:
         return None
     return delta
@@ -213,7 +212,6 @@ def min_delta_for_rank_gain(
     country: str,
     k: int,
     node: str,
-    margin: float = STRICT_MARGIN,
 ) -> Optional[float]:
     """Smallest increase of `node`'s score buying at least k rank positions.
 
@@ -221,8 +219,8 @@ def min_delta_for_rank_gain(
     country above it, and the root moves with slope w_eff, the exact
     rational path weight with each parent's weights rescaled over the
     children the country has a score for (as apply_scenario rescales them),
-    so delta = (target - root) / w_eff + margin, where root is the country's
-    root as apply_scenario re-derives it at the node's current score.
+    so delta = (target - root) / w_eff + STRICT_MARGIN, where root is the
+    country's root as apply_scenario re-derives it at the node's current score.
     Returns None (infeasible) when even a score of 7 cannot achieve the gain:
     either fewer than k countries sit strictly above, or the required node
     score exceeds the scale.  A gain k <= 0 costs 0.0 once `node` has passed
@@ -238,7 +236,7 @@ def min_delta_for_rank_gain(
         # countries above, no score reaches the gain
         at = bisect_right(ordered, scores.score(country, tree.root)) + k - 1
         target = ordered[at] if at < len(ordered) else math.inf
-    return _solve(tree, scores, classes[country], country, node, target, margin)
+    return _solve(tree, scores, classes[country], country, node, target)
 
 
 def min_delta_to_overtake(
@@ -248,7 +246,6 @@ def min_delta_to_overtake(
     country: str,
     target_country: str,
     node: str,
-    margin: float = STRICT_MARGIN,
 ) -> Optional[float]:
     """Smallest increase of `node`'s score putting `country` strictly above
     `target_country` on the root index; 0.0 if already strictly above (once
@@ -259,4 +256,4 @@ def min_delta_to_overtake(
     root = scores._column(tree.root)
     own, target = root[country], root[target_country]
     return _solve(tree, scores, classes[country], country, node,
-                  None if own > target else target, margin)
+                  None if own > target else target)

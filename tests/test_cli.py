@@ -514,6 +514,22 @@ class TestReport:
         assert err.startswith("error: node ") and "has no scores" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    def test_trend_lists_a_repeated_node_once(self, capsys, tmp_path, fmt):
+        # Each --nodes entry appears once, where it first appears.
+        texts = []
+        for nodes in (["TI", "GCI", "TI"], ["TI", "GCI"]):
+            out_path = tmp_path / f"{len(nodes)}.{fmt}"
+            code, _, _ = run_cli(
+                capsys, "report", *DATA, "--kind", "trend", "--country", "Macedonia",
+                "--nodes", *nodes, "--format", fmt, "--out", str(out_path),
+            )
+            assert code == 0
+            texts.append(out_path.read_text())
+        assert texts[0] == texts[1]
+        if fmt == "svg":
+            assert ">Macedonia: TI, GCI</text>" in texts[0]
+
     def test_bars_csv(self, capsys, tmp_path):
         out_path = tmp_path / "bars.csv"
         code, _, _ = run_cli(
@@ -560,6 +576,13 @@ class TestFixture:
     def test_unknown_name_is_file_not_found(self):
         with pytest.raises(FileNotFoundError, match="no bundled data file named 'nope.csv'"):
             fixture_path("nope.csv")
+
+    # The data directory itself and a module beside it both exist on disk,
+    # but neither is a file directly in data/.
+    @pytest.mark.parametrize("name", ["", "../cli.py"])
+    def test_name_outside_data_is_file_not_found(self, name):
+        with pytest.raises(FileNotFoundError, match=f"no bundled data file named {name!r}"):
+            fixture_path(name)
 
 
 class TestExitCodes:

@@ -19,6 +19,7 @@ from gcindex.stats import (
     chi_square_isf,
     chi_square_sf,
     chi_square_statistic,
+    chi_square_test,
     ols_fit,
     pearson,
     rank_homogeneity_test,
@@ -122,6 +123,10 @@ class TestInverseSurvival:
         for alpha in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 chi_square_isf(alpha, 9)
+
+    def test_decision_rejects_bad_alpha_with_the_isf_message(self):
+        with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\), got 1\.5$"):
+            chi_square_test(3.0, 2, alpha=1.5)
 
 
 class TestRankHomogeneity:

@@ -15,14 +15,20 @@ PACKAGE = Path(gcindex.__file__).parent
 
 
 def _imports(path: Path):
-    """(line, top-level module) for each absolute import in the file;
-    relative imports stay inside gcindex and are skipped."""
+    """(line, dotted module) for each import in the file; a relative import
+    reads as the gcindex module it names (`from . import svg` in
+    gcindex/ingest.py is gcindex.svg)."""
+    package = ["gcindex", *path.parent.relative_to(PACKAGE).parts]
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield node.lineno, alias.name.split(".")[0]
+                yield node.lineno, alias.name
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.lineno, node.module.split(".")[0]
+            yield node.lineno, node.module
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(package[:len(package) + 1 - node.level])
+            for name in [node.module] if node.module else [a.name for a in node.names]:
+                yield node.lineno, f"{base}.{name}"
 
 
 def test_runtime_imports_only_stdlib_and_gcindex():
@@ -32,9 +38,16 @@ def test_runtime_imports_only_stdlib_and_gcindex():
         f"{path.relative_to(PACKAGE)}:{line}: {module}"
         for path in files
         for line, module in _imports(path)
-        if module != "gcindex" and module not in sys.stdlib_module_names
+        if (top := module.split(".")[0]) != "gcindex" and top not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_cli_lays_out_no_report_file():
+    # Every csv, json and svg report file is laid out in gcindex.ingest.
+    modules = {module for _, module in _imports(PACKAGE / "cli.py")}
+    assert "gcindex.ingest" in modules
+    assert [m for m in modules if m.split(".")[0] == "json" or m == "gcindex.svg"] == []
 
 
 # Loaded by `import dataclasses`, and together about half the cost of
