@@ -247,18 +247,20 @@ class Node(_Record):
 Step = Tuple[str, NormalizeSpec, Optional[Tuple[Tuple[str, int], ...]]]
 
 
+_MISSING = object()
+
+
 def _cached(owner: Any, key: tuple, build: Callable[[], Any]) -> Any:
     """`owner`'s kept result for `key`, built on first use.  The store is the
     owner's `_cache`, an unannotated class attribute and so no record field
     (== and repr ignore it), replaced, never mutated, by object.__setattr__:
     threads sharing the owner at worst repeat a build.  A build that raises
     keeps nothing; what a build keeps itself (a nested _cached call) stays kept."""
-    cache = owner._cache or {}
-    if key not in cache:
+    value = (owner._cache or {}).get(key, _MISSING)  # one hash of `key` when kept
+    if value is _MISSING:
         value = build()
-        cache = {**(owner._cache or {}), key: value}
-        object.__setattr__(owner, "_cache", cache)
-    return cache[key]
+        object.__setattr__(owner, "_cache", {**(owner._cache or {}), key: value})
+    return value
 
 
 class IndexTree(_Record):
@@ -267,7 +269,8 @@ class IndexTree(_Record):
     nodes: Mapping[str, Node]
     root: str
     # _cached() store: {(kind, cls): order or plan, ("subtree", node id):
-    # that node's rooted tree}
+    # that node's rooted tree, and whatif's ("ancestors", cls, node id) and
+    # ("weight", cls, node id, gap pattern) entries}
     _cache = None
 
     def node(self, node_id: str) -> Node:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .engine import _aggregate
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     OverrideOutOfScaleError,
     UnknownCountryError,
 )
-from .model import IndexTree, InnovatorClass, ScoreTable, _Record
+from .model import IndexTree, InnovatorClass, ScoreTable, Step, _cached, _Record
 
 #: Margin added to closed-form deltas so the overtake is strict rather than
 #: a ranking-policy-dependent exact tie.  Score-scale units.
@@ -70,26 +70,53 @@ def path_weight(tree: IndexTree, node: str, cls: InnovatorClass) -> Fraction:
     return _path_weight(tree, node, cls, lambda child: True)
 
 
+def _ancestors(tree: IndexTree, node: str, cls: InnovatorClass) -> Tuple[tuple, tuple]:
+    """(steps, off): `node`'s ancestors on the class plan as (id, integer
+    weights) steps, children first, and the ids of their children off the
+    path, each once.  Built once per tree, class and node."""
+    return _cached(tree, ("ancestors", cls, node), lambda: _find_ancestors(tree.plan(cls), node))
+
+
+def _find_ancestors(plan: Tuple[Step, ...], node: str) -> Tuple[tuple, tuple]:
+    # plan() is topological with children first, so one pass finds every
+    # ancestor, each after its on-path children: a child not found by then
+    # is off the path.
+    on_path, steps = {node}, []
+    for current, _, weights in plan:
+        if weights and current != node and any(child in on_path for child, _ in weights):
+            on_path.add(current)
+            steps.append((current, weights))
+    off = dict.fromkeys(child for _, weights in steps for child, _ in weights if child not in on_path)
+    return tuple(steps), tuple(off)
+
+
 def _path_weight(
     tree: IndexTree, node: str, cls: InnovatorClass, has_score: Callable[[str], bool]
 ) -> Fraction:
     """path_weight with each parent's weights rescaled over the children
     that have a score, as _aggregate rescales them.  A child on a path to
-    `node` always counts: apply_scenario re-derives it."""
+    `node` always counts: apply_scenario re-derives it.  The weight is kept
+    per tree, class, node and gap pattern (the ancestors' off-path children
+    without a score), so only a pattern's first query does Fraction
+    arithmetic."""
     if node not in tree.nodes:
         raise NotAnAncestorPathError(f"unknown node {node!r}")
-    # plan() is topological with children first, so one pass suffices; only
-    # nodes with a path to `node` get a (positive) coefficient.  Dividing by
-    # the kept children's integer weights rescales over them; with all kept
+    steps, off = _ancestors(tree, node, cls)
+    gaps = tuple(child for child in off if not has_score(child))
+    return _cached(tree, ("weight", cls, node, gaps),
+                   lambda: _weigh_path(steps, node, tree.root, gaps))
+
+
+def _weigh_path(steps: tuple, node: str, root: str, gaps: tuple) -> Fraction:
+    # Only nodes with a path to `node` get a (positive) coefficient.  Dividing
+    # by the kept children's integer weights rescales over them; with all kept
     # it divides by their denominator, giving the rational weights as they are.
     coeff: Dict[str, Fraction] = {node: Fraction(1)}
-    for current, _, weights in tree.plan(cls):
-        if current == node or not weights or not any(child in coeff for child, _ in weights):
-            continue
+    for current, weights in steps:
         total = sum(a * coeff[child] for child, a in weights if child in coeff)
-        kept = sum(a for child, a in weights if child in coeff or has_score(child))
+        kept = sum(a for child, a in weights if child not in gaps)
         coeff[current] = total / kept
-    return coeff.get(tree.root, Fraction(0))
+    return coeff.get(root, Fraction(0))
 
 
 def _updated_scores(
@@ -100,19 +127,18 @@ def _updated_scores(
     node: str,
     override: float,
 ) -> Dict[str, float]:
-    """Scores for the override node and every affected ancestor.
+    """Scores for the override node and every ancestor on the class plan.
 
     Children without a score (possible under the renormalize missing-data
     policy) are dropped and the remaining weights rescaled, mirroring the
     engine's evaluation semantics.
     """
     updates: Dict[str, float] = {node: float(override)}
-    # plan() is topological with children first, so one pass suffices.
-    for node_id, _, weights in tree.plan(cls):
-        if not weights or node_id == node or not any(child in updates for child, _ in weights):
-            continue
+    entries = scores.entries
+    for node_id, weights in _ancestors(tree, node, cls)[0]:
         parts = [(a, s) for child, a in weights
-                 if (s := updates.get(child, scores.get(country, child))) is not None]
+                 if (s := updates[child] if child in updates else entries.get((country, child)))
+                 is not None]
         updates[node_id] = _aggregate(parts)
     return updates
 
@@ -143,9 +169,10 @@ def apply_scenario(
     Only the override node's ancestors are re-derived; every other country's
     scores stay frozen, so both ranks are bisected from the table's sorted
     root column instead of re-ranking.  After the table's first query builds
-    and sorts that column, cost is O(nodes + log countries), one pass over
-    the class plan plus two bisects; the base table is not copied.  `tree`
-    must have passed validate_tree, as for engine.evaluate_node.
+    and sorts that column, cost is O(ancestors + log countries): one pass
+    over the node's ancestor steps, kept per tree, class and node, plus two
+    bisects; the base table is not copied.  `tree` must have passed
+    validate_tree, as for engine.evaluate_node.
     """
     country = scenario.country
     _check_country(scores, country, tree.root)
@@ -225,8 +252,9 @@ def min_delta_for_rank_gain(
     either fewer than k countries sit strictly above, or the required node
     score exceeds the scale.  A gain k <= 0 costs 0.0 once `node` has passed
     the checks a positive gain makes.  After the table's first query builds
-    and sorts its root column, cost is O(nodes + log countries): the target
-    is bisected from that sorted column.
+    and sorts its root column, cost is O(ancestors + log countries): the
+    target is bisected from that sorted column, and w_eff is kept per tree,
+    class, node and gap pattern (see _path_weight).
     """
     _check_country(scores, country, tree.root)
     ordered = scores._ascending(tree.root)
