@@ -1,6 +1,6 @@
 """The runtime is pure standard library: every module under src/gcindex
 imports only from sys.stdlib_module_names or from gcindex itself.  And it
-stays cheap to start: a command loads none of the introspection modules
+stays cheap to start: no command loads any of the introspection modules
 behind `dataclasses`."""
 
 import ast
@@ -54,28 +54,49 @@ def test_cli_lays_out_no_report_file():
 # starting a gcindex process before they were dropped.
 INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
+# Each command runs on the bundled panel in a fresh process; the child
+# prints the modules it loaded, compared with its own before the import, so
+# what the host's site preloads counts for neither side.
 FOOTPRINT_CHILD = """\
 import contextlib, io, sys
 before = set(sys.modules)
 from gcindex.cli import main
 from gcindex.data import BALKANS_CLASSES, BALKANS_PANEL, BALKANS_TREE, fixture_path
-argv = ["compute", "--year", "2006", "--data", str(fixture_path(BALKANS_PANEL)),
-        "--classes", str(fixture_path(BALKANS_CLASSES)), "--tree", str(fixture_path(BALKANS_TREE))]
+argv, expected = sys.argv[1:-1], sys.argv[-1]
+if argv[0] != "fixture":
+    argv += ["--data", str(fixture_path(BALKANS_PANEL)), "--classes",
+             str(fixture_path(BALKANS_CLASSES)), "--tree", str(fixture_path(BALKANS_TREE))]
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(argv)
-assert code == 0 and "2006,Slovenia,GCI,4.770000" in out.getvalue(), (code, out.getvalue())
+assert code == 0 and expected in out.getvalue(), (code, out.getvalue())
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
+# (argv, a line of its stdout) for each of the nine commands
+COMMANDS = [
+    (["compute", "--year", "2006"], "2006,Slovenia,GCI,4.770000"),
+    (["rank", "--year", "2006"], "2006,Albania,10"),
+    (["delta", "--prev-year", "2005", "--cur-year", "2006"], "Albania,0,10,10"),
+    (["trend", "--country", "Macedonia", "--node", "TI"], "years 2003-2006"),
+    (["correlate", "--country", "Macedonia"], "nodes TI,GCI"),
+    (["chisq", "--prev-year", "2005", "--cur-year", "2006"], "statistic 1.783333"),
+    (["whatif", "--year", "2006", "--country", "Macedonia", "--node", "TI", "--gain", "1"],
+     "min-delta 0.120000"),
+    (["report", "--kind", "trend", "--country", "Macedonia", "--out", "{tmp}/trend.svg"], ""),
+    (["fixture", "panel"], "balkans-gci.csv"),
+]
 
-def test_compute_imports_no_introspection_modules():
-    # The child compares with its own modules before the import, so what the
-    # host's site preloads counts for neither side.
+
+def test_compute_imports_no_introspection_modules(tmp_path):
+    # all nine commands, each in a fresh process
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "gcindex.cli" in loaded
-    assert sorted(loaded & INTROSPECTION) == []
+    for argv, expected in COMMANDS:
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, *argv, expected],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        loaded = set(proc.stdout.split())
+        assert "gcindex.cli" in loaded
+        assert (argv[0], sorted(loaded & INTROSPECTION)) == (argv[0], [])
+    assert (tmp_path / "trend.svg").stat().st_size > 0

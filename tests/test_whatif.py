@@ -5,6 +5,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gcindex import whatif
 from gcindex.engine import MissingPolicy, compute_all
 from gcindex.errors import (
     MissingNodeError,
@@ -481,6 +482,100 @@ def test_queries_reuse_the_walk_order(component_tree, monkeypatch):
     for i in range(20):
         query(f"C{i:02d}", ("TI", "CS", "MSS", "GW")[i % 4])
     assert walks == []
+
+
+def _gapped_wef_table(wef_tree):
+    """renormalize compute_all table of the WEF tree over eight countries,
+    four per class: two with every leaf and two without some, so that a
+    what-if node's ancestors have off-path children without a score."""
+    rng = Random(7)
+    classes = {f"g{i}": (CORE if i % 2 else NONCORE) for i in range(8)}
+    ictsd = {"internet_access_in_schools", "isp_competition_quality", "gov_ict_prioritization",
+             "gov_ict_promotion_success", "ict_laws"}
+    missing = {"g2": {"IS", "internet_hosts"}, "g3": {"IS", "internet_hosts"},
+               "g4": {"TTS", "CCR", *ictsd}, "g5": {"CCR", *ictsd}}
+    rows = [(2006, country, leaf, round(rng.uniform(2.0, 6.0), 2))
+            for country in classes for leaf in wef_tree.leaves()
+            if leaf not in missing.get(country, ())]
+    return compute_all(wef_tree, Panel(rows, classes), 2006, MissingPolicy.RENORMALIZE), classes
+
+
+# TTS is off the core plan of the WEF tree; IS has no score for g2 and g3
+_GAPPED_NODES = ("internet_users", "ICThd", "ICTS", "TI", "TTS", "IS", "MSS", "GCI")
+
+
+def _result(call):
+    try:
+        return repr(call())
+    except (MissingNodeError, NotAnAncestorPathError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_kept_path_weights_do_not_leak_between_gap_patterns(wef_tree):
+    # One tree answers every query, each class's gapped and complete
+    # countries alternating on each node; each answer must be the one a
+    # tree that has kept nothing gives, bit for bit.
+    scores, classes = _gapped_wef_table(wef_tree)
+    tree = IndexTree(wef_tree.nodes, wef_tree.root)
+    top = max(scores.countries(), key=lambda c: scores.score(c, "GCI"))
+    queries = {
+        "rank gain": lambda t, c, n: min_delta_for_rank_gain(t, scores, classes, c, 1, n),
+        "overtake": lambda t, c, n: min_delta_to_overtake(t, scores, classes, c, top, n),
+        "apply": lambda t, c, n: apply_scenario(t, scores, classes, Scenario(c, n, 5.5)),
+        "path weight": lambda t, c, n: path_weight(t, n, classes[c]),
+    }
+    order = ["g2", "g0", "g4", "g6", "g3", "g1", "g5", "g7"]
+    for node in _GAPPED_NODES:
+        for country in order + order[::-1]:
+            for name, query in queries.items():
+                cold = IndexTree(wef_tree.nodes, wef_tree.root)
+                warm_result = _result(lambda: query(tree, country, node))
+                assert warm_result == _result(lambda: query(cold, country, node)), (name, country, node)
+
+
+def test_queries_build_each_ancestor_walk_and_path_weight_once(wef_tree, monkeypatch):
+    # Builds of a node's ancestor steps and of its exact path weight across
+    # many queries on one tree: one per (class, node) and one per (class,
+    # node, gap pattern); a warm query does no Fraction arithmetic at all.
+    builds, arithmetic = Counter(), Counter()
+
+    def counting(counter, key, real):
+        def call(*args):
+            counter[key] += 1
+            return real(*args)
+        return call
+
+    for kind, name in (("ancestors", "_find_ancestors"), ("weight", "_weigh_path")):
+        monkeypatch.setattr(whatif, name, counting(builds, kind, getattr(whatif, name)))
+    for op in ("add", "sub", "mul", "truediv"):
+        for dunder in (f"__{op}__", f"__r{op}__"):
+            monkeypatch.setattr(Fraction, dunder, counting(arithmetic, dunder, getattr(Fraction, dunder)))
+    scores, classes = _gapped_wef_table(wef_tree)
+    tree = IndexTree(wef_tree.nodes, wef_tree.root)
+
+    def sweep():
+        for node in _GAPPED_NODES:
+            for k, country in enumerate(sorted(classes)):
+                _result(lambda: min_delta_for_rank_gain(tree, scores, classes, country, 1 + k % 3, node))
+                apply_scenario(tree, scores, classes, Scenario(country, node, 4.0))
+                path_weight(tree, node, classes[country])
+
+    sweep()
+    # every build is kept under its own key: as many builds as keys
+    kept = {kind: {key[1:] for key in tree._cache if key[0] == kind}
+            for kind in ("ancestors", "weight")}
+    assert builds == Counter({kind: len(keys) for kind, keys in kept.items()})
+    assert kept["ancestors"] == {(cls, node) for cls in InnovatorClass for node in _GAPPED_NODES}
+    assert {(CORE, "internet_users", ()), (NONCORE, "internet_users", ()),
+            (CORE, "internet_users", ("internet_hosts", "IS")),
+            (NONCORE, "ICTS", ("IS",)), (NONCORE, "ICTS", ("TTS",))} <= kept["weight"]
+    assert arithmetic
+    builds.clear()
+    arithmetic.clear()
+    for _ in range(3):
+        sweep()
+    assert builds == Counter()
+    assert arithmetic == Counter()
 
 
 def _scored(component_tree, levels):
