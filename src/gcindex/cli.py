@@ -64,23 +64,6 @@ def _gain(token: str) -> int:
     return value
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser, data_required: bool = True):
-    parser.add_argument("--data", required=data_required,
-                        help="panel CSV (year,country,indicator,value)")
-    parser.add_argument("--classes", help="class map CSV (country,class); default: all noncore")
-    parser.add_argument(
-        "--tree",
-        default=WEF_DEFAULT,
-        help=f"tree config JSON or the literal {WEF_DEFAULT!r} (default)",
-    )
-    parser.add_argument(
-        "--policy",
-        choices=["strict", "renormalize"],
-        default="strict",
-        help="missing-data policy (default strict)",
-    )
-
-
 def _load(args) -> tuple:
     """(panel, tree, policy) from the dataset flags."""
     classes = load_classes(args.classes) if args.classes is not None else None
@@ -267,101 +250,87 @@ def _cmd_fixture(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+_WITH_SVG = ["csv", "json", "svg"]
+
+#: each option's argparse keywords, written once for every command that takes it
+_FLAGS = {
+    "--data": {"help": "panel CSV (year,country,indicator,value)"},
+    "--classes": {"help": "class map CSV (country,class); default: all noncore"},
+    "--tree": {"default": WEF_DEFAULT,
+               "help": f"tree config JSON or the literal {WEF_DEFAULT!r} (default)"},
+    "--policy": {"choices": ["strict", "renormalize"], "default": "strict",
+                 "help": "missing-data policy (default strict)"},
+    "--scores": {"help": "score CSV from a previous compute run"},
+    "--kind": {"choices": ["scores", "deltas", "trend", "bars"]},
+    "--year": {"type": int},
+    "--prev-year": {"type": int},
+    "--cur-year": {"type": int},
+    "--country": {},
+    "--alpha": {"type": _alpha, "default": 0.05},
+    "--node": {"default": "GCI"},
+    "--nodes": {"nargs": "+", "default": ["TI", "GCI"]},
+    "--rank-indicator": {},
+    "--design": {"choices": ["prev-expected", "cur-expected", "two-way"],
+                 "default": "prev-expected"},
+    "--set": {"type": float, "help": "override the node score to this value"},
+    "--gain": {"type": _gain, "help": "solve for the smallest gain of this many ranks (>= 0)"},
+    "--from": {"dest": "from_year", "type": int},
+    "--to": {"dest": "to_year", "type": int},
+    "--out": {},
+    "--format": {"choices": ["csv", "json"], "default": "csv"},
+}
+_DATASET = ("--data!", "--classes", "--tree", "--policy")
+
+#: command -> (summary, handler, its options in help order).  A trailing '!'
+#: marks a required option, a (name, keywords) pair overrides the shared
+#: keywords, and a list is a group of which exactly one must be given.
+_COMMANDS = {
+    "compute": ("score every tree node for one year", _cmd_compute, (
+        *_DATASET, "--year!", ("--out", {"help": "write here instead of stdout"}), "--format")),
+    # --scores is the alternative to --data
+    "rank": ("rank countries on one node", _cmd_rank, (
+        "--scores", "--data", *_DATASET[1:], "--year", "--node", "--out", "--format")),
+    "delta": ("rank movement between two years", _cmd_delta, (
+        *_DATASET, "--prev-year!", "--cur-year!",
+        ("--node", {"help": "rank computed scores on this node"}),
+        ("--rank-indicator", {"help": "take standings from this panel indicator instead of scores"}),
+        "--out", ("--format", {"choices": _WITH_SVG}))),
+    "trend": ("least-squares trend of one node for one country", _cmd_trend, (
+        *_DATASET, "--country!", "--node", "--from", "--to", "--out", "--format")),
+    "correlate": ("Pearson correlation between two node series", _cmd_correlate, (
+        *_DATASET, "--country!", ("--nodes", {"nargs": 2, "metavar": ("NODE_A", "NODE_B")}),
+        "--from", "--to", "--out", "--format")),
+    "chisq": ("chi-square test of ranking stability", _cmd_chisq, (
+        *_DATASET, "--prev-year!", "--cur-year!", "--alpha", "--node", "--rank-indicator",
+        "--design", "--out", "--format")),
+    "whatif": ("override a node score or solve for a rank gain", _cmd_whatif, (
+        *_DATASET, "--year!", "--country!", "--node", ["--set", "--gain"], "--out", "--format")),
+    "report": ("figure-style artifacts (score panels, deltas, trends, bars)", _cmd_report, (
+        *_DATASET, "--kind!", "--node", "--nodes", "--country", "--year", "--prev-year",
+        "--cur-year", "--rank-indicator", "--from", "--to",
+        ("--format", {"choices": _WITH_SVG, "default": "svg"}), "--out!")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcindex",
         description="Growth-competitiveness composite index toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="score every tree node for one year")
-    _add_dataset_flags(p)
-    p.add_argument("--year", type=int, required=True)
-    p.add_argument("--out", help="write here instead of stdout")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_compute)
-
-    p = sub.add_parser("rank", help="rank countries on one node")
-    p.add_argument("--scores", help="score CSV from a previous compute run")
-    _add_dataset_flags(p, data_required=False)  # --scores is the alternative
-    p.add_argument("--year", type=int)
-    p.add_argument("--node", default="GCI")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_rank)
-
-    p = sub.add_parser("delta", help="rank movement between two years")
-    _add_dataset_flags(p)
-    p.add_argument("--prev-year", type=int, required=True)
-    p.add_argument("--cur-year", type=int, required=True)
-    p.add_argument("--node", default="GCI", help="rank computed scores on this node")
-    p.add_argument("--rank-indicator",
-                   help="take standings from this panel indicator instead of scores")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
-    p.set_defaults(func=_cmd_delta)
-
-    p = sub.add_parser("trend", help="least-squares trend of one node for one country")
-    _add_dataset_flags(p)
-    p.add_argument("--country", required=True)
-    p.add_argument("--node", default="GCI")
-    p.add_argument("--from", dest="from_year", type=int)
-    p.add_argument("--to", dest="to_year", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_trend)
-
-    p = sub.add_parser("correlate", help="Pearson correlation between two node series")
-    _add_dataset_flags(p)
-    p.add_argument("--country", required=True)
-    p.add_argument("--nodes", nargs=2, default=["TI", "GCI"], metavar=("NODE_A", "NODE_B"))
-    p.add_argument("--from", dest="from_year", type=int)
-    p.add_argument("--to", dest="to_year", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_correlate)
-
-    p = sub.add_parser("chisq", help="chi-square test of ranking stability")
-    _add_dataset_flags(p)
-    p.add_argument("--prev-year", type=int, required=True)
-    p.add_argument("--cur-year", type=int, required=True)
-    p.add_argument("--alpha", type=_alpha, default=0.05)
-    p.add_argument("--node", default="GCI")
-    p.add_argument("--rank-indicator")
-    p.add_argument("--design", choices=["prev-expected", "cur-expected", "two-way"],
-                   default="prev-expected")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_chisq)
-
-    p = sub.add_parser("whatif", help="override a node score or solve for a rank gain")
-    _add_dataset_flags(p)
-    p.add_argument("--year", type=int, required=True)
-    p.add_argument("--country", required=True)
-    p.add_argument("--node", default="GCI")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--set", type=float, help="override the node score to this value")
-    group.add_argument("--gain", type=_gain,
-                       help="solve for the smallest gain of this many ranks (>= 0)")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=_cmd_whatif)
-
-    p = sub.add_parser("report", help="figure-style artifacts (score panels, deltas, trends, bars)")
-    _add_dataset_flags(p)
-    p.add_argument("--kind", choices=["scores", "deltas", "trend", "bars"], required=True)
-    p.add_argument("--node", default="GCI")
-    p.add_argument("--nodes", nargs="+", default=["TI", "GCI"])
-    p.add_argument("--country")
-    p.add_argument("--year", type=int)
-    p.add_argument("--prev-year", type=int)
-    p.add_argument("--cur-year", type=int)
-    p.add_argument("--rank-indicator")
-    p.add_argument("--from", dest="from_year", type=int)
-    p.add_argument("--to", dest="to_year", type=int)
-    p.add_argument("--format", choices=["csv", "json", "svg"], default="svg")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
+    for command, (summary, handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag in flags:
+            if isinstance(flag, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for name in flag:
+                    group.add_argument(name, **_FLAGS[name])
+                continue
+            flag, keywords = flag if isinstance(flag, tuple) else (flag, {})
+            name = flag.rstrip("!")
+            p.add_argument(name, required=name != flag, **{**_FLAGS[name], **keywords})
+        # usage errors found after parsing name the command, as argparse's own do
+        p.set_defaults(func=handler, error=p.error)
 
     p = sub.add_parser("fixture", help="print the path of a bundled data file")
     p.add_argument("name", choices=["panel", "classes", "tree", "wef-tree"])
@@ -375,13 +344,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     first, last = getattr(args, "from_year", None), getattr(args, "to_year", None)
     if first is not None and last is not None and first > last:
-        parser.error(f"--from {first} is after --to {last}")
+        args.error(f"--from {first} is after --to {last}")
     try:
         return args.func(args)
-    except GciError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (GciError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,13 +14,6 @@ from .errors import EmptyIntersectionError, MissingNodeError
 from .model import COMPETITION, Panel, RankTable, ScoreTable, _Record
 
 
-def score_column(scores: ScoreTable, node: str) -> Dict[str, float]:
-    """{country: score} on one node for every country in the table, in
-    country order, as a fresh dict.  Raises MissingNodeError unless every
-    country has a score for the node."""
-    return dict(scores._column(node))
-
-
 def rank_scores(scores: ScoreTable, node: str) -> RankTable:
     """Rank countries by descending score on one node.
 

@@ -119,15 +119,16 @@ def line_chart(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="black" stroke-width="1"/>'
     )
-    for label, x in ((f"{x_lo:g}", x_lo), (f"{x_hi:g}", x_hi)):
+    # the axis labels sit on the plot's edges
+    for label, x in ((x_lo, left), (x_hi, left + plot_w)):
         out.append(
-            f'<text x="{pt(x, y_lo).split(",")[0]}" y="{_HEIGHT - bottom + 16}" '
-            f'text-anchor="middle" {_FONT}>{label}</text>'
+            f'<text x="{_fmt(x)}" y="{_HEIGHT - bottom + 16}" '
+            f'text-anchor="middle" {_FONT}>{label:g}</text>'
         )
-    for label, y in ((f"{y_lo:.2f}", y_lo), (f"{y_hi:.2f}", y_hi)):
+    for label, y in ((y_lo, top + plot_h), (y_hi, top)):
         out.append(
-            f'<text x="{left - 6}" y="{float(pt(x_lo, y).split(",")[1]) + 4:.2f}" '
-            f'text-anchor="end" {_FONT}>{label}</text>'
+            f'<text x="{left - 6}" y="{_fmt(y + 4)}" '
+            f'text-anchor="end" {_FONT}>{_fmt(label)}</text>'
         )
     for i, name in enumerate(sorted(series)):
         pts = sorted(series[name])

@@ -606,8 +606,9 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
-        assert captured.err.startswith("usage: gcindex ")
-        assert captured.err.endswith(f"gcindex: error: --from {years[0]} is after --to {years[1]}\n")
+        assert captured.err.startswith(f"usage: gcindex {argv[0]} ")
+        assert captured.err.endswith(
+            f"gcindex {argv[0]}: error: --from {years[0]} is after --to {years[1]}\n")
         assert not out_path.exists()
 
     def test_missing_file_is_one(self):

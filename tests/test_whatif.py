@@ -22,7 +22,7 @@ from gcindex.model import (
     ScoreTable,
     validate_tree,
 )
-from gcindex.ranking import rank_scores, score_column
+from gcindex.ranking import rank_scores
 from gcindex.whatif import (
     STRICT_MARGIN,
     Scenario,
@@ -640,7 +640,7 @@ class TestColumnCache:
         outcome = apply_scenario(component_tree, scores, classes, Scenario("C", "TI", 6.0))
         assert outcome.new_gci != outcome.baseline_gci
         table = _scenario_table(scores, outcome)
-        assert score_column(table, "GCI")["C"] == outcome.new_gci
+        assert table.score("C", "GCI") == outcome.new_gci
         assert rank_scores(table, "GCI").rank("C") == outcome.new_rank == 1
         again = apply_scenario(component_tree, table, classes,
                                Scenario("C", "TI", scores.score("C", "TI")))
@@ -655,11 +655,6 @@ class TestColumnCache:
             min_delta_for_rank_gain(component_tree, scores, classes, "C", 1, "TI"),
             apply_scenario(component_tree, scores, classes, Scenario("C", "TI", 4.85)).new_rank,
         )
-        column = score_column(scores, "GCI")
-        assert list(column) == ["A", "B", "C"]
-        column["C"] = 7.0
-        column["Z"] = 1.0
-        assert score_column(scores, "GCI") == {"A": 4.0, "B": 3.9, "C": 3.5}
         assert before == (
             rank_scores(scores, "GCI"),
             min_delta_for_rank_gain(component_tree, scores, classes, "C", 1, "TI"),
@@ -670,7 +665,6 @@ class TestColumnCache:
         scores = ScoreTable(2006, {("A", "GCI"): 4.0, ("A", "TI"): 4.0, ("B", "TI"): 3.0})
         classes = {"A": NONCORE, "B": NONCORE}
         calls = [
-            lambda: score_column(scores, "GCI"),
             lambda: rank_scores(scores, "GCI"),
             lambda: min_delta_for_rank_gain(component_tree, scores, classes, "A", 1, "TI"),
             lambda: min_delta_to_overtake(component_tree, scores, classes, "A", "B", "TI"),
