@@ -2,13 +2,14 @@ import json
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gcindex.data import (
     BALKANS_CLASSES,
@@ -500,3 +501,73 @@ def test_whitespace_padding_is_invisible(balkans, seed, offset, bad, row):
         message = _load_error(path, broken, loader)
         assert f"{path}:{data[row] + 1}: " in message
         assert _load_error(path, _pad_fields(broken, rng, offset), loader) == message
+
+
+#: Name characters that json escapes (a quote, a backslash, DEL, 'é' and a
+#: character outside the BMP, written as a surrogate pair) or that svg would
+#: (<&>).
+_NAME = st.text(st.sampled_from('"\\é\U0001d11e\x7f<&>A'), min_size=1, max_size=3)
+#: Every kind of score a ScoreTable holds: floats at and next to the scale's
+#: ends and where the sixth decimal rounds, ints, a bool and Fractions.
+_SCORE = st.one_of(
+    st.sampled_from([1.0, 7.0, 1.0000005, 6.9999995, 4.0000005, 1, 7, True, Fraction(9, 2)]),
+    st.floats(1.0, 7.0),
+    st.integers(1, 7),
+    st.fractions(1, 7, max_denominator=10**7),
+)
+
+
+@st.composite
+def _score_table(draw, year):
+    """A table in which any country may lack any node, as renormalize leaves it."""
+    countries = draw(st.lists(_NAME, max_size=5, unique=True))
+    nodes = draw(st.lists(_NAME, min_size=1, max_size=4, unique=True))
+    return ScoreTable(year, {(c, n): draw(_SCORE) for c in countries for n in nodes
+                             if draw(st.booleans())})
+
+
+@st.composite
+def _year_tables(draw):
+    years = draw(st.lists(st.integers(1990, 2100), max_size=3, unique=True))
+    return {year: draw(_score_table(year)) for year in years}
+
+
+def _per_cell_reports(results, node=None):
+    """(csv, json) of a score report, one cell at a time: the rows in sorted
+    entry order, each score through float() and 6 decimals, and the json
+    document through json.dumps."""
+    if isinstance(results, ScoreTable):
+        rows = [(results.year, c, n, s) for (c, n), s in sorted(results.entries.items())]
+        doc = {"year": results.year, "scores": [
+            {"country": c, "node": n, "score": float(f"{float(s):.6f}")} for _, c, n, s in rows]}
+    else:
+        rows = [(y, c, n, s) for y, table in sorted(results.items())
+                for (c, n), s in sorted(table.entries.items()) if n == node]
+        doc = {"scores": [{"year": y, "country": c, "node": n, "score": float(f"{float(s):.6f}")}
+                          for y, c, n, s in rows]}
+    csv = "year,country,node,score\n" + "".join(
+        f"{y},{c},{n},{float(s):.6f}\n" for y, c, n, s in rows)
+    return csv, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_ODD_NAMES = ['"', "\\", "é", "\U0001d11e", "\x7f", "<&>"]
+_ODD_SCORES = [1.0, 7.0, 1.0000005, 6.9999995, 3, True, Fraction(13, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_score_table(2006), tables=_year_tables())
+@example(
+    table=ScoreTable(2006, {(c, n): _ODD_SCORES[(i + j) % 7]
+                            for i, c in enumerate(_ODD_NAMES)
+                            for j, n in enumerate(_ODD_NAMES) if i != j}),
+    tables={2007: ScoreTable(2007, {("é", "<&>"): 6.9999995, ("\x7f", '"'): Fraction(7)}),
+            2005: ScoreTable(2005, {("\U0001d11e", "<&>"): True, ("\\", "<&>"): 1.0000005})},
+)
+def test_score_reports_match_a_per_cell_oracle(table, tables):
+    assert (render_report(table, "csv"), render_report(table, "json")) == _per_cell_reports(table)
+    # every node a table holds, and one none holds: a header-only csv, "scores": []
+    for node in sorted({n for t in tables.values() for _, n in t.entries}) + ["not-a-node"]:
+        assert (render_report(tables, "csv", node),
+                render_report(tables, "json", node)) == _per_cell_reports(tables, node)
+    assert render_report(tables, "csv", "not-a-node") == "year,country,node,score\n"
+    assert json.loads(render_report(tables, "json", "not-a-node")) == {"scores": []}
