@@ -336,15 +336,22 @@ def _write(path: Union[str, Path], text: str) -> Path:
     return path
 
 
-def _score_rows(results, node: Optional[str]):
-    """(year, country, node, score) rows: every entry of a ScoreTable, or
-    `node`'s scores from a {year: ScoreTable} dict, year by year."""
-    if isinstance(results, ScoreTable):
-        entries = results.entries
-        return [(results.year, c, n, entries[(c, n)]) for c, n in sorted(entries)]
-    return [(year, c, node, table.score(c, node))
-            for year, table in sorted(results.items())
-            for c in table.countries() if table.get(c, node) is not None]
+def _score_rows(results, node: Optional[str]) -> list:
+    """The (year, country, node, score) rows' cells, flattened: every entry
+    of a ScoreTable, or `node`'s scores from a {year: ScoreTable} dict, year
+    by year.  One walk over each table's kept countries() x nodes(), both
+    sorted, so the rows come in sorted key order without sorting a key."""
+    single = isinstance(results, ScoreTable)
+    tables = [(results.year, results)] if single else sorted(results.items())
+    nodes = results.nodes() if single else (node,)
+    cells: list = []
+    for year, table in tables:
+        get = table.entries.get
+        for c in table.countries():
+            for n in nodes:
+                if (s := get((c, n))) is not None:
+                    cells += (year, c, n, s)
+    return cells
 
 
 def _json_number(value: float) -> float:
@@ -376,9 +383,8 @@ def _record(result, number=_fmt6, signed=format_delta) -> Dict[str, object]:
 
 def _render_csv(results, node: Optional[str]) -> str:
     if isinstance(results, (ScoreTable, dict)):
-        lines = [SCORE_HEADER]
-        lines += [f"{y},{c},{n},{_fmt6(s)}" for y, c, n, s in _score_rows(results, node)]
-        return "\n".join(lines) + "\n"
+        cells = _score_rows(results, node)
+        return SCORE_HEADER + "\n" + ("%s,%s,%s,%.6f\n" * (len(cells) // 4)) % tuple(cells)
     if isinstance(results, RankTable):
         lines = [RANK_HEADER]
         lines += [f"{results.year},{c},{results.rank(c)}" for c in results.countries()]
@@ -402,22 +408,25 @@ def _render_csv(results, node: Optional[str]) -> str:
 
 
 def _render_json(results, node: Optional[str]) -> str:
-    if isinstance(results, ScoreTable):
-        doc = {
-            "year": results.year,
-            "scores": [
-                {"country": c, "node": n, "score": _json_number(s)}
-                for _, c, n, s in _score_rows(results, None)
-            ],
-        }
-    elif isinstance(results, dict):
-        doc = {
-            "scores": [
-                {"year": y, "country": c, "node": n, "score": _json_number(s)}
-                for y, c, n, s in _score_rows(results, node)
-            ],
-        }
-    elif isinstance(results, RankTable):
+    if isinstance(results, (ScoreTable, dict)):
+        # json.dumps(doc, indent=2, sort_keys=True) from one template: names
+        # through json's own string encoder, each score as its 6-decimal
+        # float's repr; a dict's rows hold their year, a ScoreTable's follows
+        year = results.year if isinstance(results, ScoreTable) else None
+        cells = _score_rows(results, node)
+        keys = ["country", "node", "score"] + (["year"] if year is None else [])
+        n, k = len(cells) // 4, len(keys)
+        flat: list = [None] * (n * k)
+        flat[0::k] = map(json.encoder.encode_basestring_ascii, cells[1::4])
+        flat[1::k] = map(json.encoder.encode_basestring_ascii, cells[2::4])
+        flat[2::k] = map(repr, map(float, (("%.6f " * n) % tuple(cells[3::4])).split()))
+        if year is None:
+            flat[3::k] = cells[0::4]
+        row = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
+        scores = "[\n" + ",\n".join([row] * n) % tuple(flat) + "\n  ]" if n else "[]"
+        tail = "" if year is None else f',\n  "year": {year}'
+        return f'{{\n  "scores": {scores}{tail}\n}}\n'
+    if isinstance(results, RankTable):
         doc = {
             "year": results.year,
             "policy": results.policy,
@@ -452,7 +461,8 @@ def _render_svg(results, node: Optional[str]) -> str:
         return svg.bar_chart(items, f"{target} scores, {results.year}", baseline=1.0)
     if isinstance(results, dict):
         series: Dict[str, list] = {}
-        for year, country, _, score in _score_rows(results, node):
+        cells = _score_rows(results, node)
+        for year, country, score in zip(cells[0::4], cells[1::4], cells[3::4]):
             series.setdefault(country, []).append((float(year), score))
         return svg.line_chart(series, f"{node} scores by year")
     if isinstance(results, RankTable):
@@ -502,7 +512,11 @@ def emit_report(results, format: str, path: Union[str, Path], node: Optional[str
 
 
 def render_report(results, format: str, node: Optional[str] = None) -> str:
-    """The text emit_report would write, without touching the filesystem."""
+    """The text emit_report would write, without touching the filesystem.
+
+    A score report takes one walk over each table's kept country and node
+    order and one format call per csv or json file; its '%.6f' needs no
+    -0.0 step, as _fmt6 takes, since ScoreTable range-checks to [1, 7]."""
     if isinstance(results, dict) and node is None:
         raise UnsupportedFormatError("a {year: ScoreTable} report needs a node")
     if format == "csv":

@@ -386,15 +386,15 @@ def _check_scores(scores: Iterable[Tuple[Tuple[str, str], float]]) -> None:
 class ScoreTable(_Record):
     """Per-country, per-node scores on the 1-7 scale for one year.
 
-    The sorted country tuple, each node's column and each column's scores in
-    ascending order are built from the entries on first use and kept with
-    the table (they take no part in equality).
+    The sorted country and node tuples, each node's column and each column's
+    scores in ascending order are built from the entries on first use and
+    kept with the table (they take no part in equality).
     """
 
     year: int
     entries: Mapping[Tuple[str, str], float]
-    # _cached() store: {("countries",): sorted country tuple,
-    # ("column", node): {country: score},
+    # _cached() store: {("countries",) and ("nodes",): the sorted country
+    # and node tuples, ("column", node): {country: score},
     # ("ascending", node): that column's scores in ascending order}
     _cache = None
 
@@ -434,7 +434,7 @@ class ScoreTable(_Record):
         return _cached(self, ("ascending", node), lambda: sorted(self._column(node).values()))
 
     def nodes(self) -> Tuple[str, ...]:
-        return tuple(sorted({n for (_, n) in self.entries}))
+        return _cached(self, ("nodes",), lambda: tuple(sorted({n for (_, n) in self.entries})))
 
 
 #: Tie policy used throughout: tied scores share the best rank and the next

@@ -122,6 +122,13 @@ def test_nested_cache_builds_stay_kept(monkeypatch):
     assert walks == [InnovatorClass.CORE]
 
 
+def test_node_tuple_is_kept_outside_equality():
+    entries = {("B", "TI"): 3.0, ("A", "GCI"): 4.0, ("A", "TI"): 2.0}
+    warm, cold = ScoreTable(2005, entries), ScoreTable(2005, dict(entries))
+    assert warm.nodes() is warm.nodes() == ("GCI", "TI")
+    assert warm == cold and repr(warm) == repr(cold)
+
+
 class TestValidateTree:
     def test_default_tree_is_valid(self):
         tree = default_wef_tree()
