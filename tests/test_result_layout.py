@@ -1,8 +1,11 @@
 """Exact bytes of the four one-row results: the trend, the correlation, the
-chi-square test and the what-if outcome.
+chi-square test and the what-if outcome; and of the rank table and the rank
+movement report.
 
-Each case runs one command on the bundled Balkans panel with --out in csv
-and in json, and pins stdout (the same for both formats) and both files.
+Each one-row case runs one command on the bundled Balkans panel with --out in
+csv and in json, and pins stdout (the same for both formats) and both files.
+The rank and movement cases pin stdout in json, and the movement report's
+entrant and leaver lines in csv too.
 """
 
 import pytest
@@ -127,4 +130,71 @@ def test_integer_override_renders_as_a_number():
         '{\n  "baseline_gci": 3.83,\n  "baseline_rank": 8,\n  "country": "Macedonia",\n'
         '  "delta_rank": 6,\n  "new_gci": 4.513333,\n  "new_rank": 2,\n  "node": "TI",\n'
         '  "override": 5.0\n}\n'
+    )
+
+
+BALKANS_RANKS = (
+    '    "Albania": 10,\n    "Bosnia_and_Herzegovina": 9,\n    "Bulgaria": 5,\n'
+    '    "Croatia": 3,\n    "Greece": 2,\n    "Macedonia": 8,\n    "Romania": 6,\n'
+    '    "Serbia_and_Montenegro": 7,\n    "Slovenia": 1,\n    "Turkey": 4\n'
+)
+
+
+def _stdout(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    return captured.out
+
+
+def test_rank_table_json(capsys):
+    argv = ["rank", *DATA, "--year", "2006", "--format", "json"]
+    assert _stdout(capsys, argv) == (
+        '{\n  "policy": "competition",\n  "ranks": {\n' + BALKANS_RANKS + '  },\n'
+        '  "year": 2006\n}\n'
+    )
+
+
+def test_tied_rank_table_csv_and_json(capsys, tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("year,country,node,score\n2006,A,GCI,5.0\n2006,B,GCI,3.0\n"
+                      "2006,C,GCI,5.0\n")
+    argv = ["rank", "--scores", str(scores), "--format"]
+    assert _stdout(capsys, argv + ["csv"]) == "year,country,rank\n2006,A,1\n2006,B,3\n2006,C,1\n"
+    assert _stdout(capsys, argv + ["json"]) == (
+        '{\n  "policy": "competition",\n  "ranks": {\n    "A": 1,\n    "B": 3,\n'
+        '    "C": 1\n  },\n  "year": 2006\n}\n'
+    )
+
+
+def test_rank_movement_json(capsys):
+    argv = ["delta", *DATA, "--prev-year", "2005", "--cur-year", "2006", "--format", "json"]
+    assert _stdout(capsys, argv) == (
+        '{\n  "cur_ranks": {\n' + BALKANS_RANKS + '  },\n  "cur_year": 2006,\n'
+        '  "deltas": {\n    "Albania": 0,\n    "Bosnia_and_Herzegovina": 0,\n'
+        '    "Bulgaria": -2,\n    "Croatia": 1,\n    "Greece": 0,\n    "Macedonia": 0,\n'
+        '    "Romania": 0,\n    "Serbia_and_Montenegro": 0,\n    "Slovenia": 0,\n'
+        '    "Turkey": 1\n  },\n  "entrants": [],\n  "leavers": [],\n'
+        '  "prev_ranks": {\n    "Albania": 10,\n    "Bosnia_and_Herzegovina": 9,\n'
+        '    "Bulgaria": 3,\n    "Croatia": 4,\n    "Greece": 2,\n    "Macedonia": 8,\n'
+        '    "Romania": 6,\n    "Serbia_and_Montenegro": 7,\n    "Slovenia": 1,\n'
+        '    "Turkey": 5\n  },\n  "prev_year": 2005\n}\n'
+    )
+
+
+def test_rank_movement_entrants_and_leavers(capsys, tmp_path):
+    # A leaves after 2005, D and E enter in 2006
+    panel = tmp_path / "panel.csv"
+    panel.write_text("year,country,indicator,value\n2005,A,R,1\n2005,B,R,2\n2005,C,R,3\n"
+                     "2006,B,R,3\n2006,C,R,1\n2006,D,R,2\n2006,E,R,4\n")
+    argv = ["delta", "--data", str(panel), "--prev-year", "2005", "--cur-year", "2006",
+            "--rank-indicator", "R", "--format"]
+    assert _stdout(capsys, argv + ["csv"]) == (
+        "country,delta,prev_rank,cur_rank\nB,-1,2,3\nC,+2,3,1\n# entrants: D,E\n# leavers: A\n"
+    )
+    assert _stdout(capsys, argv + ["json"]) == (
+        '{\n  "cur_ranks": {\n    "B": 3,\n    "C": 1\n  },\n  "cur_year": 2006,\n'
+        '  "deltas": {\n    "B": -1,\n    "C": 2\n  },\n'
+        '  "entrants": [\n    "D",\n    "E"\n  ],\n  "leavers": [\n    "A"\n  ],\n'
+        '  "prev_ranks": {\n    "B": 2,\n    "C": 3\n  },\n  "prev_year": 2005\n}\n'
     )

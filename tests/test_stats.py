@@ -110,6 +110,18 @@ class TestInverseSurvival:
                 x = chi_square_isf(alpha, df)
                 assert abs(chi_square_sf(x, df) - alpha) <= 1e-9
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 5, 7, 10, 15, 22, 30, 39, 50, 75, 100, 200,
+                                    500, 1000])
+    def test_documented_tolerance_from_far_tail_to_near_one(self, df):
+        # |sf(x) - alpha| <= 1e-10 as documented, over every decade of alpha
+        # and its complement: near alpha = 1 sf is steep at small x, so a
+        # narrow bracket in x alone does not meet it
+        alphas = [10.0 ** -k for k in range(12, 0, -1)] + [0.05, 0.5, 0.95]
+        alphas += [1.0 - 10.0 ** -k for k in range(1, 10)]
+        for alpha in alphas:
+            x = chi_square_isf(alpha, df)
+            assert abs(chi_square_sf(x, df) - alpha) <= 1e-10, (alpha, df, x)
+
     def test_inverse_of_sf_at_sampled_points(self):
         # Sample inside each distribution's body; in the far tails sf is
         # flat to double precision and no inverse can pin x down.
