@@ -146,9 +146,9 @@ def _cmd_rank(args) -> int:
         table = load_score_table(args.scores)
     else:
         if not args.data:
-            raise GciError("rank needs either --scores or --data with --year")
+            args.error("needs either --scores or --data with --year")
         if args.year is None:
-            raise GciError("rank from --data needs --year")
+            args.error("--data needs --year")
         panel, tree, policy = _load(args)
         table = compute_all(tree, panel, args.year, policy)
     _deliver(args, rank_scores(table, args.node))
@@ -210,9 +210,13 @@ def _cmd_whatif(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    panel, tree, policy = _load(args)
     if args.kind == "bars" and args.year is None:
-        raise GciError("report --kind bars needs --year")
+        args.error("--kind bars needs --year")
+    if args.kind == "deltas" and (args.prev_year is None or args.cur_year is None):
+        args.error("--kind deltas needs --prev-year and --cur-year")
+    if args.kind == "trend" and not args.country:
+        args.error("--kind trend needs --country")
+    panel, tree, policy = _load(args)
     if args.kind in ("scores", "bars"):
         tables = ({args.year: compute_all(tree, panel, args.year, policy)}
                   if args.kind == "bars" else _score_years(args, panel, tree, policy))
@@ -222,13 +226,9 @@ def _cmd_report(args) -> int:
         results = tables[args.year] if args.kind == "bars" and args.format == "svg" else tables
         _deliver(args, results, args.node)
     elif args.kind == "deltas":
-        if args.prev_year is None or args.cur_year is None:
-            raise GciError("report --kind deltas needs --prev-year and --cur-year")
         prev, cur = _rank_tables(args, panel, tree, policy)
         _deliver(args, rank_delta(prev, cur))
     elif args.kind == "trend":
-        if not args.country:
-            raise GciError("report --kind trend needs --country")
         tables = _score_years(args, panel, tree, policy, args.country)
         series = {node: _series(tables, args.country, node) for node in args.nodes}
         _emit_trend(args.country, series, args.format, args.out)

@@ -48,10 +48,8 @@ CLASS_HEADER = "country,class"
 
 
 def _fmt6(value: float) -> str:
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return f"{value:.6f}"
+    text = "%.6f" % value
+    return "0.000000" if text == "-0.000000" else text  # no negative zero
 
 
 def _read_text(path: Union[str, Path]) -> str:
@@ -516,7 +514,7 @@ def render_report(results, format: str, node: Optional[str] = None) -> str:
 
     A score report takes one walk over each table's kept country and node
     order and one format call per csv or json file; its '%.6f' needs no
-    -0.0 step, as _fmt6 takes, since ScoreTable range-checks to [1, 7]."""
+    negative-zero step, as _fmt6 takes, since ScoreTable range-checks to [1, 7]."""
     if isinstance(results, dict) and node is None:
         raise UnsupportedFormatError("a {year: ScoreTable} report needs a node")
     if format == "csv":

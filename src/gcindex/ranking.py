@@ -8,10 +8,19 @@ this package uses this one.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from bisect import bisect_right
+from typing import Dict, List, Mapping, Tuple
 
 from .errors import EmptyIntersectionError, MissingNodeError
 from .model import COMPETITION, Panel, RankTable, ScoreTable, _Record
+
+
+def _competition_rank(ordered: List[float], own: float, score: float) -> int:
+    """Rank at score `score` of the country whose stored score is `own`,
+    with every other country's score frozen: 1 + the number of others
+    strictly above.  `ordered` is every country's stored score, ascending,
+    `own` among them."""
+    return 1 + len(ordered) - bisect_right(ordered, score) - (own > score)
 
 
 def rank_scores(scores: ScoreTable, node: str) -> RankTable:
@@ -20,18 +29,10 @@ def rank_scores(scores: ScoreTable, node: str) -> RankTable:
     Competition ranking: k countries tied at rank r push the next distinct
     score to rank r + k, so a country's rank is 1 + the number of countries
     with a strictly higher score.  Exactly equal float scores count as ties.
+    Ranks come in country order, each bisected from the table's sorted column.
     """
-    column = scores._column(node)
-    # Sort by (-score, country) so tied countries appear in code order.
-    ordered = sorted(column.items(), key=lambda item: (-item[1], item[0]))
-    ranks: Dict[str, int] = {}
-    current_rank = 0
-    previous_score = None
-    for position, (country, score) in enumerate(ordered, 1):
-        if score != previous_score:
-            current_rank = position
-            previous_score = score
-        ranks[country] = current_rank
+    ordered = scores._ascending(node)
+    ranks = {c: _competition_rank(ordered, s, s) for c, s in scores._column(node).items()}
     return RankTable(year=scores.year, ranks=ranks, policy=COMPETITION)
 
 

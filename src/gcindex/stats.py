@@ -129,21 +129,12 @@ def chi_square_sf(x: float, df: int) -> float:
     return regularized_gamma_q(df / 2.0, x / 2.0)
 
 
-def chi_square_pdf(x: float, df: int) -> float:
-    """Density of the chi-square distribution."""
-    a = df / 2.0
-    if x < 0:
-        return 0.0
-    if x == 0.0:
-        return 0.5 if df == 2 else (math.inf if df < 2 else 0.0)
-    return math.exp((a - 1.0) * math.log(x) - x / 2.0 - a * math.log(2.0) - math.lgamma(a))
-
-
 def chi_square_isf(alpha: float, df: int) -> float:
     """Critical value x with sf(x, df) == alpha, to |sf(x) - alpha| <= 1e-10.
 
-    Bracketing plus Newton steps safeguarded by bisection; the bracket
-    always contains the root because sf is strictly decreasing.
+    Bisects a doubled bracket, which holds the root as sf strictly decreases,
+    until the bracket is also within 1e-12 * max(x, 1): in the far tail sf is
+    flat, and the sf criterion alone leaves visible slack in x.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -152,29 +143,17 @@ def chi_square_isf(alpha: float, df: int) -> float:
         hi *= 2.0
         if hi > 1e9:
             raise ConvergenceError(f"failed to bracket isf({alpha}, {df})")
-    x = df * (1.0 - 2.0 / (9.0 * df)) ** 3  # Wilson-Hilferty start, alpha ~ 0.5
-    if not lo < x < hi:
+    while True:
         x = 0.5 * (lo + hi)
-    for _ in range(200):
+        if x == lo or x == hi:  # no float left between the ends
+            return x
         err = chi_square_sf(x, df) - alpha
         if err > 0:
             lo = x
         else:
             hi = x
-        density = chi_square_pdf(x, df)
-        step_ok = density > 0 and math.isfinite(density)
-        x_new = x + err / density if step_ok else 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        # Converge in x as well as in sf: in the far tail the survival
-        # function is flat and the sf criterion alone leaves visible slack.
-        x_scale = max(abs(x), 1.0)
-        if abs(err) <= 1e-10 and (
-            abs(x_new - x) <= 1e-12 * x_scale or hi - lo <= 1e-12 * x_scale
-        ):
+        if abs(err) <= 1e-10 and hi - lo <= 1e-12 * max(x, 1.0):
             return x
-        x = x_new
-    raise ConvergenceError(f"isf({alpha}, {df}) did not reach 1e-10")
 
 
 # ---------------------------------------------------------------------------

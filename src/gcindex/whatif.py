@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .engine import _aggregate
 from .errors import (
@@ -25,6 +25,7 @@ from .errors import (
     UnknownCountryError,
 )
 from .model import IndexTree, InnovatorClass, ScoreTable, Step, _cached, _Record
+from .ranking import _competition_rank
 
 #: Margin added to closed-form deltas so the overtake is strict rather than
 #: a ranking-policy-dependent exact tie.  Score-scale units.
@@ -148,14 +149,6 @@ def _check_country(scores: ScoreTable, country: str, root: str) -> None:
     # O(countries) scan of the country tuple runs only without one
     if (country, root) not in scores.entries and country not in scores.countries():
         raise UnknownCountryError(f"country {country!r} not in score table")
-
-
-def _competition_rank(ordered: List[float], own: float, score: float) -> int:
-    """Rank at root score `score` of the country whose stored root is `own`,
-    with every other country's score frozen: 1 + the number of others
-    strictly above, which is the rank rank_scores assigns, ties included.
-    `ordered` is every country's stored root, ascending, `own` among them."""
-    return 1 + len(ordered) - bisect_right(ordered, score) - (own > score)
 
 
 def apply_scenario(

@@ -143,9 +143,10 @@ class TestRank:
         )
 
     def test_rank_needs_scores_or_data(self, capsys):
-        code, _, err = run_cli(capsys, "rank")
-        assert code == 1
-        assert "--scores" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["rank"])
+        assert exc.value.code == 2
+        assert "--scores" in capsys.readouterr().err
 
 
 class TestDelta:
@@ -199,6 +200,27 @@ class TestTrendAndCorrelate:
         assert code == 0
         assert "r -0.391189" in out
         assert "n 4" in out
+
+    def test_tiny_negative_slope_prints_unsigned_zero(self, capsys, tmp_path):
+        # one IS value 2e-7 above the rest gives a slope of -2e-8, which
+        # rounds to zero at 6 decimals and must not keep its sign
+        data = tmp_path / "panel.csv"
+        rows = ["year,country,indicator,value"]
+        for year in range(2003, 2007):
+            for country in "AB":
+                for leaf in ("IS", "TTS", "ICTS", "PII", "MEI"):
+                    value = "3.0000002" if (year, country, leaf) == (2004, "A", "IS") else "3.0"
+                    rows.append(f"{year},{country},{leaf},{value}")
+        data.write_text("\n".join(rows) + "\n")
+        out_path = tmp_path / "trend.json"
+        code, out, err = run_cli(
+            capsys, "trend", "--data", str(data), "--tree", TREE, "--country", "A",
+            "--node", "IS", "--format", "json", "--out", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        assert out == ("country A\nnode IS\nyears 2003-2006\n"
+                       "slope 0.000000\nintercept 3.000040\nn 4\n")
+        assert out_path.read_text() == '{\n  "intercept": 3.00004,\n  "n": 4,\n  "slope": 0.0\n}\n'
 
     def test_degenerate_series_exits_one(self, capsys):
         code, _, err = run_cli(
@@ -610,6 +632,26 @@ class TestExitCodes:
         assert captured.err.endswith(
             f"gcindex {argv[0]}: error: --from {years[0]} is after --to {years[1]}\n")
         assert not out_path.exists()
+
+    # flags that only a combination makes necessary are checked before any
+    # file is read: a missing panel does not hide the usage error
+    @pytest.mark.parametrize("argv,message", [
+        (["rank"], "needs either --scores or --data with --year"),
+        (["rank", "--data", "/missing.csv"], "--data needs --year"),
+        (["report", "--data", "/missing.csv", "--kind", "bars"], "--kind bars needs --year"),
+        (["report", "--data", "/missing.csv", "--kind", "deltas", "--prev-year", "2005"],
+         "--kind deltas needs --prev-year and --cur-year"),
+        (["report", "--data", "/missing.csv", "--kind", "trend"], "--kind trend needs --country"),
+    ], ids=["rank-no-input", "rank-no-year", "report-bars", "report-deltas", "report-trend"])
+    def test_missing_flag_combination_is_usage_error(self, capsys, tmp_path, argv, message):
+        out = ["--out", str(tmp_path / "report.svg")] if argv[0] == "report" else []
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *out])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: gcindex {argv[0]} ")
+        assert captured.err.endswith(f"gcindex {argv[0]}: error: {message}\n")
 
     def test_missing_file_is_one(self):
         proc = subprocess.run(
