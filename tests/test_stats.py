@@ -122,6 +122,16 @@ class TestInverseSurvival:
             x = chi_square_isf(alpha, df)
             assert abs(chi_square_sf(x, df) - alpha) <= 1e-10, (alpha, df, x)
 
+    @pytest.mark.parametrize("alpha,df,text", [
+        (0.88, 1000, "947.723130"), (0.05, 39, "54.572228"), (0.01, 1000, "1106.968994"),
+        (1e-12, 5, "65.238636"), (0.999, 3, "0.024298"), (0.5, 1, "0.454936"),
+    ])
+    def test_six_decimals_of_the_exact_root(self, alpha, df, text):
+        # roots from a 40-digit bisection; the first is 947.7231304992725,
+        # 5e-10 below a rounding edge, where a stop at a bracket of
+        # 1e-12 * x prints 947.723131
+        assert "%.6f" % chi_square_isf(alpha, df) == text
+
     def test_inverse_of_sf_at_sampled_points(self):
         # Sample inside each distribution's body; in the far tails sf is
         # flat to double precision and no inverse can pin x down.
