@@ -25,6 +25,7 @@ from gcindex.model import (
     OBSERVED,
     IndexTree,
     InnovatorClass,
+    Node,
     Normalization,
     Panel,
 )
@@ -411,3 +412,160 @@ class TestMatchesReference:
         assert any(wef_tree.node(leaf).normalize == OBSERVED for leaf in wef_tree.leaves())
         self._assert_bit_identical(compute_all(wef_tree, panel, 2006, policy),
                                    reference_scores(wef_tree, panel, 2006))
+
+
+#: R over A (S1, S2), B and H for non-core, over A and H for core; H takes
+#: observed bounds, the other leaves are survey data.  Plans: core S1 S2 A H R,
+#: non-core S1 S2 A B H R.
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+_FAULT_TREE = IndexTree({
+    "R": Node("R", edges_by_class={CORE: (("A", _HALF), ("H", _HALF)),
+                                   NONCORE: (("A", _THIRD), ("B", _THIRD), ("H", _THIRD))}),
+    "A": Node("A", edges=(("S1", _HALF), ("S2", _HALF))),
+    "S1": Node("S1"), "S2": Node("S2"), "B": Node("B"), "H": Node("H", normalize=OBSERVED),
+}, "R")
+_FAULT_COUNTRIES = tuple(f"C{i}" for i in range(6))
+_FAULT_CLASSES = {c: CORE if i % 2 else NONCORE for i, c in enumerate(_FAULT_COUNTRIES)}
+
+
+def _fault_panel(changes):
+    """One clean 2006 year for C0..C5 (odd ones core) with `changes` applied;
+    a None value drops the cell."""
+    cells = {(c, leaf): 1.5 + 0.25 * i + 0.5 * j
+             for i, c in enumerate(_FAULT_COUNTRIES) for j, leaf in enumerate(("S1", "S2", "B"))}
+    cells.update({(c, "H"): 10.0 * i for i, c in enumerate(_FAULT_COUNTRIES)})
+    cells.update(changes)
+    return Panel([(2006, c, leaf, v) for (c, leaf), v in cells.items() if v is not None],
+                 _FAULT_CLASSES)
+
+
+def _scale(leaf, country, value):
+    return OutOfScaleError, f"leaf {leaf!r} for {country}: {value} outside [1, 7] and no normalization"
+
+
+_FLAT_H = {(c, "H"): 3.0 for c in _FAULT_COUNTRIES}
+_DEGENERATE = DegenerateRangeError, "observed range for leaf 'H' is degenerate: all values equal 3.0"
+_NO_DATA = {("C1", "S1"): None, ("C1", "S2"): None, ("C1", "B"): None, ("C1", "H"): None,
+            ("C1", "X"): 1.0}
+_CLEAN = {"C0": "0x1.c000000000000p+0", "C1": "0x1.0cccccccccccdp+1",
+          "C2": "0x1.7111111111111p+1", "C3": "0x1.c666666666666p+1",
+          "C4": "0x1.0111111111111p+2", "C5": "0x1.4000000000000p+2"}
+
+#: name -> (changed cells, compute_all's error under STRICT, under RENORMALIZE,
+#: evaluate_node's outcome per country under STRICT (an error or the root
+#: score's hex), the countries whose outcome differs under RENORMALIZE).
+#: Every expectation was recorded while scoring still walked one country at a
+#: time: the error is the first fault in country order, then plan order,
+#: after STRICT's list of absent leaves.
+_FAULT_CASES = {
+    "scale faults: the first country's comes latest in its plan": (
+        {("C2", "B"): 8.5, ("C4", "S1"): 0.5, ("C3", "S2"): 9.0},
+        _scale("B", "C2", 8.5), _scale("B", "C2", 8.5),
+        {**_CLEAN, "C2": _scale("B", "C2", 8.5), "C3": _scale("S2", "C3", 9.0),
+         "C4": _scale("S1", "C4", 0.5)}, {}),
+    "a core country's scale fault before a non-core one's": (
+        {("C1", "S2"): 7.5, ("C2", "S1"): 0.25},
+        _scale("S2", "C1", 7.5), _scale("S2", "C1", 7.5),
+        {**_CLEAN, "C1": _scale("S2", "C1", 7.5), "C2": _scale("S1", "C2", 0.25)}, {}),
+    "degenerate bounds at the first country, a scale fault at the second": (
+        {**_FLAT_H, ("C1", "S1"): 8.0},
+        _DEGENERATE, _DEGENERATE,
+        {**{c: _DEGENERATE for c in _FAULT_COUNTRIES}, "C1": _scale("S1", "C1", 8.0)}, {}),
+    "a scale fault at the first country before degenerate bounds": (
+        {**_FLAT_H, ("C0", "B"): 0.0},
+        _scale("B", "C0", 0.0), _scale("B", "C0", 0.0),
+        {**{c: _DEGENERATE for c in _FAULT_COUNTRIES}, "C0": _scale("B", "C0", 0.0)}, {}),
+    "absent leaves listed before any scale fault": (
+        {("C4", "S2"): None, ("C1", "H"): None, ("C0", "S1"): 9.0, ("C5", "B"): None},
+        (MissingLeafError, "missing leaf values: (('C1', 'H'), ('C4', 'S2'))"),
+        _scale("S1", "C0", 9.0),
+        {**_CLEAN, "C0": _scale("S1", "C0", 9.0),
+         "C1": (MissingLeafError, "missing leaf values: (('C1', 'H'),)"),
+         "C4": (MissingLeafError, "missing leaf values: (('C4', 'S2'),)")},
+        {"C1": "0x1.0000000000000p+1", "C4": "0x1.f777777777777p+1"}),
+    "a country without root data before a later scale fault": (
+        {**_NO_DATA, ("C3", "S1"): 0.0},
+        (MissingLeafError, "missing leaf values: (('C1', 'H'), ('C1', 'S1'), ('C1', 'S2'))"),
+        (MissingLeafError, "country 'C1' has no usable data for 2006"),
+        {**_CLEAN, "C1": (MissingLeafError,
+                          "missing leaf values: (('C1', 'H'), ('C1', 'S1'), ('C1', 'S2'))"),
+         "C3": _scale("S1", "C3", 0.0)}, {}),
+    "a scale fault before a country without root data": (
+        {**{("C3", leaf): None for leaf in ("S1", "S2", "B", "H")}, ("C3", "X"): 1.0,
+         ("C2", "H"): None, ("C2", "B"): 7.25, ("C5", "S1"): 9.5},
+        (MissingLeafError,
+         "missing leaf values: (('C2', 'H'), ('C3', 'H'), ('C3', 'S1'), ('C3', 'S2'))"),
+        _scale("B", "C2", 7.25),
+        {**_CLEAN, "C2": (MissingLeafError, "missing leaf values: (('C2', 'H'),)"),
+         "C3": (MissingLeafError, "missing leaf values: (('C3', 'H'), ('C3', 'S1'), ('C3', 'S2'))"),
+         "C5": _scale("S1", "C5", 9.5)},
+        {"C2": _scale("B", "C2", 7.25)}),
+}
+
+
+class TestFirstFault:
+    """Several bad cells in one year: compute_all raises the first fault in
+    country order, then plan order (STRICT's absent list first), and
+    evaluate_node the first of its own country."""
+
+    @pytest.mark.parametrize("case", list(_FAULT_CASES))
+    @pytest.mark.parametrize("policy", list(MissingPolicy))
+    def test_compute_all_raises_the_first_fault(self, case, policy):
+        changes, strict, renormalize, _, _ = _FAULT_CASES[case]
+        error, message = strict if policy is MissingPolicy.STRICT else renormalize
+        with pytest.raises(error) as raised:
+            compute_all(_FAULT_TREE, _fault_panel(changes), 2006, policy)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_a_country_without_root_data_lists_its_class_leaves_in_plan_order(self):
+        with pytest.raises(MissingLeafError) as raised:
+            compute_all(_FAULT_TREE, _fault_panel(_NO_DATA), 2006, MissingPolicy.RENORMALIZE)
+        assert raised.value.missing == (("C1", "S1"), ("C1", "S2"), ("C1", "H"))
+
+    @pytest.mark.parametrize("case", list(_FAULT_CASES))
+    @pytest.mark.parametrize("policy", list(MissingPolicy))
+    def test_evaluate_node_raises_its_countrys_first_fault(self, case, policy):
+        changes, _, _, outcomes, renormalized = _FAULT_CASES[case]
+        if policy is MissingPolicy.RENORMALIZE:
+            outcomes = {**outcomes, **renormalized}
+        panel = _fault_panel(changes)
+        leaves = panel.slice_year(2006, _FAULT_TREE.leaves())
+        for country, expected in outcomes.items():
+            cls = _FAULT_CLASSES[country]
+            if isinstance(expected, str):
+                assert evaluate_node(_FAULT_TREE, "R", cls, leaves, country, policy).hex() == expected
+                continue
+            error, message = expected
+            with pytest.raises(error) as raised:
+                evaluate_node(_FAULT_TREE, "R", cls, leaves, country, policy)
+            assert type(raised.value) is error
+            assert str(raised.value) == message
+
+
+class TestEntryOrder:
+    """ScoreTable entries come country by country, each in its class's plan
+    order, so repr(table) does not depend on how the year was walked."""
+
+    @pytest.mark.parametrize("policy", list(MissingPolicy))
+    def test_country_order_then_plan_order(self, policy):
+        rng = Random(2718)
+        for _ in range(30):
+            tree = make_random_tree(rng, max_depth=4, max_children=5, per_class=True)
+            rows, classes = [], {}
+            for i in range(9):
+                country = f"K{(7 * i) % 9}"  # classes interleave in country order
+                classes[country] = CORE if i % 3 == 1 else NONCORE
+                needed = tree.leaves(classes[country])
+                for leaf in tree.leaves():
+                    if policy is MissingPolicy.RENORMALIZE and leaf != needed[0] \
+                            and rng.random() < 0.3:
+                        continue
+                    rows.append((2006, country, leaf, rng.uniform(1.0, 7.0)))
+            panel = Panel(rows, classes)
+            table = compute_all(tree, panel, 2006, policy)
+            scored = reference_scores(tree, panel, 2006)
+            expected = [(c, n) for c in panel.countries(2006)
+                        for n, _, _ in tree.plan(classes[c]) if (c, n) in scored]
+            assert list(table.entries) == expected
+            assert table.countries() == panel.countries(2006)
