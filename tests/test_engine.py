@@ -188,6 +188,23 @@ class TestComputeAll:
         assert table.score("MID", "ICThd") == pytest.approx(4.0, abs=1e-12)
         assert table.score("HI", "ICThd") == pytest.approx(7.0, abs=1e-12)
 
+    def test_observed_bounds_span_countries_whose_class_skips_the_leaf(self):
+        # H is scored for core countries only; the non-core value 0.0 still
+        # sets its observed minimum.
+        tree = IndexTree({
+            "R": Node("R", edges_by_class={CORE: (("H", Fraction(1, 2)), ("S", Fraction(1, 2))),
+                                           NONCORE: (("S", Fraction(1)),)}),
+            "H": Node("H", normalize=OBSERVED), "S": Node("S"),
+        }, "R")
+        rows = [(2006, "A", "H", 10.0), (2006, "A", "S", 2.0), (2006, "B", "H", 20.0),
+                (2006, "B", "S", 2.0), (2006, "C", "H", 0.0), (2006, "C", "S", 2.0)]
+        panel = Panel(rows, {"A": CORE, "B": CORE, "C": NONCORE})
+        table = compute_all(tree, panel, 2006)
+        assert (table.score("A", "H"), table.score("B", "H")) == (4.0, 7.0)
+        assert table.get("C", "H") is None
+        leaves = panel.slice_year(2006, tree.leaves())
+        assert evaluate_node(tree, "H", CORE, leaves, "A") == 4.0
+
     def test_observed_bounds_degenerate_when_constant(self, wef_tree):
         rows = []
         for country in ("A", "B"):
