@@ -143,12 +143,21 @@ def _cmd_compute(args) -> int:
 
 def _cmd_rank(args) -> int:
     if args.scores:
+        # rank's --tree and --policy default to None (see _COMMANDS), so a
+        # given one shows here
+        given = [flag for flag in ("--data", "--classes", "--tree", "--policy", "--year")
+                 if getattr(args, flag[2:]) is not None]
+        if given:
+            args.error(f"--scores cannot be combined with {', '.join(given)}")
         table = load_score_table(args.scores)
     else:
         if not args.data:
             args.error("needs either --scores or --data with --year")
         if args.year is None:
             args.error("--data needs --year")
+        for flag in ("--tree", "--policy"):
+            if getattr(args, flag[2:]) is None:
+                setattr(args, flag[2:], _FLAGS[flag]["default"])
         panel, tree, policy = _load(args)
         table = compute_all(tree, panel, args.year, policy)
     _deliver(args, rank_scores(table, args.node))
@@ -216,10 +225,13 @@ def _cmd_report(args) -> int:
         args.error("--kind deltas needs --prev-year and --cur-year")
     if args.kind == "trend" and not args.country:
         args.error("--kind trend needs --country")
+    if args.year is not None and (args.from_year is not None or args.to_year is not None) \
+            and args.kind in ("scores", "bars"):
+        args.error("--year cannot be combined with --from or --to")
     panel, tree, policy = _load(args)
     if args.kind in ("scores", "bars"):
         tables = ({args.year: compute_all(tree, panel, args.year, policy)}
-                  if args.kind == "bars" else _score_years(args, panel, tree, policy))
+                  if args.year is not None else _score_years(args, panel, tree, policy))
         if not any(args.node in table.nodes() for table in tables.values()):
             raise GciError(f"node {args.node!r} has no scores in the requested years")
         # bars svg charts the one year's table; every other score report is the dict
@@ -289,7 +301,8 @@ _COMMANDS = {
         *_DATASET, "--year!", ("--out", {"help": "write here instead of stdout"}), "--format")),
     # --scores is the alternative to --data
     "rank": ("rank countries on one node", _cmd_rank, (
-        "--scores", "--data", *_DATASET[1:], "--year", "--node", "--out", "--format")),
+        "--scores", "--data", "--classes", ("--tree", {"default": None}),
+        ("--policy", {"default": None}), "--year", "--node", "--out", "--format")),
     "delta": ("rank movement between two years", _cmd_delta, (
         *_DATASET, "--prev-year!", "--cur-year!",
         ("--node", {"help": "rank computed scores on this node"}),

@@ -8,12 +8,12 @@ weights.  Pure functions throughout: same inputs, bit-identical outputs.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from enum import Enum
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateRangeError,
+    GciError,
     MissingLeafError,
     OutOfScaleError,
 )
@@ -31,6 +31,10 @@ from .model import (
 #: (country, leaf-id) -> raw value for one year.
 LeafAssignment = Mapping[Tuple[str, str], float]
 
+#: node id -> one value per country, aligned with a list of countries; None
+#: where the country has no value (a raw column) or no score.
+_Columns = Dict[str, List[Optional[float]]]
+
 
 class MissingPolicy(Enum):
     """What to do when a country lacks a leaf value.
@@ -45,13 +49,22 @@ class MissingPolicy(Enum):
 
 def normalize_minmax(x: float, norm: Normalization) -> float:
     """Map a raw value onto [1, 7], clamping outside [min, max]."""
-    if not norm.max > norm.min:
-        raise DegenerateRangeError(f"max {norm.max} <= min {norm.min}")
-    clamped = min(max(x, norm.min), norm.max)
-    score = 1.0 + 6.0 * (clamped - norm.min) / (norm.max - norm.min)
-    # the subtractions round independently, so the quotient can land a few
-    # ulps outside [0, 1]; pin the result to the scale
-    return min(7.0, max(1.0, score))
+    return _normalize([x], norm)[0]
+
+
+def _normalize(values: Sequence[Optional[float]], norm: Normalization) -> List[Optional[float]]:
+    """normalize_minmax over a column; None (no value) stays None."""
+    lo, hi = norm.min, norm.max
+    if not hi > lo:
+        raise DegenerateRangeError(f"max {hi} <= min {lo}")
+    span = hi - lo
+    # The conditionals pick exactly what min(max(x, lo), hi) and then
+    # min(7.0, max(1.0, s)) would, without two builtin calls per value.  The
+    # subtractions round independently, so the quotient can land a few ulps
+    # outside [0, 1]; the second pass pins the result to the scale.
+    scores = [x if x is None else 1.0 + 6.0 * ((lo if x < lo else hi if x > hi else x) - lo) / span
+              for x in values]
+    return [s if s is None or 1.0 < s < 7.0 else 7.0 if s >= 7.0 else 1.0 for s in scores]
 
 
 def observed_bounds(values: Sequence[float], leaf_id: str) -> Normalization:
@@ -62,23 +75,6 @@ def observed_bounds(values: Sequence[float], leaf_id: str) -> Normalization:
             f"observed range for leaf {leaf_id!r} is degenerate: all values equal {lo}"
         )
     return Normalization(min=lo, max=hi)
-
-
-class _Bounds(dict):
-    """leaf-id -> observed bounds over one year's assignment, grouped by
-    leaf once.  A leaf's bounds are computed by observed_bounds on its first
-    lookup, so a degenerate range raises at the first country that reaches
-    the leaf."""
-
-    def __init__(self, leaves: LeafAssignment):
-        super().__init__()
-        self.by_leaf = defaultdict(list)
-        for (_, leaf), value in leaves.items():
-            self.by_leaf[leaf].append(value)
-
-    def __missing__(self, leaf_id: str) -> Normalization:
-        bounds = self[leaf_id] = observed_bounds(self.by_leaf[leaf_id], leaf_id)
-        return bounds
 
 
 def _aggregate(parts: Iterable[Tuple[int, float]]) -> float:
@@ -99,6 +95,73 @@ def _aggregate(parts: Iterable[Tuple[int, float]]) -> float:
     return num / (den << 52)
 
 
+def _aggregate_columns(
+    parts: Sequence[Tuple[int, Sequence[Optional[float]]]], size: int
+) -> List[Optional[float]]:
+    """_aggregate down score columns of `size` countries: each of `parts` is
+    a child's (integer weight, scores), None where it has no score.  Each
+    country's mean is _aggregate's over its children present, bit for bit;
+    None when none is."""
+    num, den = [0] * size, [0] * size
+    for a, column in parts:
+        if None in column:
+            num = [x if s is None else x + a * int(s * 2.0 ** 52) for x, s in zip(num, column)]
+            den = [d if s is None else d + a for d, s in zip(den, column)]
+        else:
+            num = [x + a * int(s * 2.0 ** 52) for x, s in zip(num, column)]
+            den = [d + a for d in den]
+    return [x / (d << 52) if d else None for x, d in zip(num, den)]
+
+
+def _read(plan: Sequence[Step], countries: Sequence[str], leaves: LeafAssignment) -> _Columns:
+    """Each of the plan's leaves as a column of raw values aligned with
+    `countries`, None where a country has no value."""
+    get = leaves.get
+    return {node: [get((c, node)) for c in countries]
+            for node, _, weights in plan if weights is None}
+
+
+def _absent(countries: Sequence[str], raw: _Columns) -> List[Tuple[str, str]]:
+    """(country, leaf) pairs without a value in `raw`, as _read gives it."""
+    return [(c, leaf) for leaf, column in raw.items() if None in column
+            for c, v in zip(countries, column) if v is None]
+
+
+def _walk(
+    plan: Sequence[Step],
+    countries: Sequence[str],
+    raw: _Columns,
+    bounds: Callable[[str], Normalization],
+) -> _Columns:
+    """Score columns for the plan's nodes (children first), aligned with
+    `countries`, from the leaves' raw columns: a leaf scores where it has a
+    value, an aggregate where any child scores.  `bounds(leaf)` gives an
+    observed leaf's bounds.  A survey value off the 1-7 scale raises
+    OutOfScaleError naming the column's first such country, and degenerate
+    bounds DegenerateRangeError, once a column holds a value; the first
+    faulty column in plan order raises."""
+    size = len(countries)
+    scores: _Columns = {}
+    for node, spec, weights in plan:
+        if weights is not None:
+            scores[node] = _aggregate_columns([(a, scores[child]) for child, a in weights], size)
+            continue
+        column = raw[node]
+        present = [v for v in column if v is not None] if None in column else column
+        if not present:
+            scores[node] = column
+        elif spec is not None:
+            scores[node] = _normalize(column, bounds(node) if spec == OBSERVED else spec)
+        elif 1.0 <= min(present) and max(present) <= 7.0:
+            scores[node] = [None if v is None else float(v) for v in column]
+        else:
+            i, v = next((i, v) for i, v in enumerate(column)
+                        if v is not None and not 1.0 <= v <= 7.0)
+            raise OutOfScaleError(
+                f"leaf {node!r} for {countries[i]}: {v} outside [1, 7] and no normalization")
+    return scores
+
+
 def evaluate_node(
     tree: IndexTree,
     node_id: str,
@@ -114,46 +177,27 @@ def evaluate_node(
     MissingLeafError listing every absent leaf under the node.  Under
     RENORMALIZE, children without data are dropped and the surviving weights
     rescaled; a node with no surviving children propagates as missing.  An
-    unknown node raises DanglingChildError.  A node's plan is built once per
-    tree, node and class.  `tree` must have passed validate_tree (load_tree
-    and default_wef_tree return such trees): a node's full class weights are
-    taken to sum to 1.
+    unknown node raises DanglingChildError.  Observed bounds are taken over
+    every value `leaves` holds for the leaf.  A node's plan is built once
+    per tree, node and class.  `tree` must have passed validate_tree
+    (load_tree and default_wef_tree return such trees): a node's full class
+    weights are taken to sum to 1.
     """
     rooted = tree if node_id == tree.root else _cached(
         tree, ("subtree", node_id), lambda: IndexTree(tree.nodes, node_id))
     plan = rooted.plan(cls)
-    absent = sorted((country, n) for n, _, w in plan if w is None and (country, n) not in leaves)
+    raw = _read(plan, (country,), leaves)
+    absent = sorted(_absent((country,), raw))
     if absent and policy is MissingPolicy.STRICT:
         raise MissingLeafError(absent)
-    scores = _score_plan(plan, leaves, country, _Bounds(leaves))
-    if node_id not in scores:
+
+    def bounds(leaf: str) -> Normalization:
+        return observed_bounds([v for (_, n), v in leaves.items() if n == leaf], leaf)
+
+    score = _walk(plan, (country,), raw, bounds)[node_id][0]
+    if score is None:
         raise MissingLeafError(absent or [(country, node_id)])
-    return scores[node_id]
-
-
-def _score_plan(
-    plan: Sequence[Step], leaves: LeafAssignment, country: str, bounds: _Bounds
-) -> Dict[str, float]:
-    """Scores of the plan's nodes (children first) that have data: a leaf
-    with a value, an aggregate with any scored child (_aggregate divides by
-    the weights of the scored ones)."""
-    scores: Dict[str, float] = {}
-    for node_id, spec, weights in plan:
-        if weights is not None:
-            parts = [(a, scores[child]) for child, a in weights if child in scores]
-            if parts:
-                scores[node_id] = _aggregate(parts)
-        elif (raw := leaves.get((country, node_id))) is None:
-            continue
-        elif spec is not None:
-            scores[node_id] = normalize_minmax(raw, bounds[node_id] if spec == OBSERVED else spec)
-        elif 1.0 <= raw <= 7.0:
-            scores[node_id] = float(raw)
-        else:
-            raise OutOfScaleError(
-                f"leaf {node_id!r} for {country}: {raw} outside [1, 7] and no normalization"
-            )
-    return scores
+    return score
 
 
 def compute_all(
@@ -166,43 +210,71 @@ def compute_all(
 
     Countries are those with at least one observation in the year; each is
     evaluated over the node set reachable for its innovator class.  STRICT
-    raises one MissingLeafError listing all absent (country, leaf) pairs.
-    Cost is O(countries x nodes): observed bounds are computed once per leaf
-    per call, from one grouping of the year's values by leaf, and each
-    country is one loop over its class's plan, which the tree builds once
-    per class.  `tree` must have passed validate_tree, as for evaluate_node.
+    raises one MissingLeafError listing all absent (country, leaf) pairs;
+    otherwise the first fault in country order, then plan order, raises.
+    Cost is O(countries x nodes): each class present walks its plan (built
+    once per tree and class) once, one column of all its countries per step,
+    and reads each (country, leaf) value once; observed bounds are computed
+    once per leaf per call.  `tree` must have passed validate_tree, as for
+    evaluate_node.
     """
     countries = panel.countries(year)
     if not countries:
         raise MissingLeafError([], f"year {year} not found in panel")
     leaves: LeafAssignment = panel.slice_year(year, tree.leaves())
     classes = {country: panel.innovator_class(country) for country in countries}
-    # Per class present: its plan (reachable nodes, children first) and leaves.
-    plans = {cls: tree.plan(cls) for cls in dict.fromkeys(classes.values())}
-    class_leaves = {
-        cls: tuple(n for n, _, weights in plan if weights is None) for cls, plan in plans.items()
-    }
-
+    members: Dict[InnovatorClass, List[str]] = {}  # each class present: its countries, in order
+    for country, cls in classes.items():
+        members.setdefault(cls, []).append(country)
+    plans = {cls: tree.plan(cls) for cls in members}
+    raw = {cls: _read(plans[cls], group, leaves) for cls, group in members.items()}
     if policy is MissingPolicy.STRICT:
-        absent = [
-            (country, leaf)
-            for country in countries
-            for leaf in class_leaves[classes[country]]
-            if (country, leaf) not in leaves
-        ]
+        absent = [pair for cls, group in members.items() for pair in _absent(group, raw[cls])]
         if absent:
             raise MissingLeafError(sorted(absent))
 
-    bounds = _Bounds(leaves)
+    kept: Dict[str, Normalization] = {}
+
+    def bounds(leaf: str) -> Normalization:
+        # over every country with a value, also where its class skips the leaf
+        if leaf not in kept:
+            columns = [raw[cls][leaf] if leaf in raw[cls]
+                       else [leaves.get((c, leaf)) for c in group]
+                       for cls, group in members.items()]
+            kept[leaf] = observed_bounds(
+                [v for column in columns for v in column if v is not None], leaf)
+        return kept[leaf]
+
+    def score(cls: InnovatorClass, group: Sequence[str], columns: _Columns) -> _Columns:
+        scores = _walk(plans[cls], group, columns, bounds)
+        if None in scores[tree.root]:
+            country = group[scores[tree.root].index(None)]
+            raise MissingLeafError([(country, leaf) for leaf in raw[cls]],
+                                   f"country {country!r} has no usable data for {year}")
+        return scores
+
+    try:
+        scored = {cls: score(cls, group, raw[cls]) for cls, group in members.items()}
+    except GciError:
+        # A class's walk raises at its first faulty column; walking one
+        # country at a time finds the first fault in country order.
+        for country in countries:
+            cls = classes[country]
+            score(cls, (country,), _read(plans[cls], (country,), leaves))
+        raise
+
+    rows = {}  # country -> its class's node ids and its scores, in plan order
+    for cls, group in members.items():
+        nodes = [node for node, _, _ in plans[cls]]
+        for country, row in zip(group, zip(*(scored[cls][node] for node in nodes))):
+            rows[country] = nodes, row
     entries: Dict[Tuple[str, str], float] = {}
     for country in countries:
-        cls = classes[country]
-        scores = _score_plan(plans[cls], leaves, country, bounds)
-        if tree.root not in scores:
-            raise MissingLeafError(
-                [(country, leaf) for leaf in class_leaves[cls]],
-                f"country {country!r} has no usable data for {year}",
-            )
-        for node_id, score in scores.items():
-            entries[(country, node_id)] = score
-    return ScoreTable(year=year, entries=entries)
+        nodes, row = rows[country]
+        for node, score in zip(nodes, row):
+            if score is not None:
+                entries[(country, node)] = score
+    table = ScoreTable(year=year, entries=entries)
+    # every country has a root score, so the table's countries are the year's
+    _cached(table, ("countries",), lambda: countries)
+    return table

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import subprocess
 import sys
 import tempfile
@@ -556,6 +557,24 @@ class TestReport:
         if fmt == "svg":
             assert ">Macedonia: TI, GCI</text>" in texts[0]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scores_year_writes_that_years_rows(self, capsys, tmp_path, fmt):
+        paths = {}
+        for name, extra in (("all", []), ("2006", ["--year", "2006"])):
+            paths[name] = tmp_path / f"{name}.{fmt}"
+            code, _, err = run_cli(capsys, "report", *DATA, "--kind", "scores", "--node", "GCI",
+                                   *extra, "--format", fmt, "--out", str(paths[name]))
+            assert code == 0, err
+        every, one = paths["all"].read_text(), paths["2006"].read_text()
+        if fmt == "csv":
+            header, *rows = every.splitlines(keepends=True)
+            assert any(not row.startswith("2006,") for row in rows)
+            assert one == header + "".join(row for row in rows if row.startswith("2006,"))
+        else:
+            rows = json.loads(every)["scores"]
+            assert {row["year"] for row in rows} == set(range(2001, 2007))
+            assert json.loads(one) == {"scores": [row for row in rows if row["year"] == 2006]}
+
     def test_bars_csv(self, capsys, tmp_path):
         out_path = tmp_path / "bars.csv"
         code, _, _ = run_cli(
@@ -656,6 +675,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"usage: gcindex {argv[0]} ")
         assert captured.err.endswith(f"gcindex {argv[0]}: error: {message}\n")
+
+    # conflicting flags are checked before any file is read, too
+    @pytest.mark.parametrize("argv,message", [
+        (["rank", "--scores", "/missing.csv", "--data", "/missing.csv", "--year", "2003"],
+         "--scores cannot be combined with --data, --year"),
+        (["rank", "--scores", "/missing.csv", "--classes", "/missing.csv"],
+         "--scores cannot be combined with --classes"),
+        (["rank", "--scores", "/missing.csv", "--tree", "wef-default", "--policy", "strict"],
+         "--scores cannot be combined with --tree, --policy"),
+        (["report", "--data", "/missing.csv", "--kind", "scores", "--year", "2006",
+          "--from", "2003"], "--year cannot be combined with --from or --to"),
+        (["report", "--data", "/missing.csv", "--kind", "bars", "--year", "2006",
+          "--to", "2006"], "--year cannot be combined with --from or --to"),
+    ], ids=["rank-scores-data-year", "rank-scores-classes", "rank-scores-defaults-given",
+            "report-scores-year-from", "report-bars-year-to"])
+    def test_conflicting_flags_are_usage_errors(self, capsys, tmp_path, argv, message):
+        out = ["--out", str(tmp_path / "report.svg")] if argv[0] == "report" else []
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *out])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: gcindex {argv[0]} ")
+        assert captured.err.endswith(f"gcindex {argv[0]}: error: {message}\n")
+        assert not (tmp_path / "report.svg").exists()
 
     def test_missing_file_is_one(self):
         proc = subprocess.run(

@@ -11,6 +11,7 @@ from gcindex import engine
 from gcindex.engine import (
     MissingPolicy,
     _aggregate,
+    _aggregate_columns,
     compute_all,
     evaluate_node,
     normalize_minmax,
@@ -52,6 +53,19 @@ class TestNormalizeMinmax:
         object.__setattr__(norm, "max", 0.0)  # bypass the constructor check
         with pytest.raises(DegenerateRangeError):
             normalize_minmax(0.5, norm)
+
+    @given(
+        x=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]),
+        lo=st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0]),
+        span=st.floats(1e-3, 1e3),
+        at=st.sampled_from([None, "min", "max"]),
+    )
+    def test_is_the_clamped_formula_bit_for_bit(self, x, lo, span, at):
+        norm = Normalization(min=lo, max=lo + span)
+        x = {None: x, "min": norm.min, "max": norm.max}[at]
+        clamped = min(max(x, norm.min), norm.max)
+        expected = min(7.0, max(1.0, 1.0 + 6.0 * (clamped - norm.min) / (norm.max - norm.min)))
+        assert normalize_minmax(x, norm).hex() == expected.hex()
 
     @given(
         x=st.floats(-1e6, 1e6),
@@ -391,6 +405,25 @@ class TestExactSum:
             assert min(scores) <= _aggregate(parts) <= max(scores)
 
 
+    @pytest.mark.parametrize("weights", [(1, 1), (1, 2, 3), (7, 1, 5, 3), (1,)])
+    @pytest.mark.parametrize("gaps", [False, True])
+    def test_columns_are_aggregate_bit_for_bit(self, weights, gaps):
+        # one country per combination of grid-edge scores; with gaps, None
+        # (a dropped child) is one more choice in every position
+        rows = list(itertools.product(self.EDGES + ((None,) if gaps else ()), repeat=len(weights)))
+        columns = [list(column) for column in zip(*rows)]
+        got = _aggregate_columns(list(zip(weights, columns)), len(rows))
+        for row, score in zip(rows, got):
+            parts = [(a, s) for a, s in zip(weights, row) if s is not None]
+            if not parts:
+                assert score is None
+                continue
+            assert score.hex() == _aggregate(parts).hex()
+
+    def test_columns_without_children_have_no_scores(self):
+        assert _aggregate_columns([], 3) == [None, None, None]
+
+
 class TestMatchesReference:
     """compute_all against tests/util.reference_scores, bit for bit."""
 
@@ -457,11 +490,13 @@ def _fault_panel(changes):
 
 
 def _scale(leaf, country, value):
-    return OutOfScaleError, f"leaf {leaf!r} for {country}: {value} outside [1, 7] and no normalization"
+    return (OutOfScaleError,
+            f"leaf {leaf!r} for {country}: {value} outside [1, 7] and no normalization")
 
 
 _FLAT_H = {(c, "H"): 3.0 for c in _FAULT_COUNTRIES}
-_DEGENERATE = DegenerateRangeError, "observed range for leaf 'H' is degenerate: all values equal 3.0"
+_DEGENERATE = (DegenerateRangeError,
+               "observed range for leaf 'H' is degenerate: all values equal 3.0")
 _NO_DATA = {("C1", "S1"): None, ("C1", "S2"): None, ("C1", "B"): None, ("C1", "H"): None,
             ("C1", "X"): 1.0}
 _CLEAN = {"C0": "0x1.c000000000000p+0", "C1": "0x1.0cccccccccccdp+1",
@@ -551,7 +586,8 @@ class TestFirstFault:
         for country, expected in outcomes.items():
             cls = _FAULT_CLASSES[country]
             if isinstance(expected, str):
-                assert evaluate_node(_FAULT_TREE, "R", cls, leaves, country, policy).hex() == expected
+                score = evaluate_node(_FAULT_TREE, "R", cls, leaves, country, policy)
+                assert score.hex() == expected
                 continue
             error, message = expected
             with pytest.raises(error) as raised:
@@ -586,3 +622,22 @@ class TestEntryOrder:
                         for n, _, _ in tree.plan(classes[c]) if (c, n) in scored]
             assert list(table.entries) == expected
             assert table.countries() == panel.countries(2006)
+
+
+class TestScatteredGaps:
+    def test_observed_and_survey_columns_with_gaps_match_the_reference(self, wef_tree):
+        # RENORMALIZE with single cells missing here and there, observed
+        # leaves included: bit for bit the reference, in entry order
+        rng = Random(99)
+        panel = _wefPanel(wef_tree, 40, seed=5)
+        rows = [(2006, c, leaf, panel.value(2006, c, leaf))
+                for c in panel.countries(2006) for leaf in wef_tree.leaves()
+                if rng.random() > 0.15]
+        gappy = Panel(rows, panel.classes)
+        table = compute_all(wef_tree, gappy, 2006, MissingPolicy.RENORMALIZE)
+        expected = reference_scores(wef_tree, gappy, 2006)
+        assert {k: v.hex() for k, v in table.entries.items()} == \
+            {k: v.hex() for k, v in expected.items()}
+        assert list(table.entries) == [
+            (c, n) for c in gappy.countries(2006)
+            for n, _, _ in wef_tree.plan(gappy.innovator_class(c)) if (c, n) in expected]
