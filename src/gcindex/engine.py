@@ -104,12 +104,8 @@ def _aggregate_columns(
     None when none is."""
     num, den = [0] * size, [0] * size
     for a, column in parts:
-        if None in column:
-            num = [x if s is None else x + a * int(s * 2.0 ** 52) for x, s in zip(num, column)]
-            den = [d if s is None else d + a for d, s in zip(den, column)]
-        else:
-            num = [x + a * int(s * 2.0 ** 52) for x, s in zip(num, column)]
-            den = [d + a for d in den]
+        num = [x if s is None else x + a * int(s * 2.0 ** 52) for x, s in zip(num, column)]
+        den = [d if s is None else d + a for d, s in zip(den, column)]
     return [x / (d << 52) if d else None for x, d in zip(num, den)]
 
 
@@ -190,11 +186,8 @@ def evaluate_node(
     absent = sorted(_absent((country,), raw))
     if absent and policy is MissingPolicy.STRICT:
         raise MissingLeafError(absent)
-
-    def bounds(leaf: str) -> Normalization:
-        return observed_bounds([v for (_, n), v in leaves.items() if n == leaf], leaf)
-
-    score = _walk(plan, (country,), raw, bounds)[node_id][0]
+    score = _walk(plan, (country,), raw, lambda leaf: observed_bounds(
+        [v for (_, n), v in leaves.items() if n == leaf], leaf))[node_id][0]
     if score is None:
         raise MissingLeafError(absent or [(country, node_id)])
     return score
@@ -263,17 +256,13 @@ def compute_all(
             score(cls, (country,), _read(plans[cls], (country,), leaves))
         raise
 
-    rows = {}  # country -> its class's node ids and its scores, in plan order
+    rows = {}  # country -> its (node, score) pairs, in its class's plan order
     for cls, group in members.items():
         nodes = [node for node, _, _ in plans[cls]]
         for country, row in zip(group, zip(*(scored[cls][node] for node in nodes))):
-            rows[country] = nodes, row
-    entries: Dict[Tuple[str, str], float] = {}
-    for country in countries:
-        nodes, row = rows[country]
-        for node, score in zip(nodes, row):
-            if score is not None:
-                entries[(country, node)] = score
+            rows[country] = zip(nodes, row)
+    entries = {(country, node): score
+               for country in countries for node, score in rows[country] if score is not None}
     table = ScoreTable(year=year, entries=entries)
     # every country has a root score, so the table's countries are the year's
     _cached(table, ("countries",), lambda: countries)
