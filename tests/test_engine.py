@@ -404,7 +404,6 @@ class TestExactSum:
             assert _aggregate(parts).hex() == expected.hex()
             assert min(scores) <= _aggregate(parts) <= max(scores)
 
-
     @pytest.mark.parametrize("weights", [(1, 1), (1, 2, 3), (7, 1, 5, 3), (1,)])
     @pytest.mark.parametrize("gaps", [False, True])
     def test_columns_are_aggregate_bit_for_bit(self, weights, gaps):
