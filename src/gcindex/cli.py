@@ -228,6 +228,11 @@ def _cmd_report(args) -> int:
     if args.year is not None and (args.from_year is not None or args.to_year is not None) \
             and args.kind in ("scores", "bars"):
         args.error("--year cannot be combined with --from or --to")
+    unread = {"trend": {"--year": args.year},
+              "deltas": {"--year": args.year, "--from": args.from_year, "--to": args.to_year}}
+    given = [flag for flag, value in unread.get(args.kind, {}).items() if value is not None]
+    if given:
+        args.error(f"--kind {args.kind} cannot be combined with {', '.join(given)}")
     panel, tree, policy = _load(args)
     if args.kind in ("scores", "bars"):
         tables = ({args.year: compute_all(tree, panel, args.year, policy)}

@@ -9,6 +9,7 @@ stable ordering, 6-decimal numbers, '.' decimal separator, '\n' newlines.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from fractions import Fraction
 from math import isfinite
 from pathlib import Path
@@ -99,6 +100,39 @@ def _rows(path, text: str, header: str):
         yield lineno, fields
 
 
+#: every byte but ',' and '\n', which UTF-8 writes only as themselves
+_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _columns(text: str, header: str):
+    """The fields of each of the header's columns, in row order, when
+    `text` is clean; None when it needs `_rows`.  Clean is: once the '#'
+    comment lines are dropped, line 1 is exactly `header`, every line has
+    exactly the header's number of fields (so none is blank), and no field
+    holds whitespace.  `_rows` would then yield these same fields, so a
+    reader that finds no fault in them reads what `_rows` reads."""
+    if text.startswith("#") or "\n#" in text:
+        text = "\n".join([line for line in text.split("\n") if line[:1] != "#"])
+    final = text.endswith("\n")  # the final newline ends the last line
+    separators = text.encode().translate(None, _NOT_SEPARATORS) + (b"" if final else b"\n")
+    # line by line, not in all: a short line next to a long one holds the
+    # right number of fields in all
+    commas = b"," * header.count(",")
+    if separators != (commas + b"\n") * separators.count(b"\n"):
+        return None
+    flat = text.replace("\n", ",")
+    if flat.split(None, 1) != [flat]:  # whitespace somewhere
+        return None
+    fields = flat.split(",")
+    del flat
+    if final:
+        del fields[-1]
+    step = len(commas) + 1
+    if fields[:step] != header.split(","):
+        return None
+    return [fields[column::step] for column in range(step, 2 * step)]
+
+
 def _parse_int(path, lineno: int, column: int, token: str) -> int:
     try:
         return int(token)
@@ -118,8 +152,16 @@ def _parse_float(path, lineno: int, column: int, token: str) -> float:
 
 def load_classes(path: Union[str, Path]) -> Dict[str, InnovatorClass]:
     """Read a country -> innovator-class CSV (header: country,class)."""
-    classes: Dict[str, InnovatorClass] = {}
-    for lineno, (country, cls_token) in _rows(path, _read_text(path), CLASS_HEADER):
+    text = _read_text(path)
+    columns = _columns(text, CLASS_HEADER)
+    if columns is not None:
+        countries, tokens = columns
+        with suppress(ValueError):  # an unknown class: the rows below name its line
+            classes = dict(zip(countries, map(InnovatorClass, map(str.lower, tokens))))
+            if len(classes) == len(countries):  # else a repeated country, named below
+                return classes
+    classes = {}
+    for lineno, (country, cls_token) in _rows(path, text, CLASS_HEADER):
         try:
             cls = InnovatorClass(cls_token.lower())
         except ValueError:
@@ -138,12 +180,31 @@ def load_panel(
 ) -> Panel:
     """Read an observation panel CSV (header: year,country,indicator,value).
 
-    '#' lines are comments.  Each distinct year field is parsed once; Panel
-    checks the rows, and a failure names its line (a duplicate key also the
-    line of its first row).  Countries without a class entry fail unless no
-    class map is given, in which case everyone defaults to non-core.
+    '#' lines are comments.  A clean file (see _columns: the exact header,
+    four fields on every line, no whitespace) is read column by column: its
+    text is split once, each distinct year field parsed once, and each
+    distinct country or indicator kept as one string.  Any other file, and
+    a clean one with a bad cell, is read row by row, which strips padded
+    fields and skips blank lines.  Panel checks the rows either way, and a
+    failure names its line (a duplicate key also the line of its first
+    row), in the same words whichever way the file was read.  Countries
+    without a class entry fail unless no class map is given, in which case
+    everyone defaults to non-core.
     """
     text = _read_text(path)
+    columns = _columns(text, PANEL_HEADER)
+    if columns is not None:
+        year_t, country_t, indicator_t, value_t = columns
+        # any fault: the rows below raise the first one, naming its line
+        with suppress(ValueError, DuplicateKeyError):
+            year_of = {field: int(field) for field in set(year_t)}
+            token = {}  # one string per distinct country or indicator
+            rows = zip(list(map(year_of.__getitem__, year_t)),
+                       list(map(token.setdefault, country_t, country_t)),
+                       list(map(token.setdefault, indicator_t, indicator_t)),
+                       list(map(float, value_t)))
+            del columns, year_t, country_t, indicator_t, value_t  # the fields, before Panel runs
+            return Panel(rows, classes)
     lineno = 0
 
     def rows():

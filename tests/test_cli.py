@@ -510,8 +510,9 @@ class TestReport:
             code, text, _ = run_cli(capsys, "delta", *inputs, "--format", "svg")
         else:
             out_path = tmp_path / f"{kind}.svg"
+            year = ["--year", "2006"] if kind in ("bars", "scores") else []  # trend, deltas read none
             code, _, _ = run_cli(
-                capsys, "report", *inputs, "--kind", kind, "--year", "2006",
+                capsys, "report", *inputs, "--kind", kind, *year,
                 "--country", "A&B", "--format", "svg", "--out", str(out_path),
             )
             text = out_path.read_text()
@@ -691,8 +692,17 @@ class TestExitCodes:
           "--from", "2003"], "--year cannot be combined with --from or --to"),
         (["report", "--data", "/missing.csv", "--kind", "bars", "--year", "2006",
           "--to", "2006"], "--year cannot be combined with --from or --to"),
+        # flags a report kind never reads
+        (["report", *DATA, "--kind", "trend", "--country", "Macedonia", "--nodes", "TI", "GCI",
+          "--year", "2006"], "--kind trend cannot be combined with --year"),
+        (["report", "--data", "/missing.csv", "--kind", "deltas", "--prev-year", "2005",
+          "--cur-year", "2006", "--to", "2002"], "--kind deltas cannot be combined with --to"),
+        (["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
+          "--from", "2001", "--to", "2002", "--year", "2003"],
+         "--kind deltas cannot be combined with --year, --from, --to"),
     ], ids=["rank-scores-data-year", "rank-scores-classes", "rank-scores-defaults-given",
-            "report-scores-year-from", "report-bars-year-to"])
+            "report-scores-year-from", "report-bars-year-to", "report-trend-year",
+            "report-deltas-to", "report-deltas-year-from-to"])
     def test_conflicting_flags_are_usage_errors(self, capsys, tmp_path, argv, message):
         out = ["--out", str(tmp_path / "report.svg")] if argv[0] == "report" else []
         with pytest.raises(SystemExit) as exc:

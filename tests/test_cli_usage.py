@@ -35,6 +35,10 @@ CASES = [
     ["chisq", *DATA, "--prev-year", "2005", "--cur-year", "2006", "--alpha", "1.5"],
     ["whatif", *DATA, "--year", "2006", "--country", "Macedonia", "--set", "5", "--gain", "1"],
     ["report", *DATA, "--kind", "pie", "--out", "figure.svg"],
+    ["report", *DATA, "--kind", "trend", "--country", "Macedonia", "--year", "2006",
+     "--out", "trend.csv"],
+    ["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
+     "--year", "2006", "--from", "2001", "--to", "2002", "--out", "deltas.csv"],
     ["fixture", "atlas"],
 ]
 HEADER = re.compile(r"^==> (.*) <==\n", re.M)

@@ -7,6 +7,7 @@ import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from gcindex import ingest, model
 from gcindex.engine import compute_all
 from gcindex.errors import (
     DuplicateKeyError,
+    GciError,
     MissingClassError,
     ParseError,
     SchemaError,
@@ -38,7 +40,7 @@ from gcindex.ingest import (
     load_tree,
     render_report,
 )
-from gcindex.model import InnovatorClass, RankTable, ScoreTable
+from gcindex.model import InnovatorClass, Panel, RankTable, ScoreTable
 from gcindex.ranking import rank_delta, rank_table_from_indicator
 from gcindex.stats import rank_homogeneity_test
 
@@ -218,6 +220,172 @@ class TestLoadClasses:
         classes = load_classes(fixture_path(BALKANS_CLASSES))
         assert len(classes) == 10
         assert set(classes.values()) == {InnovatorClass.NONCORE}
+
+
+# ---------------------------------------------------------------------------
+# the columnar read of a clean file and the row read agree
+# ---------------------------------------------------------------------------
+
+def _row_read_only():
+    """Make the columnar reader refuse every text, so each loader reads rows."""
+    return mock.patch.object(ingest, "_columns", lambda text, header: None)
+
+
+def _outcome(load, path, *args):
+    """What `load(path, *args)` gives, in a form that compares order too: a
+    Panel's years, countries, classes and each year's values in insertion
+    order, a class map's items, or the error's class and message."""
+    try:
+        result = load(path, *args)
+    except GciError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, Panel):
+        return (result.years(), result.countries(), result.classes,
+                {year: list(values.items()) for year, values in result._by_year.items()})
+    return list(result.items())
+
+
+def _both_reads(load, path, *args):
+    """(columnar outcome, row outcome) of one file."""
+    columnar = _outcome(load, path, *args)
+    with _row_read_only():
+        return columnar, _outcome(load, path, *args)
+
+
+#: fault -> the tokens it puts in; each changes one line of a clean panel
+_FAULTS = {
+    "short": ("",),  # the line loses its last field
+    "long": ("4", "", "x"),  # the line gains one
+    "misaligned": ("2001", "C", ""),  # a field moves from this line to the next
+    "blank": ("", " ", "\t"),  # a blank line goes in before it
+    "comment": ("# a note, with commas", "#", " # padded"),
+    "commented": ("#",),  # the row is commented out
+    "hash": ("#", "#x"),  # in a country or indicator field
+    "padding": (" ", "\t", "\xa0", "\u2003", "\x85"),
+    "value": ("abc", "nan", "inf", "-Infinity", "1e999", "", "1_0", "+5", " 3"),
+    "year": ("x", "1980", "2101", "02001", "", "2_001", "+2002"),
+    "country": ("", "A B", "A\u2028B"),
+    "duplicate": ("",),  # a copy of the row goes in after it
+    "crlf": ("\r",),  # '\r\n' and a lone '\r' both end a line
+    "header": ("# lead\n", "\n", " "),  # before the header or its first field
+}
+_CLEAN_KEYS = [(year, country, indicator) for year in ("2001", "2002", "2003")
+               for country in ("A", "B", "C") for indicator in ("TI", "IS")]
+_VALUE = st.one_of(st.sampled_from(["3.5", "4", "1e2", "-0.0", "7", ".5"]),
+                   st.floats(-1e6, 1e6, allow_nan=False).map(repr))
+
+
+def _inject(lines, kind, token, at, field):
+    """Put fault `kind` with `token` into the data lines at line `at`."""
+    i = at % len(lines)
+    fields = lines[i].split(",")
+    j = field % len(fields)
+    if kind == "short":
+        lines[i] = ",".join(fields[:-1])
+    elif kind == "long":
+        lines[i] += "," + token
+    elif kind == "misaligned" and i + 1 < len(lines):
+        lines[i], lines[i + 1] = ",".join(fields[:-1]), token + "," + lines[i + 1]
+    elif kind in ("blank", "comment"):
+        lines.insert(i, token)
+    elif kind in ("commented", "crlf"):
+        lines[i] = token + lines[i] if kind == "commented" else lines[i] + token
+    elif kind == "hash":
+        fields[(1 + field % 2) % len(fields)] += token
+    elif kind == "padding":
+        fields[j] = token + fields[j] if field % 2 else fields[j] + token
+    elif kind in ("value", "year", "country"):
+        fields[{"year": 0, "country": 1}.get(kind, -1) % len(fields)] = token
+    elif kind == "duplicate":
+        lines.insert(i + 1, lines[i])
+    if kind in ("hash", "padding", "value", "year", "country"):
+        lines[i] = ",".join(fields)
+
+
+@st.composite
+def _faulty_panels(draw):
+    """(panel text, class map or None): a clean panel of 0-12 rows with 0-3
+    faults put in, with or without a final newline."""
+    keys = draw(st.lists(st.sampled_from(_CLEAN_KEYS), max_size=12, unique=True))
+    lines = [",".join((*key, draw(_VALUE))) for key in keys]
+    header = "year,country,indicator,value"
+    for kind in draw(st.lists(st.sampled_from(sorted(_FAULTS)), max_size=3)):
+        token = draw(st.sampled_from(_FAULTS[kind]))
+        if kind == "header":
+            header = token + header
+        elif lines:
+            _inject(lines, kind, token, draw(st.integers(0, 20)), draw(st.integers(0, 7)))
+    text = "\n".join([header, *lines]) + draw(st.sampled_from(["\n", ""]))
+    classes = draw(st.sampled_from([
+        None,
+        {"A": InnovatorClass.CORE, "B": InnovatorClass.NONCORE, "C": InnovatorClass.CORE},
+        {"A": InnovatorClass.CORE},
+    ]))
+    return text, classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_faulty_panels())
+@example(case=("year,country,indicator,value\n2001,C1,IS\n2001,2001,C2,IS,4\n", None))
+@example(case=("year,country,indicator,value\n2001,A,TI,3\n# x\n2001,A,TI,4", None))
+def test_columnar_and_row_panel_reads_agree(case):
+    text, classes = case
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "panel.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        columnar, rows = _both_reads(load_panel, path, classes)
+    assert columnar == rows
+
+
+_CLASS_LINES = ("A,core", "B,NonCore", "C#1,CORE", "A,noncore", "D,middling", " E ,core",
+                "", "# note", "F,core,x", "G", ",core", "H,")
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.sampled_from(_CLASS_LINES), max_size=6),
+       end=st.sampled_from(["\n", ""]))
+def test_columnar_and_row_class_reads_agree(lines, end):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "classes.csv"
+        path.write_text("\n".join(["country,class", *lines]) + end, encoding="utf-8")
+        columnar, rows = _both_reads(load_classes, path)
+    assert columnar == rows
+
+
+def test_misaligned_lines_fail_at_the_short_one(tmp_path):
+    # 8 fields in all, two rows' worth, but the first line holds only 3
+    path = tmp_path / "panel.csv"
+    path.write_text("year,country,indicator,value\n2001,C1,IS\n2001,2001,C2,IS,4\n")
+    with pytest.raises(ParseError) as err:
+        load_panel(path)
+    assert str(err.value) == f"{path}:2: expected 4 fields (year,country,indicator,value), got 3"
+
+
+def test_clean_panels_take_the_columnar_path(tmp_path, monkeypatch):
+    # the bundled panel, with its comment lines, and one shaped like the
+    # benchmark's: 40 countries, 10 years, 5 leaves, no padding
+    rng = Random(1)
+    names = [f"C{i:04d}" for i in range(1, 41)]
+    (tmp_path / "panel.csv").write_text("year,country,indicator,value\n" + "".join(
+        f"{year},{name},{leaf},{1 + 6 * rng.random():.4f}\n" for name in names
+        for year in range(2001, 2011) for leaf in ("IS", "TTS", "ICTS", "PII", "MEI")))
+    (tmp_path / "classes.csv").write_text("country,class\n" + "".join(
+        f"{name},{rng.choice(['core', 'noncore'])}\n" for name in names))
+    read = []
+    real = ingest._columns
+
+    def spy(text, header):
+        read.append(real(text, header) is not None)
+        return real(text, header)
+    monkeypatch.setattr(ingest, "_columns", spy)
+    for panel, classes in [(fixture_path(BALKANS_PANEL), fixture_path(BALKANS_CLASSES)),
+                           (tmp_path / "panel.csv", tmp_path / "classes.csv")]:
+        columnar = _outcome(load_panel, panel, load_classes(classes))
+        assert read == [True, True]  # the class map, then the panel
+        read.clear()
+        with _row_read_only():
+            assert _outcome(load_panel, panel, load_classes(classes)) == columnar
+        assert not isinstance(columnar[0], type)  # a panel, not an error
 
 
 class TestLoadTree:

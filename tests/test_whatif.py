@@ -646,9 +646,9 @@ class TestColumnCache:
                                Scenario("C", "TI", scores.score("C", "TI")))
         assert (again.baseline_rank, again.new_rank) == (1, 3)
 
-    def test_mutating_a_returned_column_changes_nothing(self, component_tree):
-        # no column is handed out any more; a warm table still answers each
-        # query again as it did cold
+    def test_warm_table_answers_as_a_cold_one(self, component_tree):
+        # the first round of queries fills the table's caches; the second
+        # round, on the warm table, gives the same answers
         scores, classes = _three_country_table(
             component_tree, {"A": 4.0, "B": 3.9, "C": 3.5}
         )
