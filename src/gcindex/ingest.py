@@ -121,6 +121,7 @@ def _columns(text: str, header: str):
     if separators != (commas + b"\n") * separators.count(b"\n"):
         return None
     flat = text.replace("\n", ",")
+    del text  # a caller that passed no other reference frees it here
     if flat.split(None, 1) != [flat]:  # whitespace somewhere
         return None
     fields = flat.split(",")
@@ -191,20 +192,20 @@ def load_panel(
     without a class entry fail unless no class map is given, in which case
     everyone defaults to non-core.
     """
-    text = _read_text(path)
-    columns = _columns(text, PANEL_HEADER)
+    # the text is not kept while its fields are split: a fall back reads it again
+    columns = _columns(_read_text(path), PANEL_HEADER)
     if columns is not None:
-        year_t, country_t, indicator_t, value_t = columns
         # any fault: the rows below raise the first one, naming its line
         with suppress(ValueError, DuplicateKeyError):
-            year_of = {field: int(field) for field in set(year_t)}
+            year_of = {field: int(field) for field in set(columns[0])}
             token = {}  # one string per distinct country or indicator
-            rows = zip(list(map(year_of.__getitem__, year_t)),
-                       list(map(token.setdefault, country_t, country_t)),
-                       list(map(token.setdefault, indicator_t, indicator_t)),
-                       list(map(float, value_t)))
-            del columns, year_t, country_t, indicator_t, value_t  # the fields, before Panel runs
-            return Panel(rows, classes)
+            # each column replaced in turn, so that its fields go before Panel runs
+            columns[0] = list(map(year_of.__getitem__, columns[0]))
+            for i in (1, 2):
+                columns[i] = list(map(token.setdefault, columns[i], columns[i]))
+            columns[3] = list(map(float, columns[3]))
+            return Panel(zip(*columns), classes)
+    text = _read_text(path)
     lineno = 0
 
     def rows():

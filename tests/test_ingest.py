@@ -222,10 +222,6 @@ class TestLoadClasses:
         assert set(classes.values()) == {InnovatorClass.NONCORE}
 
 
-# ---------------------------------------------------------------------------
-# the columnar read of a clean file and the row read agree
-# ---------------------------------------------------------------------------
-
 def _row_read_only():
     """Make the columnar reader refuse every text, so each loader reads rows."""
     return mock.patch.object(ingest, "_columns", lambda text, header: None)
@@ -386,6 +382,22 @@ def test_clean_panels_take_the_columnar_path(tmp_path, monkeypatch):
         with _row_read_only():
             assert _outcome(load_panel, panel, load_classes(classes)) == columnar
         assert not isinstance(columnar[0], type)  # a panel, not an error
+
+
+def test_clean_panel_parses_each_year_field_once(tmp_path, monkeypatch):
+    # '2005' and '02005' are two fields of one year; '2006' is a second year
+    path = tmp_path / "panel.csv"
+    path.write_text("year,country,indicator,value\n2005,A,TI,3.5\n02005,B,TI,3.5\n"
+                    "2006,A,TI,3.5\n2005,A,PI,3.5\n2006,B,TI,3.5\n")
+    calls = Counter()
+
+    def counted(token):
+        calls[token] += 1
+        return int(token)
+    monkeypatch.setattr(ingest, "int", counted, raising=False)
+    panel = load_panel(path)
+    assert panel.years() == (2005, 2006) and len(panel) == 5
+    assert calls == Counter({"2005": 1, "02005": 1, "2006": 1})
 
 
 class TestLoadTree:
