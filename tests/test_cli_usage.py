@@ -40,6 +40,20 @@ CASES = [
     ["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
      "--year", "2006", "--from", "2001", "--to", "2002", "--out", "deltas.csv"],
     ["fixture", "atlas"],
+    # every command given all it needs, then one word more: argparse's
+    # "unrecognized arguments" error prints the top-level usage
+    *([*argv, "extra"] for argv in (
+        ["compute", *DATA, "--year", "2006"],
+        ["rank", "--scores", "scores.csv"],
+        ["delta", *DATA, "--prev-year", "2005", "--cur-year", "2006"],
+        ["trend", *DATA, "--country", "Macedonia"],
+        ["correlate", *DATA, "--country", "Macedonia"],
+        ["chisq", *DATA, "--prev-year", "2005", "--cur-year", "2006"],
+        ["whatif", *DATA, "--year", "2006", "--country", "Macedonia", "--gain", "1"],
+        ["report", *DATA, "--kind", "scores", "--out", "scores.svg"],
+        ["fixture", "panel"],
+    )),
+    ["compute", *DATA, "--year", "2006", "--bogus"],
 ]
 HEADER = re.compile(r"^==> (.*) <==\n", re.M)
 
