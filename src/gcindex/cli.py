@@ -330,13 +330,16 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The `gcindex` parser: every command, or only the subparser of `only`
+    (a key of `_COMMANDS`), which parses that command's arguments alike."""
     parser = argparse.ArgumentParser(
         prog="gcindex",
         description="Growth-competitiveness composite index toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, handler, flags) in _COMMANDS.items():
+    for command in _COMMANDS if only is None else (only,):
+        summary, handler, flags = _COMMANDS[command]
         p = sub.add_parser(command, help=summary)
         for flag in flags:
             if isinstance(flag, list):
@@ -349,6 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(name, required=name != flag, **{**_FLAGS[name], **keywords})
         # usage errors found after parsing name the command, as argparse's own do
         p.set_defaults(func=handler, error=p.error)
+    if only is not None:
+        return parser
 
     p = sub.add_parser("fixture", help="print the path of a bundled data file")
     p.add_argument("name", choices=["panel", "classes", "tree", "wef-tree"])
@@ -357,9 +362,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, building only the named command's
+    subparser when that parses all of argv (see `main`)."""
+    if argv and argv[0] in _COMMANDS:
+        args, unread = build_parser(argv[0]).parse_known_args(argv)
+        if not unread:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run `gcindex argv` (default: sys.argv[1:]) and return its exit code;
+    usage errors exit 2 through argparse.
+
+    When argv[0] names a command other than `fixture`, only that command's
+    subparser is built to parse argv.  The full parser parses when argv is
+    empty or starts with `-h`, `fixture` or an unknown word, and when the one
+    command leaves arguments unread, so that the usage error lists every
+    command.  Both give the same namespace or the same output.
+    """
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     first, last = getattr(args, "from_year", None), getattr(args, "to_year", None)
     if first is not None and last is not None and first > last:
         args.error(f"--from {first} is after --to {last}")

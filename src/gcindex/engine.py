@@ -207,14 +207,15 @@ def compute_all(
     otherwise the first fault in country order, then plan order, raises.
     Cost is O(countries x nodes): each class present walks its plan (built
     once per tree and class) once, one column of all its countries per step,
-    and reads each (country, leaf) value once; observed bounds are computed
+    and reads each (country, leaf) value once from the panel's year view,
+    which is not copied; observed bounds are computed
     once per leaf per call.  `tree` must have passed validate_tree, as for
     evaluate_node.
     """
     countries = panel.countries(year)
     if not countries:
         raise MissingLeafError([], f"year {year} not found in panel")
-    leaves: LeafAssignment = panel.slice_year(year, tree.leaves())
+    leaves: LeafAssignment = panel.year_values(year)
     classes = {country: panel.innovator_class(country) for country in countries}
     members: Dict[InnovatorClass, List[str]] = {}  # each class present: its countries, in order
     for country, cls in classes.items():

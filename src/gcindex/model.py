@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .errors import (
@@ -60,8 +61,9 @@ class Panel:
     sorted year tuple and each year's sorted country tuple; all are built
     once, at construction, in O(rows).  Costs after that:
     `years()` and `countries(year)` O(1), returning the kept tuples;
-    `value` and `innovator_class` one dict lookup; `slice_year(year, ...)`
-    O(that year's entries), never reading another year; `countries()`
+    `value` and `innovator_class` one dict lookup; `year_values(year)` O(1),
+    a read-only view of the kept dict; `slice_year(year, ...)` O(that year's
+    entries), never reading another year; `countries()`
     without a year merges the per-year tuples, O(countries x years).
     """
 
@@ -129,6 +131,11 @@ class Panel:
 
     def value(self, year: int, country: str, indicator: str) -> Optional[float]:
         return self._by_year.get(year, {}).get((country, indicator))
+
+    def year_values(self, year: int) -> Mapping[Tuple[str, str], float]:
+        """A read-only view of {(country, indicator): value} for one year
+        (empty for a year not in the panel); nothing is copied."""
+        return MappingProxyType(self._by_year.get(year, {}))
 
     def slice_year(self, year: int, indicators: Iterable[str]) -> dict:
         """Return {(country, indicator): value} for one year."""

@@ -1,5 +1,6 @@
-"""The exact bytes of `gcindex -h`, of each `gcindex <cmd> -h` and of one
-usage error (exit 2) per command, as `tests/cli_usage.txt` records them.
+"""The exact bytes of `gcindex -h`, of each `gcindex <cmd> -h` and of the
+usage errors (exit 2) listed in `tests/cli_cases.py`, as
+`tests/cli_usage.txt` records them.
 
 argparse wraps at the terminal width, so every run fixes COLUMNS=80; its
 wording also changes between Python versions, so the file is compared on the
@@ -17,44 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from cli_cases import CASES
 from gcindex.cli import main
 
 GOLDEN = Path(__file__).with_name("cli_usage.txt")
-COMMANDS = ["compute", "rank", "delta", "trend", "correlate", "chisq", "whatif", "report", "fixture"]
-DATA = ["--data", "panel.csv"]
-CASES = [
-    ["-h"],
-    *([command, "-h"] for command in COMMANDS),
-    [],
-    ["bogus"],
-    ["compute", *DATA],
-    ["rank", "--format", "xml"],
-    ["delta", *DATA, "--prev-year", "x", "--cur-year", "2006"],
-    ["trend", *DATA, "--country", "Macedonia", "--from", "2006", "--to", "2005"],
-    ["correlate", *DATA, "--country", "Macedonia", "--nodes", "TI"],
-    ["chisq", *DATA, "--prev-year", "2005", "--cur-year", "2006", "--alpha", "1.5"],
-    ["whatif", *DATA, "--year", "2006", "--country", "Macedonia", "--set", "5", "--gain", "1"],
-    ["report", *DATA, "--kind", "pie", "--out", "figure.svg"],
-    ["report", *DATA, "--kind", "trend", "--country", "Macedonia", "--year", "2006",
-     "--out", "trend.csv"],
-    ["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
-     "--year", "2006", "--from", "2001", "--to", "2002", "--out", "deltas.csv"],
-    ["fixture", "atlas"],
-    # every command given all it needs, then one word more: argparse's
-    # "unrecognized arguments" error prints the top-level usage
-    *([*argv, "extra"] for argv in (
-        ["compute", *DATA, "--year", "2006"],
-        ["rank", "--scores", "scores.csv"],
-        ["delta", *DATA, "--prev-year", "2005", "--cur-year", "2006"],
-        ["trend", *DATA, "--country", "Macedonia"],
-        ["correlate", *DATA, "--country", "Macedonia"],
-        ["chisq", *DATA, "--prev-year", "2005", "--cur-year", "2006"],
-        ["whatif", *DATA, "--year", "2006", "--country", "Macedonia", "--gain", "1"],
-        ["report", *DATA, "--kind", "scores", "--out", "scores.svg"],
-        ["fixture", "panel"],
-    )),
-    ["compute", *DATA, "--year", "2006", "--bogus"],
-]
 HEADER = re.compile(r"^==> (.*) <==\n", re.M)
 
 

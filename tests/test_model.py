@@ -95,6 +95,16 @@ def test_panel_defaults_to_noncore():
     assert panel.innovator_class("A") is InnovatorClass.NONCORE
 
 
+def test_year_values_is_a_read_only_view_of_one_year():
+    panel = Panel([(2005, "A", "x", 1.0), (2005, "B", "y", 2.0), (2006, "A", "x", 3.0)])
+    view = panel.year_values(2005)
+    assert dict(view) == panel.slice_year(2005, ["x", "y"]) == {("A", "x"): 1.0, ("B", "y"): 2.0}
+    with pytest.raises(TypeError):
+        view[("C", "x")] = 4.0
+    assert dict(panel.year_values(2004)) == {}
+    assert panel.value(2005, "C", "x") is None
+
+
 def test_normalization_requires_max_above_min():
     with pytest.raises(ValueError):
         Normalization(min=3.0, max=3.0)
