@@ -208,9 +208,8 @@ def compute_all(
     Cost is O(countries x nodes): each class present walks its plan (built
     once per tree and class) once, one column of all its countries per step,
     and reads each (country, leaf) value once from the panel's year view,
-    which is not copied; observed bounds are computed
-    once per leaf per call.  `tree` must have passed validate_tree, as for
-    evaluate_node.
+    which is not copied; observed bounds are computed once per leaf per
+    call.  `tree` must have passed validate_tree, as for evaluate_node.
     """
     countries = panel.countries(year)
     if not countries:
