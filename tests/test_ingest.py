@@ -20,7 +20,7 @@ from gcindex.data import (
     fixture_path,
 )
 from gcindex import ingest, model
-from gcindex.engine import compute_all
+from gcindex.engine import MissingPolicy, compute_all
 from gcindex.errors import (
     DuplicateKeyError,
     GciError,
@@ -40,7 +40,16 @@ from gcindex.ingest import (
     load_tree,
     render_report,
 )
-from gcindex.model import InnovatorClass, Panel, RankTable, ScoreTable
+from gcindex.model import (
+    IndexTree,
+    InnovatorClass,
+    Node,
+    Normalization,
+    Panel,
+    RankTable,
+    ScoreTable,
+    validate_tree,
+)
 from gcindex.ranking import rank_delta, rank_table_from_indicator
 from gcindex.stats import rank_homogeneity_test
 
@@ -684,9 +693,10 @@ def test_whitespace_padding_is_invisible(balkans, seed, offset, bad, row):
 
 
 #: Name characters that json escapes (a quote, a backslash, DEL, 'é' and a
-#: character outside the BMP, written as a surrogate pair) or that svg would
-#: (<&>).
-_NAME = st.text(st.sampled_from('"\\é\U0001d11e\x7f<&>A'), min_size=1, max_size=3)
+#: character outside the BMP, written as a surrogate pair), that svg would
+#: (<&>), that a '%' or str.format template would read (%{}) and a csv
+#: separator (,).
+_NAME = st.text(st.sampled_from('"\\é\U0001d11e\x7f<&>A%{},'), min_size=1, max_size=3)
 #: Every kind of score a ScoreTable holds: floats at and next to the scale's
 #: ends and where the sixth decimal rounds, ints, a bool and Fractions.
 _SCORE = st.one_of(
@@ -730,21 +740,90 @@ def _per_cell_reports(results, node=None):
     return csv, json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-_ODD_NAMES = ['"', "\\", "é", "\U0001d11e", "\x7f", "<&>"]
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+def _computed(ids, classes, policy, rows):
+    """{year: compute_all's table} for each year of `rows`, (year, country,
+    leaf, value), on a tree with the node ids `ids` = (R, A, S1, S2, B, H):
+    R over A (S1, S2), B and H for non-core, over A and H for core; H is hard
+    data on fixed 0-100 bounds, the other leaves survey data."""
+    r, a, s1, s2, b, h = ids
+    tree = validate_tree(IndexTree({
+        r: Node(r, edges_by_class={InnovatorClass.CORE: ((a, _HALF), (h, _HALF)),
+                                   InnovatorClass.NONCORE: ((a, _THIRD), (b, _THIRD), (h, _THIRD))}),
+        a: Node(a, edges=((s1, _HALF), (s2, _HALF))),
+        s1: Node(s1), s2: Node(s2), b: Node(b), h: Node(h, normalize=Normalization(0.0, 100.0)),
+    }, r))
+    panel = Panel(rows, classes)
+    return {year: compute_all(tree, panel, year, policy) for year in panel.years()}
+
+
+@st.composite
+def _computed_tables(draw):
+    """compute_all's tables for odd node ids and countries under either
+    policy; under RENORMALIZE any leaf may be absent, so a country's walk may
+    drop leaves and A, but each keeps one leaf and so its root."""
+    ids = tuple(draw(st.lists(_NAME, min_size=6, max_size=6, unique=True)))
+    countries = draw(st.lists(_NAME, min_size=1, max_size=4, unique=True))
+    classes = {c: draw(st.sampled_from(InnovatorClass)) for c in countries}
+    policy = draw(st.sampled_from(MissingPolicy))
+    rows = []
+    for year in draw(st.lists(st.integers(1990, 2100), min_size=1, max_size=2, unique=True)):
+        for c in countries:
+            leaves = ids[2:4] + ids[5:] + (ids[4:5] if classes[c] is InnovatorClass.NONCORE else ())
+            kept = [leaf for leaf in leaves
+                    if policy is MissingPolicy.STRICT or draw(st.booleans())] or [ids[5]]
+            rows += [(year, c, leaf, draw(st.floats(0.0, 100.0) if leaf == ids[5]
+                                          else st.floats(1.0, 7.0))) for leaf in kept]
+    return _computed(ids, classes, policy, rows)
+
+
+#: Node ids and countries that a '%' template would read, as the two
+#: policies score them: under RENORMALIZE, '%s' lacks both S leaves, so its
+#: walk drops them and A, and 'C{' lacks B.
+_ODD_IDS = ("R%s", "A{0}", "%", "S,2", "}", "H%%")
+_ODD_CLASSES = {"%s": InnovatorClass.NONCORE, "C{": InnovatorClass.NONCORE,
+                ",": InnovatorClass.CORE, "%d": InnovatorClass.CORE}
+_ODD_ROWS = [(year, c, leaf, 1.5 + 0.25 * i + 0.5 * j + (year - 2005))
+             for year in (2005, 2006) for i, c in enumerate(_ODD_CLASSES)
+             for j, leaf in enumerate(("%", "S,2", "}", "H%%"))
+             if leaf != "}" or _ODD_CLASSES[c] is InnovatorClass.NONCORE]
+_ODD_DROPPED = [row for row in _ODD_ROWS
+                if (row[1], row[2]) not in {("%s", "%"), ("%s", "S,2"), ("C{", "}")}]
+
+_ODD_NAMES = ['"', "\\", "é", "\U0001d11e", "\x7f", "<&>", "%s", "{0}", ","]
 _ODD_SCORES = [1.0, 7.0, 1.0000005, 6.9999995, 3, True, Fraction(13, 3)]
 
 
+_ODD_TABLE = ScoreTable(2006, {(c, n): _ODD_SCORES[(i + j) % 7]
+                               for i, c in enumerate(_ODD_NAMES)
+                               for j, n in enumerate(_ODD_NAMES) if i != j})
+_ODD_TABLES = {2007: ScoreTable(2007, {("é", "<&>"): 6.9999995, ("\x7f", '"'): Fraction(7)}),
+               2005: ScoreTable(2005, {("\U0001d11e", "%s"): True, ("\\", "<&>"): 1.0000005})}
+
+
 @settings(max_examples=150, deadline=None)
-@given(table=_score_table(2006), tables=_year_tables())
-@example(
-    table=ScoreTable(2006, {(c, n): _ODD_SCORES[(i + j) % 7]
-                            for i, c in enumerate(_ODD_NAMES)
-                            for j, n in enumerate(_ODD_NAMES) if i != j}),
-    tables={2007: ScoreTable(2007, {("é", "<&>"): 6.9999995, ("\x7f", '"'): Fraction(7)}),
-            2005: ScoreTable(2005, {("\U0001d11e", "<&>"): True, ("\\", "<&>"): 1.0000005})},
-)
-def test_score_reports_match_a_per_cell_oracle(table, tables):
+@given(table=_score_table(2006), tables=_year_tables(), computed=_computed_tables())
+@example(table=_ODD_TABLE, tables=_ODD_TABLES,
+         computed=_computed(_ODD_IDS, _ODD_CLASSES, MissingPolicy.STRICT, _ODD_ROWS))
+@example(table=_ODD_TABLE, tables=_ODD_TABLES,
+         computed=_computed(_ODD_IDS, _ODD_CLASSES, MissingPolicy.RENORMALIZE, _ODD_DROPPED))
+def test_score_reports_match_a_per_cell_oracle(table, tables, computed):
     assert (render_report(table, "csv"), render_report(table, "json")) == _per_cell_reports(table)
+    # compute_all's tables render as the same entries in a table of their own
+    plain = {year: ScoreTable(year, dict(t.entries)) for year, t in computed.items()}
+    for year, t in computed.items():
+        assert (render_report(t, "csv"), render_report(t, "json")) == _per_cell_reports(t)
+        for format in ("csv", "json"):
+            assert render_report(t, format) == render_report(plain[year], format)
+        for node in plain[year].nodes():
+            assert render_report(t, "svg", node) == render_report(plain[year], "svg", node)
+    for node in sorted({n for t in plain.values() for n in t.nodes()}):
+        assert (render_report(computed, "csv", node),
+                render_report(computed, "json", node)) == _per_cell_reports(computed, node)
+        for format in ("csv", "json", "svg"):
+            assert render_report(computed, format, node) == render_report(plain, format, node)
     # every node a table holds, and one none holds: a header-only csv, "scores": []
     for node in sorted({n for t in tables.values() for _, n in t.entries}) + ["not-a-node"]:
         assert (render_report(tables, "csv", node),
