@@ -228,11 +228,19 @@ def _cmd_report(args) -> int:
     if args.year is not None and (args.from_year is not None or args.to_year is not None) \
             and args.kind in ("scores", "bars"):
         args.error("--year cannot be combined with --from or --to")
-    unread = {"trend": {"--year": args.year},
-              "deltas": {"--year": args.year, "--from": args.from_year, "--to": args.to_year}}
-    given = [flag for flag, value in unread.get(args.kind, {}).items() if value is not None]
+    # report's --node and --nodes default to None (see _COMMANDS), so a given
+    # one shows here; each kind names, in help order, the flags it never reads
+    scores = ("--nodes", "--country", "--prev-year", "--cur-year", "--rank-indicator")
+    unread = {"scores": scores, "bars": scores,
+              "trend": ("--node", "--year", "--prev-year", "--cur-year", "--rank-indicator"),
+              "deltas": ("--nodes", "--country", "--year", "--from", "--to")}[args.kind]
+    given = [flag for flag in unread
+             if getattr(args, _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))) is not None]
     if given:
         args.error(f"--kind {args.kind} cannot be combined with {', '.join(given)}")
+    for flag in ("--node", "--nodes"):
+        if getattr(args, flag[2:]) is None:
+            setattr(args, flag[2:], _FLAGS[flag]["default"])
     panel, tree, policy = _load(args)
     if args.kind in ("scores", "bars"):
         tables = ({args.year: compute_all(tree, panel, args.year, policy)}
@@ -323,8 +331,10 @@ _COMMANDS = {
         "--design", "--out", "--format")),
     "whatif": ("override a node score or solve for a rank gain", _cmd_whatif, (
         *_DATASET, "--year!", "--country!", "--node", ["--set", "--gain"], "--out", "--format")),
+    # --node and --nodes default to None, so that _cmd_report sees a given one
     "report": ("figure-style artifacts (score panels, deltas, trends, bars)", _cmd_report, (
-        *_DATASET, "--kind!", "--node", "--nodes", "--country", "--year", "--prev-year",
+        *_DATASET, "--kind!", ("--node", {"default": None}), ("--nodes", {"default": None}),
+        "--country", "--year", "--prev-year",
         "--cur-year", "--rank-indicator", "--from", "--to",
         ("--format", {"choices": _WITH_SVG, "default": "svg"}), "--out!")),
 }

@@ -256,14 +256,16 @@ def compute_all(
             score(cls, (country,), _read(plans[cls], (country,), leaves))
         raise
 
-    rows = {}  # country -> its (node, score) pairs, in its class's plan order
+    rows = {}  # country -> (its class's plan nodes, its scores on them, None where absent)
     for cls, group in members.items():
-        nodes = [node for node, _, _ in plans[cls]]
+        nodes = tuple(node for node, _, _ in plans[cls])
         for country, row in zip(group, zip(*(scored[cls][node] for node in nodes))):
-            rows[country] = zip(nodes, row)
+            rows[country] = (nodes, row)
     entries = {(country, node): score
-               for country in countries for node, score in rows[country] if score is not None}
+               for country in countries for node, score in zip(*rows[country]) if score is not None}
     table = ScoreTable(year=year, entries=entries)
-    # every country has a root score, so the table's countries are the year's
+    # every country has a root score, so the table's countries are the year's;
+    # the score reports read the rows (ScoreTable._rows), not one key per cell
     _cached(table, ("countries",), lambda: countries)
+    _cached(table, ("rows",), lambda: rows)
     return table

@@ -12,8 +12,9 @@ import json
 from contextlib import suppress
 from fractions import Fraction
 from math import isfinite
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from . import svg
 from .data import WEF_TREE_CONFIG, fixture_path
@@ -396,22 +397,59 @@ def _write(path: Union[str, Path], text: str) -> Path:
     return path
 
 
-def _score_rows(results, node: Optional[str]) -> list:
-    """The (year, country, node, score) rows' cells, flattened: every entry
-    of a ScoreTable, or `node`'s scores from a {year: ScoreTable} dict, year
-    by year.  One walk over each table's kept countries() x nodes(), both
-    sorted, so the rows come in sorted key order without sorting a key."""
+def _score_rows(results, node: Optional[str]) -> Iterator[Tuple[int, str, Tuple[str, ...], tuple]]:
+    """(year, country, nodes, scores) for each country with a score, year by
+    year and in country order: every node of a ScoreTable, or `node` of a
+    {year: ScoreTable} dict, nodes sorted and scores aligned.  Read from each
+    table's kept rows; each distinct node tuple is sorted once per call, and
+    only a row that lacks a score is filtered."""
     single = isinstance(results, ScoreTable)
     tables = [(results.year, results)] if single else sorted(results.items())
-    nodes = results.nodes() if single else (node,)
-    cells: list = []
+    picks: dict = {}  # node tuple -> (its nodes kept, sorted; a getter of their scores)
     for year, table in tables:
-        get = table.entries.get
-        for c in table.countries():
-            for n in nodes:
-                if (s := get((c, n))) is not None:
-                    cells += (year, c, n, s)
-    return cells
+        rows = table._rows()
+        for country in table.countries():
+            nodes, scores = rows[country]
+            kept = picks.get(nodes)
+            if kept is None:
+                order = sorted((i for i, n in enumerate(nodes) if single or n == node),
+                               key=nodes.__getitem__)
+                kept = picks[nodes] = (tuple(nodes[i] for i in order), _getter(order))
+            names, pick = kept
+            values = pick(scores)
+            if None in values:
+                names = tuple(n for n, s in zip(names, values) if s is not None)
+                values = tuple(s for s in values if s is not None)
+            if values:
+                yield year, country, names, values
+
+
+def _getter(positions: list) -> Callable[[Sequence], tuple]:
+    """row -> (row[i] for i in positions) as a tuple; itemgetter's own for
+    two or more positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda row: tuple(row[i] for i in positions)
+
+
+def _score_lines(results, node: Optional[str], line: Callable[[int, str], str],
+                 sep: str) -> Iterator[Tuple[str, str, tuple]]:
+    """(template, country, scores) for each row of _score_rows: the
+    country's lines as one '%' template, `line(year, node id)` for each of
+    its nodes joined by `sep`, built once per year and node tuple."""
+    templates: dict = {}
+    for year, country, names, values in _score_rows(results, node):
+        template = templates.get((year, names))
+        if template is None:
+            template = templates[year, names] = sep.join(line(year, n) for n in names)
+        yield template, country, values
+
+
+def _pairs(country, values) -> tuple:
+    """(country, values[0], country, values[1], ...)."""
+    cells = [country] * (2 * len(values))
+    cells[1::2] = values
+    return tuple(cells)
 
 
 def _json_number(value: float) -> float:
@@ -443,8 +481,10 @@ def _record(result, number=_fmt6, signed=format_delta) -> Dict[str, object]:
 
 def _render_csv(results, node: Optional[str]) -> str:
     if isinstance(results, (ScoreTable, dict)):
-        cells = _score_rows(results, node)
-        return SCORE_HEADER + "\n" + ("%s,%s,%s,%.6f\n" * (len(cells) // 4)) % tuple(cells)
+        # the year and the node ids are written into the templates, '%' doubled
+        lines = _score_lines(results, node,
+                             lambda year, n: f"{year},%s,{n.replace('%', '%%')},%.6f\n", "")
+        return SCORE_HEADER + "\n" + "".join([t % _pairs(c, scores) for t, c, scores in lines])
     if isinstance(results, RankTable):
         lines = [RANK_HEADER]
         lines += [f"{results.year},{c},{results.rank(c)}" for c in results.countries()]
@@ -469,22 +509,22 @@ def _render_csv(results, node: Optional[str]) -> str:
 
 def _render_json(results, node: Optional[str]) -> str:
     if isinstance(results, (ScoreTable, dict)):
-        # json.dumps(doc, indent=2, sort_keys=True) from one template: names
-        # through json's own string encoder, each score as its 6-decimal
-        # float's repr; a dict's rows hold their year, a ScoreTable's follows
-        year = results.year if isinstance(results, ScoreTable) else None
-        cells = _score_rows(results, node)
-        keys = ["country", "node", "score"] + (["year"] if year is None else [])
-        n, k = len(cells) // 4, len(keys)
-        flat: list = [None] * (n * k)
-        flat[0::k] = map(json.encoder.encode_basestring_ascii, cells[1::4])
-        flat[1::k] = map(json.encoder.encode_basestring_ascii, cells[2::4])
-        flat[2::k] = map(repr, map(float, (("%.6f " * n) % tuple(cells[3::4])).split()))
-        if year is None:
-            flat[3::k] = cells[0::4]
-        row = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
-        scores = "[\n" + ",\n".join([row] * n) % tuple(flat) + "\n  ]" if n else "[]"
-        tail = "" if year is None else f',\n  "year": {year}'
+        # json.dumps(doc, indent=2, sort_keys=True) from _score_lines'
+        # templates: names through json's own string encoder ('%' doubled in
+        # the templates), each score as its 6-decimal float's repr; a dict's
+        # rows hold their year, a ScoreTable's follows
+        single = isinstance(results, ScoreTable)
+        encode = json.encoder.encode_basestring_ascii
+
+        def line(year: int, n: str) -> str:
+            tail = "" if single else f',\n      "year": {year}'
+            return ('    {\n      "country": %s,\n      "node": ' + encode(n).replace("%", "%%")
+                    + ',\n      "score": %s' + tail + "\n    }")
+
+        rows = [t % _pairs(encode(c), [*map(repr, map(float, (("%.6f " * len(v)) % v).split()))])
+                for t, c, v in _score_lines(results, node, line, ",\n")]
+        scores = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        tail = f',\n  "year": {results.year}' if single else ""
         return f'{{\n  "scores": {scores}{tail}\n}}\n'
     if isinstance(results, RankTable):
         doc = {
@@ -511,18 +551,16 @@ def _render_json(results, node: Optional[str]) -> str:
 
 def _render_svg(results, node: Optional[str]) -> str:
     if isinstance(results, ScoreTable):
-        target = node or ("GCI" if "GCI" in results.nodes() else None)
-        if target is None or target not in results.nodes():
+        target = node or "GCI"
+        items = [(c, s) for _, c, _, (s,) in _score_rows({results.year: results}, target)]
+        if not items:
             raise UnsupportedFormatError(
-                f"score chart needs a node present in the table, got {target!r}"
+                f"score chart needs a node present in the table, got {node or None!r}"
             )
-        items = [(c, results.score(c, target)) for c in results.countries()
-                 if results.get(c, target) is not None]
         return svg.bar_chart(items, f"{target} scores, {results.year}", baseline=1.0)
     if isinstance(results, dict):
         series: Dict[str, list] = {}
-        cells = _score_rows(results, node)
-        for year, country, score in zip(cells[0::4], cells[1::4], cells[3::4]):
+        for year, country, _, (score,) in _score_rows(results, node):
             series.setdefault(country, []).append((float(year), score))
         return svg.line_chart(series, f"{node} scores by year")
     if isinstance(results, RankTable):
@@ -574,9 +612,10 @@ def emit_report(results, format: str, path: Union[str, Path], node: Optional[str
 def render_report(results, format: str, node: Optional[str] = None) -> str:
     """The text emit_report would write, without touching the filesystem.
 
-    A score report takes one walk over each table's kept country and node
-    order and one format call per csv or json file; its '%.6f' needs no
-    negative-zero step, as _fmt6 takes, since ScoreTable range-checks to [1, 7]."""
+    A score report reads each table's rows (see _score_rows): csv and json
+    give each year and node tuple one line template and each country one
+    format call; its '%.6f' needs no negative-zero step, as _fmt6 takes,
+    since ScoreTable range-checks to [1, 7]."""
     if isinstance(results, dict) and node is None:
         raise UnsupportedFormatError("a {year: ScoreTable} report needs a node")
     if format == "csv":

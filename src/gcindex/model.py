@@ -12,7 +12,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
     CycleError,
@@ -393,16 +393,18 @@ def _check_scores(scores: Iterable[Tuple[Tuple[str, str], float]]) -> None:
 class ScoreTable(_Record):
     """Per-country, per-node scores on the 1-7 scale for one year.
 
-    The sorted country and node tuples, each node's column and each column's
-    scores in ascending order are built from the entries on first use and
-    kept with the table (they take no part in equality).
+    The sorted country and node tuples, each country's row, each node's
+    column and each column's scores in ascending order are built from the
+    entries on first use and kept with the table (they take no part in
+    equality); compute_all keeps the countries and rows its walk gives.
     """
 
     year: int
     entries: Mapping[Tuple[str, str], float]
     # _cached() store: {("countries",) and ("nodes",): the sorted country
-    # and node tuples, ("column", node): {country: score},
-    # ("ascending", node): that column's scores in ascending order}
+    # and node tuples, ("rows",): {country: (nodes, scores)},
+    # ("column", node): {country: score}, ("ascending", node): that column's
+    # scores in ascending order}
     _cache = None
 
     def __post_init__(self):
@@ -416,6 +418,22 @@ class ScoreTable(_Record):
 
     def countries(self) -> Tuple[str, ...]:
         return _cached(self, ("countries",), lambda: tuple(sorted({c for (c, _) in self.entries})))
+
+    def _rows(self) -> Dict[str, Tuple[Tuple[str, ...], Sequence[Optional[float]]]]:
+        """{country: (nodes, scores)} for every country: its scores aligned
+        with a node tuple, None where it has no score for that node; callers
+        must not mutate it.  compute_all keeps the rows its walk gives (a
+        class's plan order, countries sharing their class's tuple); any other
+        table builds them once from the entries, in entry order."""
+        def build() -> Dict[str, Tuple[Tuple[str, ...], List[float]]]:
+            rows: Dict[str, Tuple[List[str], List[float]]] = {}
+            for (c, n), s in self.entries.items():
+                nodes, scores = rows.get(c) or rows.setdefault(c, ([], []))
+                nodes.append(n)
+                scores.append(s)
+            return {c: (tuple(nodes), scores) for c, (nodes, scores) in rows.items()}
+
+        return _cached(self, ("rows",), build)
 
     def _column(self, node: str) -> Dict[str, float]:
         """{country: score} on `node` for every country, in country order,

@@ -22,6 +22,14 @@ CASES = [
      "--out", "trend.csv"],
     ["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
      "--year", "2006", "--from", "2001", "--to", "2002", "--out", "deltas.csv"],
+    ["report", *DATA, "--kind", "scores", "--node", "GCI", "--prev-year", "2005",
+     "--cur-year", "2006", "--country", "Macedonia", "--format", "csv", "--out", "a.csv"],
+    ["report", *DATA, "--kind", "bars", "--year", "2006", "--nodes", "TI",
+     "--country", "Macedonia", "--prev-year", "2001", "--out", "bars.svg"],
+    ["report", *DATA, "--kind", "trend", "--country", "Macedonia", "--node", "GCI",
+     "--rank-indicator", "x", "--out", "trend.svg"],
+    ["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
+     "--country", "Macedonia", "--nodes", "TI", "--out", "deltas.svg"],
     ["fixture", "atlas"],
     # every command given all it needs, then one word more: argparse's
     # "unrecognized arguments" error prints the top-level usage

@@ -505,15 +505,18 @@ class TestReport:
                 for leaf in ("IS", "TTS", "ICTS", "PII", "MEI"):
                     rows.append(f"{year},{country},{leaf},{g + step}")
         data.write_text("\n".join(rows) + "\n")
-        inputs = ["--data", str(data), "--tree", TREE, "--prev-year", "2006", "--cur-year", "2007"]
+        inputs = ["--data", str(data), "--tree", TREE]
+        years = ["--prev-year", "2006", "--cur-year", "2007"]
         if kind == "delta":
-            code, text, _ = run_cli(capsys, "delta", *inputs, "--format", "svg")
+            code, text, _ = run_cli(capsys, "delta", *inputs, *years, "--format", "svg")
         else:
             out_path = tmp_path / f"{kind}.svg"
-            year = ["--year", "2006"] if kind in ("bars", "scores") else []  # trend, deltas read none
+            # each kind gets only the flags it reads
+            read = {"bars": ["--year", "2006"], "scores": ["--year", "2006"],
+                    "trend": ["--country", "A&B"], "deltas": years}[kind]
             code, _, _ = run_cli(
-                capsys, "report", *inputs, "--kind", kind, *year,
-                "--country", "A&B", "--format", "svg", "--out", str(out_path),
+                capsys, "report", *inputs, "--kind", kind, *read,
+                "--format", "svg", "--out", str(out_path),
             )
             text = out_path.read_text()
         assert code == 0
@@ -700,9 +703,27 @@ class TestExitCodes:
         (["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
           "--from", "2001", "--to", "2002", "--year", "2003"],
          "--kind deltas cannot be combined with --year, --from, --to"),
+        (["report", *DATA, "--kind", "scores", "--node", "GCI", "--prev-year", "2005",
+          "--cur-year", "2006", "--country", "Macedonia", "--format", "csv"],
+         "--kind scores cannot be combined with --country, --prev-year, --cur-year"),
+        (["report", *DATA, "--kind", "scores", "--nodes", "TI", "GCI", "--rank-indicator", "x"],
+         "--kind scores cannot be combined with --nodes, --rank-indicator"),
+        (["report", *DATA, "--kind", "bars", "--year", "2006", "--node", "ICTS",
+          "--country", "Macedonia", "--prev-year", "2001"],
+         "--kind bars cannot be combined with --country, --prev-year"),
+        (["report", *DATA, "--kind", "trend", "--country", "Macedonia", "--nodes", "TI", "GCI",
+          "--node", "GCI", "--rank-indicator", "x"],
+         "--kind trend cannot be combined with --node, --rank-indicator"),
+        (["report", *DATA, "--kind", "trend", "--country", "Macedonia", "--prev-year", "2005",
+          "--cur-year", "2006"], "--kind trend cannot be combined with --prev-year, --cur-year"),
+        (["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
+          "--country", "Macedonia", "--nodes", "TI"],
+         "--kind deltas cannot be combined with --nodes, --country"),
     ], ids=["rank-scores-data-year", "rank-scores-classes", "rank-scores-defaults-given",
             "report-scores-year-from", "report-bars-year-to", "report-trend-year",
-            "report-deltas-to", "report-deltas-year-from-to"])
+            "report-deltas-to", "report-deltas-year-from-to", "report-scores-delta-flags",
+            "report-scores-nodes-indicator", "report-bars-country-prev", "report-trend-node",
+            "report-trend-years", "report-deltas-country-nodes"])
     def test_conflicting_flags_are_usage_errors(self, capsys, tmp_path, argv, message):
         out = ["--out", str(tmp_path / "report.svg")] if argv[0] == "report" else []
         with pytest.raises(SystemExit) as exc:
