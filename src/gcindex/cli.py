@@ -119,6 +119,31 @@ def _series(tables: Dict[int, ScoreTable], country: str, node: str):
     return points
 
 
+def _unread(args, reason: str, flags) -> None:
+    """Exit 2 if any of `flags` was given, as `reason` leaves it unread; a
+    flag that its command's row in _COMMANDS defaults to None shows here."""
+    given = [flag for flag in flags
+             if getattr(args, _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))) is not None]
+    if given:
+        args.error(f"{reason} cannot be combined with {', '.join(given)}")
+
+
+def _fill_defaults(args, flags) -> None:
+    """Give each of `flags` left at None its shared default from _FLAGS."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is None:
+            setattr(args, flag[2:], _FLAGS[flag]["default"])
+
+
+def _rank_flags(args) -> None:
+    """Check and fill the flags of _rank_tables: standings taken from
+    --rank-indicator read neither --node nor --policy, which therefore
+    default to None in the rows of the commands that rank."""
+    if args.rank_indicator:
+        _unread(args, "--rank-indicator", ("--node", "--policy"))
+    _fill_defaults(args, ("--node", "--policy"))
+
+
 def _rank_tables(args, panel: Panel, tree: IndexTree, policy: MissingPolicy):
     """Previous/current rank tables from computed scores or ingested ranks."""
     if args.rank_indicator:
@@ -143,21 +168,14 @@ def _cmd_compute(args) -> int:
 
 def _cmd_rank(args) -> int:
     if args.scores:
-        # rank's --tree and --policy default to None (see _COMMANDS), so a
-        # given one shows here
-        given = [flag for flag in ("--data", "--classes", "--tree", "--policy", "--year")
-                 if getattr(args, flag[2:]) is not None]
-        if given:
-            args.error(f"--scores cannot be combined with {', '.join(given)}")
+        _unread(args, "--scores", ("--data", "--classes", "--tree", "--policy", "--year"))
         table = load_score_table(args.scores)
     else:
         if not args.data:
             args.error("needs either --scores or --data with --year")
         if args.year is None:
             args.error("--data needs --year")
-        for flag in ("--tree", "--policy"):
-            if getattr(args, flag[2:]) is None:
-                setattr(args, flag[2:], _FLAGS[flag]["default"])
+        _fill_defaults(args, ("--tree", "--policy"))
         panel, tree, policy = _load(args)
         table = compute_all(tree, panel, args.year, policy)
     _deliver(args, rank_scores(table, args.node))
@@ -165,6 +183,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_delta(args) -> int:
+    _rank_flags(args)
     panel, tree, policy = _load(args)
     prev, cur = _rank_tables(args, panel, tree, policy)
     _deliver(args, rank_delta(prev, cur))
@@ -192,6 +211,7 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_chisq(args) -> int:
+    _rank_flags(args)
     panel, tree, policy = _load(args)
     prev, cur = _rank_tables(args, panel, tree, policy)
     return _print_record(args, rank_homogeneity_test(prev, cur, alpha=args.alpha,
@@ -228,19 +248,15 @@ def _cmd_report(args) -> int:
     if args.year is not None and (args.from_year is not None or args.to_year is not None) \
             and args.kind in ("scores", "bars"):
         args.error("--year cannot be combined with --from or --to")
-    # report's --node and --nodes default to None (see _COMMANDS), so a given
-    # one shows here; each kind names, in help order, the flags it never reads
+    # each kind names, in help order, the flags it never reads
     scores = ("--nodes", "--country", "--prev-year", "--cur-year", "--rank-indicator")
-    unread = {"scores": scores, "bars": scores,
-              "trend": ("--node", "--year", "--prev-year", "--cur-year", "--rank-indicator"),
-              "deltas": ("--nodes", "--country", "--year", "--from", "--to")}[args.kind]
-    given = [flag for flag in unread
-             if getattr(args, _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))) is not None]
-    if given:
-        args.error(f"--kind {args.kind} cannot be combined with {', '.join(given)}")
-    for flag in ("--node", "--nodes"):
-        if getattr(args, flag[2:]) is None:
-            setattr(args, flag[2:], _FLAGS[flag]["default"])
+    _unread(args, f"--kind {args.kind}", {
+        "scores": scores, "bars": scores,
+        "trend": ("--node", "--year", "--prev-year", "--cur-year", "--rank-indicator"),
+        "deltas": ("--nodes", "--country", "--year", "--from", "--to")}[args.kind])
+    if args.kind == "deltas":
+        _rank_flags(args)
+    _fill_defaults(args, ("--node", "--nodes", "--policy"))
     panel, tree, policy = _load(args)
     if args.kind in ("scores", "bars"):
         tables = ({args.year: compute_all(tree, panel, args.year, policy)}
@@ -305,6 +321,9 @@ _FLAGS = {
     "--format": {"choices": ["csv", "json"], "default": "csv"},
 }
 _DATASET = ("--data!", "--classes", "--tree", "--policy")
+#: the dataset flags of the commands that rank, with --policy defaulting to
+#: None (see _rank_flags)
+_RANKING_DATASET = (*_DATASET[:3], ("--policy", {"default": None}))
 
 #: command -> (summary, handler, its options in help order).  A trailing '!'
 #: marks a required option, a (name, keywords) pair overrides the shared
@@ -316,9 +335,10 @@ _COMMANDS = {
     "rank": ("rank countries on one node", _cmd_rank, (
         "--scores", "--data", "--classes", ("--tree", {"default": None}),
         ("--policy", {"default": None}), "--year", "--node", "--out", "--format")),
+    # --node and --policy default to None, so that _rank_flags sees a given one
     "delta": ("rank movement between two years", _cmd_delta, (
-        *_DATASET, "--prev-year!", "--cur-year!",
-        ("--node", {"help": "rank computed scores on this node"}),
+        *_RANKING_DATASET, "--prev-year!", "--cur-year!",
+        ("--node", {"default": None, "help": "rank computed scores on this node"}),
         ("--rank-indicator", {"help": "take standings from this panel indicator instead of scores"}),
         "--out", ("--format", {"choices": _WITH_SVG}))),
     "trend": ("least-squares trend of one node for one country", _cmd_trend, (
@@ -327,15 +347,16 @@ _COMMANDS = {
         *_DATASET, "--country!", ("--nodes", {"nargs": 2, "metavar": ("NODE_A", "NODE_B")}),
         "--from", "--to", "--out", "--format")),
     "chisq": ("chi-square test of ranking stability", _cmd_chisq, (
-        *_DATASET, "--prev-year!", "--cur-year!", "--alpha", "--node", "--rank-indicator",
-        "--design", "--out", "--format")),
+        *_RANKING_DATASET, "--prev-year!", "--cur-year!", "--alpha",
+        ("--node", {"default": None}), "--rank-indicator", "--design", "--out", "--format")),
     "whatif": ("override a node score or solve for a rank gain", _cmd_whatif, (
         *_DATASET, "--year!", "--country!", "--node", ["--set", "--gain"], "--out", "--format")),
-    # --node and --nodes default to None, so that _cmd_report sees a given one
+    # --node, --nodes and --policy default to None, so that _cmd_report sees
+    # a given one
     "report": ("figure-style artifacts (score panels, deltas, trends, bars)", _cmd_report, (
-        *_DATASET, "--kind!", ("--node", {"default": None}), ("--nodes", {"default": None}),
-        "--country", "--year", "--prev-year",
-        "--cur-year", "--rank-indicator", "--from", "--to",
+        *_RANKING_DATASET, "--kind!", ("--node", {"default": None}),
+        ("--nodes", {"default": None}), "--country", "--year", "--prev-year", "--cur-year",
+        "--rank-indicator", "--from", "--to",
         ("--format", {"choices": _WITH_SVG, "default": "svg"}), "--out!")),
 }
 

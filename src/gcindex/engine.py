@@ -9,6 +9,7 @@ weights.  Pure functions throughout: same inputs, bit-identical outputs.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -101,19 +102,36 @@ def _aggregate_columns(
     """_aggregate down score columns of `size` countries: each of `parts` is
     a child's (integer weight, scores), None where it has no score.  Each
     country's mean is _aggregate's over its children present, bit for bit;
-    None when none is."""
-    num, den = [0] * size, [0] * size
+    None when none is.  A gap-free column's weight counts for every country,
+    so it is tested for gaps once and adds to one scalar; only a column with
+    gaps keeps weights per country."""
+    num: Optional[List[int]] = None  # the sums, begun by the first child
+    full = 0  # the weights of the gap-free columns
+    den: Optional[List[int]] = None  # per country, the gapped columns' weights it has
     for a, column in parts:
-        num = [x if s is None else x + a * int(s * 2.0 ** 52) for x, s in zip(num, column)]
-        den = [d if s is None else d + a for d, s in zip(den, column)]
-    return [x / (d << 52) if d else None for x, d in zip(num, den)]
+        if None in column:
+            num = [x if s is None else x + a * int(s * 2.0 ** 52)
+                   for x, s in zip(num or [0] * size, column)]
+            den = [d if s is None else d + a for d, s in zip(den or [0] * size, column)]
+            continue
+        full += a
+        if num is None:
+            num = ([int(s * 2.0 ** 52) for s in column] if a == 1
+                   else [a * int(s * 2.0 ** 52) for s in column])
+        elif a == 1:
+            num = [x + int(s * 2.0 ** 52) for x, s in zip(num, column)]
+        else:
+            num = [x + a * int(s * 2.0 ** 52) for x, s in zip(num, column)]
+    if den is None:
+        return [x / (full << 52) for x in num] if full else [None] * size
+    return [x / ((full + d) << 52) if full + d else None for x, d in zip(num, den)]
 
 
 def _read(plan: Sequence[Step], countries: Sequence[str], leaves: LeafAssignment) -> _Columns:
     """Each of the plan's leaves as a column of raw values aligned with
     `countries`, None where a country has no value."""
     get = leaves.get
-    return {node: [get((c, node)) for c in countries]
+    return {node: list(map(get, zip(countries, repeat(node))))
             for node, _, weights in plan if weights is None}
 
 
@@ -149,7 +167,8 @@ def _walk(
         elif spec is not None:
             scores[node] = _normalize(column, bounds(node) if spec == OBSERVED else spec)
         elif 1.0 <= min(present) and max(present) <= 7.0:
-            scores[node] = [None if v is None else float(v) for v in column]
+            scores[node] = (list(map(float, column)) if present is column
+                            else [None if v is None else float(v) for v in column])
         else:
             i, v = next((i, v) for i, v in enumerate(column)
                         if v is not None and not 1.0 <= v <= 7.0)

@@ -408,7 +408,11 @@ class ScoreTable(_Record):
     _cache = None
 
     def __post_init__(self):
-        _check_scores(self.entries.items())
+        # the scores alone are the cheap pass; the keyed one names the first
+        # offender, and only runs when there is one
+        for score in self.entries.values():
+            if not 1.0 <= score <= 7.0:
+                _check_scores(self.entries.items())
 
     def score(self, country: str, node: str) -> float:
         return self.entries[(country, node)]

@@ -30,6 +30,10 @@ CASES = [
      "--rank-indicator", "x", "--out", "trend.svg"],
     ["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
      "--country", "Macedonia", "--nodes", "TI", "--out", "deltas.svg"],
+    ["delta", *DATA, "--prev-year", "2005", "--cur-year", "2006", "--rank-indicator", "GCI_RANK",
+     "--node", "ZZZ", "--policy", "renormalize"],
+    ["chisq", *DATA, "--prev-year", "2005", "--cur-year", "2006", "--rank-indicator", "GCI_RANK",
+     "--policy", "strict"],
     ["fixture", "atlas"],
     # every command given all it needs, then one word more: argparse's
     # "unrecognized arguments" error prints the top-level usage

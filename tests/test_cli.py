@@ -719,11 +719,25 @@ class TestExitCodes:
         (["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
           "--country", "Macedonia", "--nodes", "TI"],
          "--kind deltas cannot be combined with --nodes, --country"),
+        # flags that standings from --rank-indicator never read
+        (["delta", *DATA, "--prev-year", "2005", "--cur-year", "2006",
+          "--rank-indicator", "GCI_RANK", "--node", "ZZZ", "--policy", "renormalize"],
+         "--rank-indicator cannot be combined with --node, --policy"),
+        (["chisq", *DATA, "--prev-year", "2005", "--cur-year", "2006",
+          "--rank-indicator", "GCI_RANK", "--node", "GCI"],
+         "--rank-indicator cannot be combined with --node"),
+        (["chisq", *DATA, "--prev-year", "2005", "--cur-year", "2006", "--policy", "strict",
+          "--rank-indicator", "GCI_RANK"],
+         "--rank-indicator cannot be combined with --policy"),
+        (["report", *DATA, "--kind", "deltas", "--prev-year", "2005", "--cur-year", "2006",
+          "--rank-indicator", "GCI_RANK", "--node", "GCI"],
+         "--rank-indicator cannot be combined with --node"),
     ], ids=["rank-scores-data-year", "rank-scores-classes", "rank-scores-defaults-given",
             "report-scores-year-from", "report-bars-year-to", "report-trend-year",
             "report-deltas-to", "report-deltas-year-from-to", "report-scores-delta-flags",
             "report-scores-nodes-indicator", "report-bars-country-prev", "report-trend-node",
-            "report-trend-years", "report-deltas-country-nodes"])
+            "report-trend-years", "report-deltas-country-nodes", "delta-indicator-node-policy",
+            "chisq-indicator-node", "chisq-indicator-policy", "report-deltas-indicator-node"])
     def test_conflicting_flags_are_usage_errors(self, capsys, tmp_path, argv, message):
         out = ["--out", str(tmp_path / "report.svg")] if argv[0] == "report" else []
         with pytest.raises(SystemExit) as exc:

@@ -419,6 +419,24 @@ class TestExactSum:
                 continue
             assert score.hex() == _aggregate(parts).hex()
 
+    @pytest.mark.parametrize("weights,gapped", [
+        ((1, 1), (0,)),  # a gap-free column after a gapped one
+        ((2, 1, 3), (0,)),
+        ((3, 1), (1,)),  # a gapped column after a gap-free one
+        ((1, 3, 1, 2), (1, 3)),  # weights of 1 and above, each gap-free and gapped
+    ])
+    def test_columns_with_gaps_in_some_children(self, weights, gapped):
+        # only the children in `gapped` have gaps: a gap-free child's weight
+        # counts for every country, a gapped one's only where it scores
+        pools = [self.EDGES + ((None,) if i in gapped else ()) for i in range(len(weights))]
+        rows = list(itertools.product(*pools))
+        columns = [list(column) for column in zip(*rows)]
+        assert [None in column for column in columns] == [i in gapped for i in range(len(weights))]
+        got = _aggregate_columns(list(zip(weights, columns)), len(rows))
+        for row, score in zip(rows, got):
+            parts = [(a, s) for a, s in zip(weights, row) if s is not None]
+            assert score.hex() == _aggregate(parts).hex()
+
     def test_columns_without_children_have_no_scores(self):
         assert _aggregate_columns([], 3) == [None, None, None]
 
@@ -640,3 +658,26 @@ class TestScatteredGaps:
         assert list(table.entries) == [
             (c, n) for c in gappy.countries(2006)
             for n, _, _ in wef_tree.plan(gappy.innovator_class(c)) if (c, n) in expected]
+
+
+class TestIntegerValues:
+    @pytest.mark.parametrize("policy", list(MissingPolicy))
+    def test_integer_values_score_as_their_float_twins(self, wef_tree, policy):
+        # a Panel built from rows may hold ints: survey leaves, gap-free or
+        # not, and hard leaves all score the floats of the same panel in float
+        rng = Random(4)
+        rows, classes = [], {}
+        for i in range(12):
+            country = f"C{i:02d}"
+            classes[country] = CORE if i % 4 == 0 else NONCORE
+            for j, leaf in enumerate(wef_tree.leaves()):
+                if policy is MissingPolicy.RENORMALIZE and j % 3 == 0 and (i + j) % 5 == 0:
+                    continue  # a gap in every third leaf's column
+                hard = wef_tree.node(leaf).normalize is not None
+                rows.append((2006, country, leaf, rng.randint(0, 500) if hard else rng.randint(1, 7)))
+        ints = compute_all(wef_tree, Panel(rows, classes), 2006, policy)
+        floats = compute_all(wef_tree, Panel([(*row[:3], float(row[3])) for row in rows], classes),
+                             2006, policy)
+        assert list(ints.entries) == list(floats.entries)
+        assert [s.hex() for s in ints.entries.values()] == \
+            [s.hex() for s in floats.entries.values()]

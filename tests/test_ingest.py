@@ -393,6 +393,25 @@ def test_clean_panels_take_the_columnar_path(tmp_path, monkeypatch):
         assert not isinstance(columnar[0], type)  # a panel, not an error
 
 
+def test_a_hash_inside_a_field_keeps_the_columnar_path(tmp_path, monkeypatch):
+    # '#' in a country and an indicator, but no line starts with it: no
+    # comment line to drop, so the file is clean
+    path = tmp_path / "panel.csv"
+    path.write_text("year,country,indicator,value\n2005,C#1,TI,3.5\n2005,A,TI#2,4\n")
+    read = []
+    real = ingest._columns
+
+    def spy(text, header):
+        read.append(real(text, header) is not None)
+        return real(text, header)
+    monkeypatch.setattr(ingest, "_columns", spy)
+    columnar = _outcome(load_panel, path)
+    assert read == [True]
+    with _row_read_only():
+        assert _outcome(load_panel, path) == columnar
+    assert columnar[1] == ("A", "C#1")
+
+
 def test_clean_panel_parses_each_year_field_once(tmp_path, monkeypatch):
     # '2005' and '02005' are two fields of one year; '2006' is a second year
     path = tmp_path / "panel.csv"

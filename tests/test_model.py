@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 
@@ -254,6 +255,18 @@ class TestDefaultTree:
 def test_score_table_rejects_out_of_scale():
     with pytest.raises(ValueError):
         ScoreTable(year=2005, entries={("A", "GCI"): 7.5})
+
+
+@pytest.mark.parametrize("entries,message", [
+    ({("A", "GCI"): 4.0, ("A", "TI"): math.nan, ("B", "GCI"): 5.0},
+     "score nan for (A, TI) outside [1, 7]"),
+    ({("A", "GCI"): 4.0, ("B", "GCI"): 1.0, ("B", "TI"): 7.5, ("C", "GCI"): 0.5},
+     "score 7.5 for (B, TI) outside [1, 7]"),
+])
+def test_score_table_names_the_first_offender_in_entry_order(entries, message):
+    with pytest.raises(ValueError) as err:
+        ScoreTable(year=2005, entries=entries)
+    assert str(err.value) == message
 
 
 def test_rank_table_rejects_nonpositive_rank():
