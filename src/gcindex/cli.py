@@ -119,31 +119,6 @@ def _series(tables: Dict[int, ScoreTable], country: str, node: str):
     return points
 
 
-def _unread(args, reason: str, flags) -> None:
-    """Exit 2 if any of `flags` was given, as `reason` leaves it unread; a
-    flag that its command's row in _COMMANDS defaults to None shows here."""
-    given = [flag for flag in flags
-             if getattr(args, _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))) is not None]
-    if given:
-        args.error(f"{reason} cannot be combined with {', '.join(given)}")
-
-
-def _fill_defaults(args, flags) -> None:
-    """Give each of `flags` left at None its shared default from _FLAGS."""
-    for flag in flags:
-        if getattr(args, flag[2:]) is None:
-            setattr(args, flag[2:], _FLAGS[flag]["default"])
-
-
-def _rank_flags(args) -> None:
-    """Check and fill the flags of _rank_tables: standings taken from
-    --rank-indicator read neither --node nor --policy, which therefore
-    default to None in the rows of the commands that rank."""
-    if args.rank_indicator:
-        _unread(args, "--rank-indicator", ("--node", "--policy"))
-    _fill_defaults(args, ("--node", "--policy"))
-
-
 def _rank_tables(args, panel: Panel, tree: IndexTree, policy: MissingPolicy):
     """Previous/current rank tables from computed scores or ingested ranks."""
     if args.rank_indicator:
@@ -167,15 +142,9 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    if args.scores:
-        _unread(args, "--scores", ("--data", "--classes", "--tree", "--policy", "--year"))
+    if args.scores is not None:
         table = load_score_table(args.scores)
     else:
-        if not args.data:
-            args.error("needs either --scores or --data with --year")
-        if args.year is None:
-            args.error("--data needs --year")
-        _fill_defaults(args, ("--tree", "--policy"))
         panel, tree, policy = _load(args)
         table = compute_all(tree, panel, args.year, policy)
     _deliver(args, rank_scores(table, args.node))
@@ -183,7 +152,6 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    _rank_flags(args)
     panel, tree, policy = _load(args)
     prev, cur = _rank_tables(args, panel, tree, policy)
     _deliver(args, rank_delta(prev, cur))
@@ -211,7 +179,6 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_chisq(args) -> int:
-    _rank_flags(args)
     panel, tree, policy = _load(args)
     prev, cur = _rank_tables(args, panel, tree, policy)
     return _print_record(args, rank_homogeneity_test(prev, cur, alpha=args.alpha,
@@ -239,24 +206,6 @@ def _cmd_whatif(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.kind == "bars" and args.year is None:
-        args.error("--kind bars needs --year")
-    if args.kind == "deltas" and (args.prev_year is None or args.cur_year is None):
-        args.error("--kind deltas needs --prev-year and --cur-year")
-    if args.kind == "trend" and not args.country:
-        args.error("--kind trend needs --country")
-    if args.year is not None and (args.from_year is not None or args.to_year is not None) \
-            and args.kind in ("scores", "bars"):
-        args.error("--year cannot be combined with --from or --to")
-    # each kind names, in help order, the flags it never reads
-    scores = ("--nodes", "--country", "--prev-year", "--cur-year", "--rank-indicator")
-    _unread(args, f"--kind {args.kind}", {
-        "scores": scores, "bars": scores,
-        "trend": ("--node", "--year", "--prev-year", "--cur-year", "--rank-indicator"),
-        "deltas": ("--nodes", "--country", "--year", "--from", "--to")}[args.kind])
-    if args.kind == "deltas":
-        _rank_flags(args)
-    _fill_defaults(args, ("--node", "--nodes", "--policy"))
     panel, tree, policy = _load(args)
     if args.kind in ("scores", "bars"):
         tables = ({args.year: compute_all(tree, panel, args.year, policy)}
@@ -321,56 +270,74 @@ _FLAGS = {
     "--format": {"choices": ["csv", "json"], "default": "csv"},
 }
 _DATASET = ("--data!", "--classes", "--tree", "--policy")
-#: the dataset flags of the commands that rank, with --policy defaulting to
-#: None (see _rank_flags)
-_RANKING_DATASET = (*_DATASET[:3], ("--policy", {"default": None}))
+# standings from --rank-indicator read neither --node nor --policy; a
+# one-row result prints the same 'name value' lines in every --format
+_INDICATOR = ("--rank-indicator", (), ("--node", "--policy"))
+_FORMAT = ("--format", ("--out",), ())
+_SCORES_UNREAD = ("--nodes", "--country", "--prev-year", "--cur-year", "--rank-indicator")
 
-#: command -> (summary, handler, its options in help order).  A trailing '!'
-#: marks a required option, a (name, keywords) pair overrides the shared
-#: keywords, and a list is a group of which exactly one must be given.
+#: command -> (summary, handler, its options in help order, *its usage
+#: rules).  A trailing '!' marks a required option, a (name, keywords) pair
+#: overrides the shared keywords, and a list is a group of which exactly one
+#: must be given.  A rule (when, needs, unread) applies where `when` holds (a
+#: flag is given, or "--kind K" is): each flag of `needs` must be given, and
+#: none of `unread`, which that run would not read (see _check_usage).
 _COMMANDS = {
     "compute": ("score every tree node for one year", _cmd_compute, (
         *_DATASET, "--year!", ("--out", {"help": "write here instead of stdout"}), "--format")),
-    # --scores is the alternative to --data
     "rank": ("rank countries on one node", _cmd_rank, (
-        "--scores", "--data", "--classes", ("--tree", {"default": None}),
-        ("--policy", {"default": None}), "--year", "--node", "--out", "--format")),
-    # --node and --policy default to None, so that _rank_flags sees a given one
+        "--scores", "--data", "--classes", "--tree", "--policy", "--year", "--node", "--out",
+        "--format"),
+        ("--scores", (), ("--data", "--classes", "--tree", "--policy", "--year")),
+        ("--data", ("--year",), ())),
     "delta": ("rank movement between two years", _cmd_delta, (
-        *_RANKING_DATASET, "--prev-year!", "--cur-year!",
-        ("--node", {"default": None, "help": "rank computed scores on this node"}),
+        *_DATASET, "--prev-year!", "--cur-year!",
+        ("--node", {"help": "rank computed scores on this node"}),
         ("--rank-indicator", {"help": "take standings from this panel indicator instead of scores"}),
-        "--out", ("--format", {"choices": _WITH_SVG}))),
+        "--out", ("--format", {"choices": _WITH_SVG})), _INDICATOR),
     "trend": ("least-squares trend of one node for one country", _cmd_trend, (
-        *_DATASET, "--country!", "--node", "--from", "--to", "--out", "--format")),
+        *_DATASET, "--country!", "--node", "--from", "--to", "--out", "--format"), _FORMAT),
     "correlate": ("Pearson correlation between two node series", _cmd_correlate, (
         *_DATASET, "--country!", ("--nodes", {"nargs": 2, "metavar": ("NODE_A", "NODE_B")}),
-        "--from", "--to", "--out", "--format")),
+        "--from", "--to", "--out", "--format"), _FORMAT),
     "chisq": ("chi-square test of ranking stability", _cmd_chisq, (
-        *_RANKING_DATASET, "--prev-year!", "--cur-year!", "--alpha",
-        ("--node", {"default": None}), "--rank-indicator", "--design", "--out", "--format")),
+        *_DATASET, "--prev-year!", "--cur-year!", "--alpha",
+        "--node", "--rank-indicator", "--design", "--out", "--format"), _INDICATOR, _FORMAT),
     "whatif": ("override a node score or solve for a rank gain", _cmd_whatif, (
-        *_DATASET, "--year!", "--country!", "--node", ["--set", "--gain"], "--out", "--format")),
-    # --node, --nodes and --policy default to None, so that _cmd_report sees
-    # a given one
+        *_DATASET, "--year!", "--country!", "--node", ["--set", "--gain"], "--out", "--format"),
+        _FORMAT),
     "report": ("figure-style artifacts (score panels, deltas, trends, bars)", _cmd_report, (
-        *_RANKING_DATASET, "--kind!", ("--node", {"default": None}),
-        ("--nodes", {"default": None}), "--country", "--year", "--prev-year", "--cur-year",
-        "--rank-indicator", "--from", "--to",
-        ("--format", {"choices": _WITH_SVG, "default": "svg"}), "--out!")),
+        *_DATASET, "--kind!", "--node", "--nodes", "--country", "--year", "--prev-year",
+        "--cur-year", "--rank-indicator", "--from", "--to",
+        ("--format", {"choices": _WITH_SVG, "default": "svg"}), "--out!"),
+        ("--kind scores", (), _SCORES_UNREAD), ("--kind bars", ("--year",), _SCORES_UNREAD),
+        ("--kind trend", ("--country",),
+         ("--node", "--year", "--prev-year", "--cur-year", "--rank-indicator")),
+        ("--kind deltas", ("--prev-year", "--cur-year"),
+         ("--nodes", "--country", "--year", "--from", "--to")),
+        _INDICATOR),
 }
+
+
+def _option(entry) -> tuple:
+    """(name, required, argparse keywords) of one option of a _COMMANDS row."""
+    flag, keywords = entry if isinstance(entry, tuple) else (entry, {})
+    name = flag.rstrip("!")
+    return name, name != flag, {**_FLAGS[name], **keywords}
 
 
 def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """The `gcindex` parser: every command, or only the subparser of `only`
-    (a key of `_COMMANDS`), which parses that command's arguments alike."""
+    (a key of `_COMMANDS`), which parses that command's arguments alike.
+    Options parse to None when not given; `main` checks them against the
+    command's rules and then fills in their defaults."""
     parser = argparse.ArgumentParser(
         prog="gcindex",
         description="Growth-competitiveness composite index toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _COMMANDS if only is None else (only,):
-        summary, handler, flags = _COMMANDS[command]
+        summary, handler, flags, *_ = _COMMANDS[command]
         p = sub.add_parser(command, help=summary)
         for flag in flags:
             if isinstance(flag, list):
@@ -378,9 +345,8 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
                 for name in flag:
                     group.add_argument(name, **_FLAGS[name])
                 continue
-            flag, keywords = flag if isinstance(flag, tuple) else (flag, {})
-            name = flag.rstrip("!")
-            p.add_argument(name, required=name != flag, **{**_FLAGS[name], **keywords})
+            name, required, keywords = _option(flag)
+            p.add_argument(name, required=required, **{**keywords, "default": None})
         # usage errors found after parsing name the command, as argparse's own do
         p.set_defaults(func=handler, error=p.error)
     if only is not None:
@@ -403,6 +369,38 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _check_usage(args) -> None:
+    """Reject, through args.error and before any file is read, a flag
+    combination that the command's rules forbid; then fill in the defaults."""
+    def dest(flag: str) -> str:
+        return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+
+    def given(flag: str) -> bool:
+        return getattr(args, dest(flag), None) is not None
+
+    if given("--from") and given("--to") and args.from_year > args.to_year:
+        args.error(f"--from {args.from_year} is after --to {args.to_year}")
+    if args.command == "rank" and not given("--scores") and not given("--data"):
+        args.error("needs either --scores or --data with --year")
+    if args.command == "report" and args.kind in ("scores", "bars") and given("--year") \
+            and (given("--from") or given("--to")):
+        args.error("--year cannot be combined with --from or --to")
+    _, _, options, *rules = _COMMANDS[args.command]
+    for when, needs, unread in rules:
+        flag, _, value = when.partition(" ")
+        if (getattr(args, dest(flag)) == value) if value else given(flag):
+            if not all(map(given, needs)):
+                args.error(f"{when} needs {' and '.join(needs)}")
+            conflicts = [f for f in unread if given(f)]
+            if conflicts:
+                args.error(f"{when} cannot be combined with {', '.join(conflicts)}")
+    for entry in options:
+        if not isinstance(entry, list):
+            name, _, keywords = _option(entry)
+            if "default" in keywords and not given(name):
+                setattr(args, dest(name), keywords["default"])
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Run `gcindex argv` (default: sys.argv[1:]) and return its exit code;
     usage errors exit 2 through argparse.
@@ -414,9 +412,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     command.  Both give the same namespace or the same output.
     """
     args = _parse_args(sys.argv[1:] if argv is None else argv)
-    first, last = getattr(args, "from_year", None), getattr(args, "to_year", None)
-    if first is not None and last is not None and first > last:
-        args.error(f"--from {first} is after --to {last}")
+    if args.command in _COMMANDS:
+        _check_usage(args)
     try:
         return args.func(args)
     except (GciError, FileNotFoundError) as exc:

@@ -34,6 +34,7 @@ CASES = [
      "--node", "ZZZ", "--policy", "renormalize"],
     ["chisq", *DATA, "--prev-year", "2005", "--cur-year", "2006", "--rank-indicator", "GCI_RANK",
      "--policy", "strict"],
+    ["trend", *DATA, "--country", "Macedonia", "--format", "json"],
     ["fixture", "atlas"],
     # every command given all it needs, then one word more: argparse's
     # "unrecognized arguments" error prints the top-level usage
