@@ -196,6 +196,10 @@ def _cmd_whatif(args) -> int:
         delta = min_delta_for_rank_gain(tree, scores, classes,
                                         args.country, args.gain, args.node)
         if delta is None:
+            if args.out:
+                raise GciError(f"min-delta infeasible: {args.country} cannot gain {args.gain} "
+                               f"rank{'' if args.gain == 1 else 's'} on {args.node} in "
+                               f"{args.year}; nothing written to {args.out}")
             sys.stdout.write("min-delta infeasible\n")
             return 0
         sys.stdout.write(f"min-delta {_fmt6(delta)}\n")

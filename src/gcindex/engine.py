@@ -226,14 +226,16 @@ def compute_all(
     otherwise the first fault in country order, then plan order, raises.
     Cost is O(countries x nodes): each class present walks its plan (built
     once per tree and class) once, one column of all its countries per step,
-    and reads each (country, leaf) value once from the panel's year view,
+    and reads each (country, leaf) value once from the panel's year dict,
     which is not copied; observed bounds are computed once per leaf per
-    call.  `tree` must have passed validate_tree, as for evaluate_node.
+    call.  The table keeps each country's row of the walk, and builds its
+    (country, node) entries only when they are read, which ranking and the
+    score reports do not.  `tree` must have passed validate_tree.
     """
     countries = panel.countries(year)
     if not countries:
         raise MissingLeafError([], f"year {year} not found in panel")
-    leaves: LeafAssignment = panel.year_values(year)
+    leaves: LeafAssignment = panel._year(year)
     classes = {country: panel.innovator_class(country) for country in countries}
     members: Dict[InnovatorClass, List[str]] = {}  # each class present: its countries, in order
     for country, cls in classes.items():
@@ -275,16 +277,10 @@ def compute_all(
             score(cls, (country,), _read(plans[cls], (country,), leaves))
         raise
 
-    rows = {}  # country -> (its class's plan nodes, its scores on them, None where absent)
+    # country, in country order -> (its class's plan nodes, its scores on them, None where absent)
+    rows = dict.fromkeys(countries)
     for cls, group in members.items():
         nodes = tuple(node for node, _, _ in plans[cls])
         for country, row in zip(group, zip(*(scored[cls][node] for node in nodes))):
             rows[country] = (nodes, row)
-    entries = {(country, node): score
-               for country in countries for node, score in zip(*rows[country]) if score is not None}
-    table = ScoreTable(year=year, entries=entries)
-    # every country has a root score, so the table's countries are the year's;
-    # the score reports read the rows (ScoreTable._rows), not one key per cell
-    _cached(table, ("countries",), lambda: countries)
-    _cached(table, ("rows",), lambda: rows)
-    return table
+    return ScoreTable._from_rows(year, rows)

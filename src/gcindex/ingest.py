@@ -553,7 +553,7 @@ def _render_json(results, node: Optional[str]) -> str:
 def _render_svg(results, node: Optional[str]) -> str:
     if isinstance(results, ScoreTable):
         target = node or "GCI"
-        items = [(c, s) for c in results.countries() if (s := results.get(c, target)) is not None]
+        items = [(c, s) for _, c, _, (s,) in _score_rows({results.year: results}, target)]
         if not items:
             raise UnsupportedFormatError(
                 f"score chart needs a node present in the table, got {node or None!r}"

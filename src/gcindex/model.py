@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -135,7 +136,11 @@ class Panel:
     def year_values(self, year: int) -> Mapping[Tuple[str, str], float]:
         """A read-only view of {(country, indicator): value} for one year
         (empty for a year not in the panel); nothing is copied."""
-        return MappingProxyType(self._by_year.get(year, {}))
+        return MappingProxyType(self._year(year))
+
+    def _year(self, year: int) -> Dict[Tuple[str, str], float]:
+        """The dict year_values views, whose get costs less; do not mutate it."""
+        return self._by_year.get(year, {})
 
     def slice_year(self, year: int, indicators: Iterable[str]) -> dict:
         """Return {(country, indicator): value} for one year."""
@@ -394,9 +399,10 @@ class ScoreTable(_Record):
     """Per-country, per-node scores on the 1-7 scale for one year.
 
     The sorted country and node tuples, each country's row, each node's
-    column and each column's scores in ascending order are built from the
-    entries on first use and kept with the table (they take no part in
-    equality); compute_all keeps the countries and rows its walk gives.
+    column and each column's scores in ascending order are built on first
+    use and kept with the table (they take no part in equality); compute_all
+    keeps the countries and rows its walk gives, and its entries are built
+    from those rows on first read (_from_rows).
     """
 
     year: int
@@ -408,9 +414,24 @@ class ScoreTable(_Record):
     _cache = None
 
     def __post_init__(self):
+        self._check(self.entries.values())
+
+    @classmethod
+    def _from_rows(cls, year: int, rows: Dict[str, Tuple[Tuple[str, ...], Sequence]]) -> ScoreTable:
+        """The table of `rows` as _rows gives them, in country order; every
+        score is range-checked, as the constructor checks its entries."""
+        table = cls.__new__(cls)
+        object.__setattr__(table, "year", year)
+        object.__setattr__(table, "_cache", {("countries",): tuple(rows), ("rows",): rows})
+        table._check(chain.from_iterable(
+            scores if None not in scores else [s for s in scores if s is not None]
+            for _, scores in rows.values()))
+        return table
+
+    def _check(self, scores: Iterable[float]) -> None:
         # the scores alone are the cheap pass; the keyed one names the first
-        # offender, and only runs when there is one
-        for score in self.entries.values():
+        # offender in entry order, and only runs when there is one
+        for score in scores:
             if not 1.0 <= score <= 7.0:
                 _check_scores(self.entries.items())
 
@@ -427,8 +448,8 @@ class ScoreTable(_Record):
         """{country: (nodes, scores)} for every country: its scores aligned
         with a node tuple, None where it has no score for that node; callers
         must not mutate it.  compute_all keeps the rows its walk gives (a
-        class's plan order, countries sharing their class's tuple); any other
-        table builds them once from the entries, in entry order."""
+        class's plan order, countries sharing their class's tuple, in
+        country order); any other table builds them from its entries."""
         def build() -> Dict[str, Tuple[Tuple[str, ...], List[float]]]:
             rows: Dict[str, Tuple[List[str], List[float]]] = {}
             for (c, n), s in self.entries.items():
@@ -441,13 +462,19 @@ class ScoreTable(_Record):
 
     def _column(self, node: str) -> Dict[str, float]:
         """{country: score} on `node` for every country, in country order,
-        built once per node; callers must not mutate it.  Raises
-        MissingNodeError, on every call, unless every country has a score
-        for the node."""
+        read from the rows and built once per node; callers must not mutate
+        it.  Raises MissingNodeError, on every call, unless every country has
+        a score for the node."""
         def build() -> Dict[str, float]:
-            countries = self.countries()
-            get = self.entries.get
-            column = {c: s for c in countries if (s := get((c, node))) is not None}
+            countries, rows = self.countries(), self._rows()
+            at: Dict[tuple, int] = {}  # each distinct node tuple -> the node's place, -1 if absent
+            column = {}
+            for c in countries:
+                nodes, scores = rows[c]
+                if (i := at.get(nodes)) is None:
+                    i = at[nodes] = nodes.index(node) if node in nodes else -1
+                if i >= 0 and (s := scores[i]) is not None:
+                    column[c] = s
             if not column:
                 raise MissingNodeError(f"no scores for node {node!r}")
             if len(column) < len(countries):
@@ -463,7 +490,31 @@ class ScoreTable(_Record):
         return _cached(self, ("ascending", node), lambda: sorted(self._column(node).values()))
 
     def nodes(self) -> Tuple[str, ...]:
-        return _cached(self, ("nodes",), lambda: tuple(sorted({n for (_, n) in self.entries})))
+        return _cached(self, ("nodes",), lambda: tuple(sorted({
+            n for nodes, scores in self._rows().values() for n, s in zip(nodes, scores)
+            if s is not None})))
+
+
+class _Transposed:
+    """ScoreTable.entries of a _from_rows table: a non-data descriptor that
+    builds {(country, node): score} from the rows on the first read and sets
+    it as the instance attribute through object.__setattr__, as the
+    constructor does; that attribute shadows it from then on.
+    functools.cached_property would write through __dict__, which turns the
+    instance's attribute values into a dict and slows every later read of
+    them; a __getattr__ hook would stop CPython specializing any."""
+
+    def __get__(self, table: Optional[ScoreTable], owner: type) -> Any:
+        if table is None:
+            return self
+        entries = {(c, n): s for c, (nodes, scores) in table._rows().items()
+                   for n, s in zip(nodes, scores) if s is not None}
+        object.__setattr__(table, "entries", entries)
+        return entries
+
+
+# after the class body, where _Record would take it for the field's default
+ScoreTable.entries = _Transposed()
 
 
 #: Tie policy used throughout: tied scores share the best rank and the next

@@ -777,6 +777,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: cannot write {tmp_path}: ")
 
+    def test_infeasible_gain_with_out_is_one(self, capsys, tmp_path):
+        # Slovenia ranks first in 2006, so it cannot gain a rank; --out has
+        # no outcome to hold, and a file left by an earlier run is not touched
+        argv = ["whatif", *DATA, "--year", "2006", "--country", "Slovenia", "--gain", "2"]
+        assert run_cli(capsys, *argv) == (0, "min-delta infeasible\n", "")
+        out_path = tmp_path / "w.csv"
+        out_path.write_text("earlier run\n")
+        code, out, err = run_cli(capsys, *argv, "--node", "TI", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == ("error: min-delta infeasible: Slovenia cannot gain 2 ranks on TI in 2006; "
+                       f"nothing written to {out_path}\n")
+        assert out_path.read_text() == "earlier run\n"
+
     @pytest.mark.parametrize("tree_text,message", [
         ('{"root": "A", "nodes": 5}', "{path}: 'nodes' must be a list"),
         ('{"root": "R", "nodes": [{"id": "R", "normalization": {"min": 0, "max": "inf"}}]}',

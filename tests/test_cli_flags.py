@@ -22,6 +22,7 @@ from gcindex import cli
 from gcindex.data import BALKANS_CLASSES, BALKANS_PANEL, BALKANS_TREE, fixture_path
 
 COUNTRY = "Bulgaria"
+INFEASIBLE = "Slovenia"  # first in 2006: whatif --gain 1 has no solution
 DROPPED = "2006,Turkey,PII,"
 COMPUTED = ["--data", "{panel}", "--tree", "{tree}", "--policy", "renormalize"]
 STANDINGS = ["--data", "{panel}", "--tree", "{tree}", "--rank-indicator", "GCI_RANK"]
@@ -156,6 +157,8 @@ def _unread(mode, flag) -> bool:
 def pytest_generate_tests(metafunc):
     import pytest
 
+    if "mode" not in metafunc.fixturenames:
+        return
     metafunc.parametrize("mode,flag", [
         pytest.param(mode, flag, id=f"{mode}, {flag}", marks=[
             pytest.mark.xfail(strict=True, reason=OPEN_REASON)] if (mode, flag) in OPEN else [])
@@ -166,12 +169,28 @@ def test_a_flag_changes_the_output_or_is_a_usage_error(mode, flag):
     assert not _unread(mode, flag), f"gcindex {mode}: {flag} leaves every byte unchanged"
 
 
+def test_infeasible_gain_reads_out():
+    # Slovenia ranks first, so no gain is feasible: without --out the run
+    # prints so and exits 0; --out has no outcome to write, so it is an error
+    argv = tuple(INFEASIBLE if token == COUNTRY else token for token in MODES["whatif --gain"])
+    assert _outcome(argv) == (0, "min-delta infeasible\n", "", None)
+    code, out, err, written = _outcome((*argv, "--out", "{out}"))
+    assert (code, out, written) == (1, "", None)
+    assert err == (f"error: min-delta infeasible: {INFEASIBLE} cannot gain 1 rank on GCI in 2006; "
+                   f"nothing written to {_files()[1]['out']}\n")
+
+
 if __name__ == "__main__":
     cases = list(_cases())
     wrong = [(mode, flag) for mode, flag in cases if _unread(mode, flag) != ((mode, flag) in OPEN)]
     for mode, flag in wrong:
         state = "is now read: take it out of OPEN" if (mode, flag) in OPEN else "is unread"
         print(f"FAILED gcindex {mode}: {flag} {state}")
-    print(f"{len(cases) - len(wrong)} passed ({len(OPEN)} of them known unread), "
+    try:
+        test_infeasible_gain_reads_out()
+    except AssertionError as exc:
+        wrong.append(("whatif --gain", "--out"))
+        print(f"FAILED test_infeasible_gain_reads_out: {exc}")
+    print(f"{len(cases) + 1 - len(wrong)} passed ({len(OPEN)} of them known unread), "
           f"{len(wrong)} failed")
     sys.exit(1 if wrong else 0)

@@ -94,7 +94,8 @@ CASES = {
         '  "delta_rank": 2,\n  "new_gci": 3.91,\n  "new_rank": 6,\n  "node": "TI",\n'
         '  "override": 3.19\n}\n',
     ),
-    # an infeasible gain prints one line and writes no file
+    # an infeasible gain prints one line without --out; it has no result for
+    # --out, so with it the run fails and writes no file
     "whatif-gain-99": (WHATIF + ["--gain", "99"], "min-delta infeasible\n", None, None),
 }
 
@@ -106,11 +107,16 @@ def test_one_row_result_bytes(capsys, tmp_path, case, fmt):
     out = tmp_path / f"result.{fmt}"
     code = main([argv[0], *DATA, *argv[1:], "--format", fmt, "--out", str(out)])
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (0, stdout, "")
     expected = csv_text if fmt == "csv" else json_text
     if expected is None:
+        assert (code, captured.out, captured.err) == (
+            1, "", "error: min-delta infeasible: Macedonia cannot gain 99 ranks on TI in 2006; "
+                   f"nothing written to {out}\n")
         assert not out.exists()
+        assert main([argv[0], *DATA, *argv[1:]]) == 0
+        assert capsys.readouterr() == (stdout, "")
     else:
+        assert (code, captured.out, captured.err) == (0, stdout, "")
         assert out.read_bytes() == expected.encode()
 
 
