@@ -11,18 +11,15 @@ from .engine import (
     MissingPolicy,
     compute_all,
     evaluate_node,
-    normalize_minmax,
 )
 from .ingest import (
     WEF_DEFAULT,
     default_wef_tree,
     dump_tree,
-    emit_report,
     load_classes,
     load_panel,
     load_score_table,
     load_tree,
-    render_report,
 )
 from .model import (
     IndexTree,
@@ -40,6 +37,7 @@ from .ranking import (
     rank_scores,
     rank_table_from_indicator,
 )
+from .report import emit_report, render_report
 from .stats import (
     ChiSquareResult,
     CorrelationResult,
@@ -59,7 +57,6 @@ from .whatif import (
     WhatIfOutcome,
     apply_scenario,
     min_delta_for_rank_gain,
-    min_delta_to_overtake,
     path_weight,
 )
 
@@ -99,8 +96,6 @@ __all__ = [
     "load_score_table",
     "load_tree",
     "min_delta_for_rank_gain",
-    "min_delta_to_overtake",
-    "normalize_minmax",
     "ols_fit",
     "path_weight",
     "pearson",

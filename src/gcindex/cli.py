@@ -15,31 +15,16 @@ from typing import Dict, List, Optional
 from . import data as bundled
 from .engine import MissingPolicy, compute_all
 from .errors import GciError
-from .ingest import (
-    WEF_DEFAULT,
-    _emit_trend,
-    _fmt6,
-    _record,
-    emit_report,
-    load_classes,
-    load_panel,
-    load_score_table,
-    load_tree,
-    render_report,
-)
+from .ingest import WEF_DEFAULT, load_classes, load_panel, load_score_table, load_tree
 from .model import IndexTree, Panel, ScoreTable
 from .ranking import (
     rank_delta,
     rank_scores,
     rank_table_from_indicator,
 )
-from .stats import Decision, ols_fit, pearson, rank_homogeneity_test
+from .report import emit_report, fmt6, render_lines, render_report
+from .stats import TrendSeries, ols_fit, pearson, rank_homogeneity_test
 from .whatif import Scenario, apply_scenario, min_delta_for_rank_gain
-
-_DECISION_TEXT = {
-    Decision.REJECT.value: "reject the null hypothesis",
-    Decision.DO_NOT_REJECT.value: "do not reject the null hypothesis",
-}
 
 
 def _alpha(token: str) -> float:
@@ -79,13 +64,9 @@ def _deliver(args, results, node: Optional[str] = None) -> None:
 
 
 def _print_record(args, result, head: str = "") -> int:
-    """Print `head`, then one 'name value' line per csv column of a one-row
-    result (with '-' for '_'), and write the result to --out if given."""
-    cells = _record(result)
-    if "decision" in cells:
-        cells["decision"] = _DECISION_TEXT[cells["decision"]]
-    sys.stdout.write(head + "".join(f"{name.replace('_', '-')} {cell}\n"
-                                    for name, cell in cells.items()))
+    """Print `head`, then the 'name value' lines of a one-row result, and
+    write the result to --out if given."""
+    sys.stdout.write(head + render_lines(result))
     if args.out:
         emit_report(result, args.format, args.out)
     return 0
@@ -202,7 +183,7 @@ def _cmd_whatif(args) -> int:
                                f"{args.year}; nothing written to {args.out}")
             sys.stdout.write("min-delta infeasible\n")
             return 0
-        sys.stdout.write(f"min-delta {_fmt6(delta)}\n")
+        sys.stdout.write(f"min-delta {fmt6(delta)}\n")
         current = scores.score(args.country, args.node)
         outcome = apply_scenario(tree, scores, classes,
                                  Scenario(args.country, args.node, current + delta))
@@ -224,8 +205,8 @@ def _cmd_report(args) -> int:
         _deliver(args, rank_delta(prev, cur))
     elif args.kind == "trend":
         tables = _score_years(args, panel, tree, policy, args.country)
-        series = {node: _series(tables, args.country, node) for node in args.nodes}
-        _emit_trend(args.country, series, args.format, args.out)
+        points = {node: _series(tables, args.country, node) for node in args.nodes}
+        _deliver(args, TrendSeries(args.country, points))
     return 0
 
 

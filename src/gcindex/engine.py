@@ -48,13 +48,9 @@ class MissingPolicy(Enum):
     RENORMALIZE = "renormalize"
 
 
-def normalize_minmax(x: float, norm: Normalization) -> float:
-    """Map a raw value onto [1, 7], clamping outside [min, max]."""
-    return _normalize([x], norm)[0]
-
-
 def _normalize(values: Sequence[Optional[float]], norm: Normalization) -> List[Optional[float]]:
-    """normalize_minmax over a column; None (no value) stays None."""
+    """Map each raw value onto [1, 7], clamping outside [min, max]; None (no
+    value) stays None."""
     lo, hi = norm.min, norm.max
     if not hi > lo:
         raise DegenerateRangeError(f"max {hi} <= min {lo}")

@@ -63,9 +63,8 @@ class Panel:
     once, at construction, in O(rows).  Costs after that:
     `years()` and `countries(year)` O(1), returning the kept tuples;
     `value` and `innovator_class` one dict lookup; `year_values(year)` O(1),
-    a read-only view of the kept dict; `slice_year(year, ...)` O(that year's
-    entries), never reading another year; `countries()`
-    without a year merges the per-year tuples, O(countries x years).
+    a read-only view of the kept dict; `countries()` without a year merges
+    the per-year tuples, O(countries x years).
     """
 
     def __init__(
@@ -141,11 +140,6 @@ class Panel:
     def _year(self, year: int) -> Dict[Tuple[str, str], float]:
         """The dict year_values views, whose get costs less; do not mutate it."""
         return self._by_year.get(year, {})
-
-    def slice_year(self, year: int, indicators: Iterable[str]) -> dict:
-        """Return {(country, indicator): value} for one year."""
-        wanted = set(indicators)
-        return {key: v for key, v in self._by_year.get(year, {}).items() if key[1] in wanted}
 
 
 class _Record:

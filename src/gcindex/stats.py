@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     ConvergenceError,
@@ -55,6 +55,17 @@ class TrendResult(_Record):
 
     def predict(self, year: float) -> float:
         return self.intercept + self.slope * year
+
+
+class TrendSeries(_Record):
+    """A country's trend report: each node's (year, score) points, in year
+    order, which the report fits by least squares."""
+
+    country: str
+    points: Dict[str, List[Tuple[int, float]]]
+
+    def fits(self) -> Dict[str, TrendResult]:
+        return {node: ols_fit(points) for node, points in self.points.items()}
 
 
 class CorrelationResult(_Record):

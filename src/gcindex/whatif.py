@@ -258,23 +258,3 @@ def min_delta_for_rank_gain(
         at = bisect_right(ordered, scores.score(country, tree.root)) + k - 1
         target = ordered[at] if at < len(ordered) else math.inf
     return _solve(tree, scores, classes[country], country, node, target)
-
-
-def min_delta_to_overtake(
-    tree: IndexTree,
-    scores: ScoreTable,
-    classes: Mapping[str, InnovatorClass],
-    country: str,
-    target_country: str,
-    node: str,
-) -> Optional[float]:
-    """Smallest increase of `node`'s score putting `country` strictly above
-    `target_country` on the root index; 0.0 if already strictly above (once
-    `node` has passed the checks the solve makes), None if the scale cannot
-    reach it.  Solved as min_delta_for_rank_gain is."""
-    _check_country(scores, country, tree.root)
-    _check_country(scores, target_country, tree.root)
-    root = scores._column(tree.root)
-    own, target = root[country], root[target_country]
-    return _solve(tree, scores, classes[country], country, node,
-                  None if own > target else target)

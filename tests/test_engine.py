@@ -14,7 +14,6 @@ from gcindex.engine import (
     _aggregate_columns,
     compute_all,
     evaluate_node,
-    normalize_minmax,
 )
 from gcindex.errors import (
     DanglingChildError,
@@ -39,20 +38,20 @@ NONCORE = InnovatorClass.NONCORE
 class TestNormalizeMinmax:
     def test_endpoints_and_midpoint(self):
         norm = Normalization(min=10.0, max=50.0)
-        assert normalize_minmax(10.0, norm) == 1.0
-        assert normalize_minmax(50.0, norm) == 7.0
-        assert normalize_minmax(30.0, norm) == 4.0
+        assert engine._normalize([10.0], norm)[0] == 1.0
+        assert engine._normalize([50.0], norm)[0] == 7.0
+        assert engine._normalize([30.0], norm)[0] == 4.0
 
     def test_clamps_outside_bounds(self):
         norm = Normalization(min=0.0, max=1.0)
-        assert normalize_minmax(-3.0, norm) == 1.0
-        assert normalize_minmax(9.0, norm) == 7.0
+        assert engine._normalize([-3.0], norm)[0] == 1.0
+        assert engine._normalize([9.0], norm)[0] == 7.0
 
     def test_degenerate_range(self):
         norm = Normalization(min=0.0, max=1.0)
         object.__setattr__(norm, "max", 0.0)  # bypass the constructor check
         with pytest.raises(DegenerateRangeError):
-            normalize_minmax(0.5, norm)
+            engine._normalize([0.5], norm)[0]
 
     @given(
         x=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]),
@@ -65,7 +64,7 @@ class TestNormalizeMinmax:
         x = {None: x, "min": norm.min, "max": norm.max}[at]
         clamped = min(max(x, norm.min), norm.max)
         expected = min(7.0, max(1.0, 1.0 + 6.0 * (clamped - norm.min) / (norm.max - norm.min)))
-        assert normalize_minmax(x, norm).hex() == expected.hex()
+        assert engine._normalize([x], norm)[0].hex() == expected.hex()
 
     @given(
         x=st.floats(-1e6, 1e6),
@@ -73,7 +72,7 @@ class TestNormalizeMinmax:
         span=st.floats(1e-3, 1e3),
     )
     def test_always_lands_on_scale(self, x, lo, span):
-        score = normalize_minmax(x, Normalization(min=lo, max=lo + span))
+        score = engine._normalize([x], Normalization(min=lo, max=lo + span))[0]
         assert 1.0 <= score <= 7.0
 
 
@@ -216,7 +215,8 @@ class TestComputeAll:
         table = compute_all(tree, panel, 2006)
         assert (table.score("A", "H"), table.score("B", "H")) == (4.0, 7.0)
         assert table.get("C", "H") is None
-        leaves = panel.slice_year(2006, tree.leaves())
+        wanted = set(tree.leaves())
+        leaves = {k: v for k, v in panel.year_values(2006).items() if k[1] in wanted}
         assert evaluate_node(tree, "H", CORE, leaves, "A") == 4.0
 
     def test_observed_bounds_degenerate_when_constant(self, wef_tree):
@@ -328,7 +328,8 @@ class TestLinearCost:
         # evaluate_node below the root walks and weighs the rooted subtree
         # once per node and class, however often it is asked
         builds.clear()
-        leaves = panel.slice_year(2006, tree.leaves())
+        wanted = set(tree.leaves())
+        leaves = {k: v for k, v in panel.year_values(2006).items() if k[1] in wanted}
         for i in range(20):
             country = table.countries()[i % 10]  # C0000 and C0005 are core
             score = evaluate_node(tree, "TI", panel.innovator_class(country), leaves, country,
@@ -599,7 +600,8 @@ class TestFirstFault:
         if policy is MissingPolicy.RENORMALIZE:
             outcomes = {**outcomes, **renormalized}
         panel = _fault_panel(changes)
-        leaves = panel.slice_year(2006, _FAULT_TREE.leaves())
+        wanted = set(_FAULT_TREE.leaves())
+        leaves = {k: v for k, v in panel.year_values(2006).items() if k[1] in wanted}
         for country, expected in outcomes.items():
             cls = _FAULT_CLASSES[country]
             if isinstance(expected, str):

@@ -33,12 +33,10 @@ from gcindex.errors import (
 from gcindex.ingest import (
     default_wef_tree,
     dump_tree,
-    emit_report,
     load_classes,
     load_panel,
     load_score_table,
     load_tree,
-    render_report,
 )
 from gcindex.model import (
     IndexTree,
@@ -51,6 +49,7 @@ from gcindex.model import (
     validate_tree,
 )
 from gcindex.ranking import rank_delta, rank_table_from_indicator
+from gcindex.report import emit_report, render_report
 from gcindex.stats import rank_homogeneity_test
 
 
@@ -671,7 +670,8 @@ def _load_all(work, texts):
     indicators = {line.split(",")[2].strip() for line in texts["panel"].split("\n")[1:]
                   if line and not line.startswith("#")}
     contents = (panel.years(), panel.countries(), panel.classes,
-                {year: panel.slice_year(year, indicators) for year in panel.years()})
+                {year: {k: v for k, v in panel.year_values(year).items() if k[1] in indicators}
+                 for year in panel.years()})
     return contents, load_classes(paths["classes"]), load_score_table(paths["scores"])
 
 

@@ -99,7 +99,7 @@ def test_panel_defaults_to_noncore():
 def test_year_values_is_a_read_only_view_of_one_year():
     panel = Panel([(2005, "A", "x", 1.0), (2005, "B", "y", 2.0), (2006, "A", "x", 3.0)])
     view = panel.year_values(2005)
-    assert dict(view) == panel.slice_year(2005, ["x", "y"]) == {("A", "x"): 1.0, ("B", "y"): 2.0}
+    assert dict(view) == {("A", "x"): 1.0, ("B", "y"): 2.0}
     with pytest.raises(TypeError):
         view[("C", "x")] = 4.0
     assert dict(panel.year_values(2004)) == {}

@@ -13,7 +13,8 @@ import pytest
 from gcindex.cli import main
 from gcindex.data import BALKANS_CLASSES, BALKANS_PANEL, BALKANS_TREE, fixture_path
 from gcindex.engine import MissingPolicy, compute_all
-from gcindex.ingest import load_classes, load_panel, load_tree, render_report
+from gcindex.ingest import load_classes, load_panel, load_tree
+from gcindex.report import render_report
 from gcindex.whatif import Scenario, apply_scenario
 
 DATA = ["--data", str(fixture_path(BALKANS_PANEL)),

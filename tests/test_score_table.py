@@ -21,7 +21,6 @@ from random import Random
 from gcindex import engine, model
 from gcindex.engine import MissingPolicy, compute_all
 from gcindex.errors import MissingNodeError
-from gcindex.ingest import render_report
 from gcindex.model import (
     IndexTree,
     InnovatorClass,
@@ -32,6 +31,7 @@ from gcindex.model import (
     validate_tree,
 )
 from gcindex.ranking import rank_scores
+from gcindex.report import render_report
 
 CORE, NONCORE = InnovatorClass.CORE, InnovatorClass.NONCORE
 YEAR = 2006

@@ -1,23 +1,30 @@
 """The runtime is pure standard library: every module under src/gcindex
-imports only from sys.stdlib_module_names or from gcindex itself.  And it
-stays cheap to start: no command loads any of the introspection modules
-behind `dataclasses`."""
+imports only from sys.stdlib_module_names or from gcindex itself.  Reports
+are laid out in gcindex.report alone, and gcindex.ingest only reads.  And
+it stays cheap to start: no command loads any of the introspection modules
+behind `dataclasses`.  The file runs under pytest and, with nothing
+installed, as `PYTHONPATH=src python tests/test_stdlib_only.py`."""
 
 import ast
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import gcindex
+from gcindex import compute_all, load_classes, load_panel, load_tree, render_report
+from gcindex.data import BALKANS_CLASSES, BALKANS_PANEL, BALKANS_TREE, fixture_path
+from gcindex.stats import TrendSeries
 
 PACKAGE = Path(gcindex.__file__).parent
+DEMO_OUTPUT = Path(__file__).resolve().parent.parent / "demos" / "output"
 
 
 def _imports(path: Path):
     """(line, dotted module) for each import in the file; a relative import
     reads as the gcindex module it names (`from . import svg` in
-    gcindex/ingest.py is gcindex.svg)."""
+    gcindex/report.py is gcindex.svg)."""
     package = ["gcindex", *path.parent.relative_to(PACKAGE).parts]
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Import):
@@ -44,10 +51,32 @@ def test_runtime_imports_only_stdlib_and_gcindex():
 
 
 def test_cli_lays_out_no_report_file():
-    # Every csv, json and svg report file is laid out in gcindex.ingest.
+    # Every csv, json and svg report file is laid out in gcindex.report.
     modules = {module for _, module in _imports(PACKAGE / "cli.py")}
-    assert "gcindex.ingest" in modules
+    assert "gcindex.report" in modules
     assert [m for m in modules if m.split(".")[0] == "json" or m == "gcindex.svg"] == []
+
+
+def test_ingest_imports_no_output_module():
+    # ingest reads input; it needs no result type, and no layout of one
+    output = {"gcindex.report", "gcindex.svg", "gcindex.stats", "gcindex.whatif",
+              "gcindex.ranking"}
+    imported = [f"{line}: {module}" for line, module in _imports(PACKAGE / "ingest.py")
+                if module in output]
+    assert imported == []
+
+
+def test_trend_report_renders_the_tracked_demo_bytes():
+    # the Macedonia TI/GCI trend of demos/06_report_files.py, from the library
+    panel = load_panel(fixture_path(BALKANS_PANEL), load_classes(fixture_path(BALKANS_CLASSES)))
+    tree = load_tree(fixture_path(BALKANS_TREE))
+    tables = {year: compute_all(tree, panel, year) for year in range(2003, 2007)}
+    points = {node: [(year, table.score("Macedonia", node)) for year, table in tables.items()]
+              for node in ("TI", "GCI")}
+    result = TrendSeries("Macedonia", points)
+    for format in ("csv", "json", "svg"):
+        tracked = (DEMO_OUTPUT / f"macedonia_trend.{format}").read_bytes()
+        assert render_report(result, format).encode() == tracked, format
 
 
 # Loaded by `import dataclasses`, and together about half the cost of
@@ -100,3 +129,21 @@ def test_compute_imports_no_introspection_modules(tmp_path):
         assert "gcindex.cli" in loaded
         assert (argv[0], sorted(loaded & INTROSPECTION)) == (argv[0], [])
     assert (tmp_path / "trend.svg").stat().st_size > 0
+
+
+if __name__ == "__main__":
+    tests = [(name, test) for name, test in sorted(globals().items())
+             if name.startswith("test_") and callable(test)]
+    failed = 0
+    for name, test in tests:
+        try:
+            if test.__code__.co_argcount:  # tmp_path
+                with tempfile.TemporaryDirectory() as tmp:
+                    test(Path(tmp))
+            else:
+                test()
+        except AssertionError as exc:
+            failed += 1
+            print(f"FAILED {name}: {exc}")
+    print(f"{len(tests) - failed} passed, {failed} failed")
+    sys.exit(1 if failed else 0)

@@ -13,7 +13,7 @@ from gcindex.errors import (
     OverrideOutOfScaleError,
     UnknownCountryError,
 )
-from gcindex.ingest import emit_report, load_score_table
+from gcindex.ingest import load_score_table
 from gcindex.model import (
     IndexTree,
     InnovatorClass,
@@ -23,12 +23,12 @@ from gcindex.model import (
     validate_tree,
 )
 from gcindex.ranking import rank_scores
+from gcindex.report import emit_report
 from gcindex.whatif import (
     STRICT_MARGIN,
     Scenario,
     apply_scenario,
     min_delta_for_rank_gain,
-    min_delta_to_overtake,
     path_weight,
 )
 from util import oracle_eval
@@ -306,24 +306,6 @@ class TestMinDeltaForRankGain:
             min_delta_for_rank_gain(component_tree, scores, classes, "B", 1, "nonexistent")
 
 
-class TestMinDeltaToOvertake:
-    def test_already_strictly_above_costs_nothing(self, component_tree):
-        scores, classes = _three_country_table(component_tree, {"A": 4.0, "B": 3.5})
-        assert min_delta_to_overtake(component_tree, scores, classes, "A", "B", "TI") == 0.0
-
-    def test_matches_rank_gain_for_adjacent_target(self, component_tree):
-        scores, classes = _three_country_table(
-            component_tree, {"A": 4.4, "B": 3.8, "C": 3.5}
-        )
-        via_gain = min_delta_for_rank_gain(component_tree, scores, classes, "C", 1, "TI")
-        via_target = min_delta_to_overtake(component_tree, scores, classes, "C", "B", "TI")
-        assert via_target == pytest.approx(via_gain, abs=1e-15)
-
-    def test_infeasible_target(self, component_tree):
-        scores, classes = _three_country_table(component_tree, {"A": 6.9, "B": 3.0})
-        assert min_delta_to_overtake(component_tree, scores, classes, "B", "A", "MSS") is None
-
-
 def test_scenario_on_renormalized_table(component_tree):
     # B has no CCR/GW data; the macro branch collapsed onto MSS.  An MSS
     # override must re-derive with the same rescaled weights.
@@ -356,7 +338,7 @@ def test_scenario_against_regional_dataset(balkans):
 def test_solvers_use_the_renormalized_path_weight(component_tree):
     # B has no CCR/GW data, so under renormalize its MEI is MSS alone and
     # the MSS -> GCI slope is 1/3, not the tree's fixed 1/6.  With the fixed
-    # weight both solvers would ask for MSS = 9 and report infeasible.
+    # weight the solver would ask for MSS = 9 and report infeasible.
     rows = [(2006, "A", leaf, 4.5)
             for leaf in ("TI", "CLS", "CS", "MSS", "CCR", "GW")]
     rows += [(2006, "B", leaf, 4.0) for leaf in ("TI", "CLS", "CS")]
@@ -369,8 +351,6 @@ def test_solvers_use_the_renormalized_path_weight(component_tree):
         component_tree, scores, panel.classes, Scenario("B", "MSS", 2.0 + delta)
     )
     assert outcome.delta_rank == 1
-    overtake = min_delta_to_overtake(component_tree, scores, panel.classes, "B", "A", "MSS")
-    assert overtake == delta
 
 
 def test_solved_deltas_reach_the_gain_on_a_reloaded_score_csv(component_tree, tmp_path):
@@ -390,19 +370,16 @@ def test_solved_deltas_reach_the_gain_on_a_reloaded_score_csv(component_tree, tm
     solved = 0
     for above, country in zip(order, order[1:]):
         for node in ("TI", "CS", "MSS"):
-            for delta in (
-                min_delta_for_rank_gain(component_tree, scores, panel.classes, country, 1, node),
-                min_delta_to_overtake(component_tree, scores, panel.classes, country, above, node),
-            ):
-                if delta is None:
-                    continue
-                solved += 1
-                override = scores.score(country, node) + delta
-                outcome = apply_scenario(
-                    component_tree, scores, panel.classes, Scenario(country, node, override)
-                )
-                assert outcome.new_gci > scores.score(above, "GCI")
-                assert outcome.delta_rank >= 1
+            delta = min_delta_for_rank_gain(component_tree, scores, panel.classes, country, 1, node)
+            if delta is None:
+                continue
+            solved += 1
+            override = scores.score(country, node) + delta
+            outcome = apply_scenario(
+                component_tree, scores, panel.classes, Scenario(country, node, override)
+            )
+            assert outcome.new_gci > scores.score(above, "GCI")
+            assert outcome.delta_rank >= 1
     assert solved >= 60
 
 
@@ -525,10 +502,8 @@ def test_kept_path_weights_do_not_leak_between_gap_patterns(wef_tree):
     # tree that has kept nothing gives, bit for bit.
     scores, classes = _gapped_wef_table(wef_tree)
     tree = IndexTree(wef_tree.nodes, wef_tree.root)
-    top = max(scores.countries(), key=lambda c: scores.score(c, "GCI"))
     queries = {
         "rank gain": lambda t, c, n: min_delta_for_rank_gain(t, scores, classes, c, 1, n),
-        "overtake": lambda t, c, n: min_delta_to_overtake(t, scores, classes, c, top, n),
         "apply": lambda t, c, n: apply_scenario(t, scores, classes, Scenario(c, n, 5.5)),
         "path weight": lambda t, c, n: path_weight(t, n, classes[c]),
     }
@@ -617,8 +592,8 @@ _SCORE = st.floats(1.0, 7.0)
 @example(levels=[[4.0] * 6, [4.0] * 6, [3.0] * 6], pick=2, node="TI",
          override=3.0, k=3)  # k past the countries above
 def test_counted_ranks_equal_rank_scores(component_tree, levels, pick, node, override, k):
-    # ranks against rank_scores, and the solver against the linear target
-    # (the k-th root strictly above the country's) solved as an overtake
+    # ranks against rank_scores, and the solver against _solve on the linear
+    # target (the k-th root strictly above the country's)
     scores, classes = _scored(component_tree, levels)
     country = f"c{pick % len(levels)}"
     outcome = apply_scenario(component_tree, scores, classes, Scenario(country, node, override))
@@ -632,9 +607,8 @@ def test_counted_ranks_equal_rank_scores(component_tree, levels, pick, node, ove
     elif k > len(above):
         expected = None
     else:
-        # any country at the target score is the one to overtake
-        target = min(c for c in root if root[c] == above[k - 1])
-        expected = min_delta_to_overtake(component_tree, scores, classes, country, target, node)
+        expected = whatif._solve(component_tree, scores, classes[country], country, node,
+                                 above[k - 1])
     assert min_delta_for_rank_gain(component_tree, scores, classes, country, k, node) == expected
 
 
@@ -677,7 +651,6 @@ class TestColumnCache:
         calls = [
             lambda: rank_scores(scores, "GCI"),
             lambda: min_delta_for_rank_gain(component_tree, scores, classes, "A", 1, "TI"),
-            lambda: min_delta_to_overtake(component_tree, scores, classes, "A", "B", "TI"),
             lambda: apply_scenario(component_tree, scores, classes, Scenario("A", "TI", 5.0)),
         ]
         for call in calls + calls:
@@ -688,8 +661,6 @@ class TestColumnCache:
         for error, call in [
             (UnknownCountryError,
              lambda: min_delta_for_rank_gain(component_tree, scores, classes, "Z", 1, "TI")),
-            (UnknownCountryError,
-             lambda: min_delta_to_overtake(component_tree, scores, classes, "A", "Z", "TI")),
             (UnknownCountryError,
              lambda: apply_scenario(component_tree, scores, classes, Scenario("Z", "NOPE", 5.0))),
             (NotAnAncestorPathError,
@@ -722,5 +693,3 @@ def test_solvers_check_the_node_when_the_goal_is_held(component_tree, node, erro
     for k in (0, 1):
         with pytest.raises(error):
             min_delta_for_rank_gain(component_tree, scores, panel.classes, "B", k, node)
-    with pytest.raises(error):
-        min_delta_to_overtake(component_tree, scores, panel.classes, "B", "A", node)

@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 from random import Random
 
-from gcindex.engine import normalize_minmax
 from gcindex.model import OBSERVED, IndexTree, InnovatorClass, Node, Normalization, validate_tree
 
 
@@ -72,8 +71,9 @@ def reference_scores(tree: IndexTree, panel, year: int) -> dict:
     recursion from the root with each node rounded once:
     float(sum(Fraction(w) / sum of present w * Fraction(child))) over the
     children that have a score (all of them when no leaf is missing).
-    Leaves go through normalize_minmax, with observed bounds taken by a
-    plain scan of the year; no package walk, cache or integer sum is used.
+    Leaves map onto [1, 7] by the clamped min-max formula, with observed
+    bounds taken by a plain scan of the year; no package walk, cache,
+    integer sum or normalization code is used.
     """
     countries = panel.countries(year)
     values = {(c, leaf): panel.value(year, c, leaf) for c in countries for leaf in tree.nodes}
@@ -87,7 +87,8 @@ def reference_scores(tree: IndexTree, panel, year: int) -> dict:
         if spec == OBSERVED:
             seen = [v for (_, n), v in values.items() if n == leaf]
             spec = Normalization(min(seen), max(seen))
-        return normalize_minmax(raw, spec)
+        lo, hi = spec.min, spec.max
+        return min(7.0, max(1.0, 1.0 + 6.0 * (min(max(raw, lo), hi) - lo) / (hi - lo)))
 
     def score(country, cls, node_id, memo):
         if node_id not in memo:
