@@ -227,6 +227,21 @@ class TestMinDeltaForRankGain:
         assert delta == pytest.approx(0.90, abs=1e-6)
         assert delta > 0.90  # strictly above the tie point
 
+    def test_no_gain_costs_nothing(self, component_tree):
+        # the top country too: a gain of 0 is held without a country above
+        scores, classes = _three_country_table(component_tree, {"A": 4.0, "B": 3.5})
+        for country in ("A", "B"):
+            assert min_delta_for_rank_gain(component_tree, scores, classes, country, 0, "TI") == 0.0
+
+    def test_adjacent_gain_solves_for_the_next_root(self, component_tree):
+        scores, classes = _three_country_table(
+            component_tree, {"A": 4.4, "B": 3.8, "C": 3.5}
+        )
+        via_gain = min_delta_for_rank_gain(component_tree, scores, classes, "C", 1, "TI")
+        via_target = whatif._solve(component_tree, scores, classes["C"], "C", "TI",
+                                   scores.score("B", "GCI"))
+        assert via_gain == via_target
+
     def test_gain_two_targets_second_score_above(self, component_tree):
         scores, classes = _three_country_table(
             component_tree, {"A": 4.4, "B": 3.8, "C": 3.5}
