@@ -9,7 +9,6 @@ weights.  Pure functions throughout: same inputs, bit-identical outputs.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import repeat
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -26,6 +25,7 @@ from .model import (
     Panel,
     ScoreTable,
     Step,
+    _EMPTY,
     _cached,
 )
 
@@ -123,11 +123,12 @@ def _aggregate_columns(
     return [x / ((full + d) << 52) if full + d else None for x, d in zip(num, den)]
 
 
-def _read(plan: Sequence[Step], countries: Sequence[str], leaves: LeafAssignment) -> _Columns:
+def _read(plan: Sequence[Step], countries: Sequence[str],
+          leaves: Mapping[str, Mapping[str, float]]) -> _Columns:
     """Each of the plan's leaves as a column of raw values aligned with
-    `countries`, None where a country has no value."""
-    get = leaves.get
-    return {node: list(map(get, zip(countries, repeat(node))))
+    `countries`, None where a country has no value, from {leaf: {country:
+    value}} as Panel keeps a year."""
+    return {node: list(map(leaves.get(node, _EMPTY).get, countries))
             for node, _, weights in plan if weights is None}
 
 
@@ -190,19 +191,23 @@ def evaluate_node(
     rescaled; a node with no surviving children propagates as missing.  An
     unknown node raises DanglingChildError.  Observed bounds are taken over
     every value `leaves` holds for the leaf.  A node's plan is built once
-    per tree, node and class.  `tree` must have passed validate_tree
+    per tree, node and class; `leaves` is split into one column per leaf
+    in one pass.  `tree` must have passed validate_tree
     (load_tree and default_wef_tree return such trees): a node's full class
     weights are taken to sum to 1.
     """
     rooted = tree if node_id == tree.root else _cached(
         tree, ("subtree", node_id), lambda: IndexTree(tree.nodes, node_id))
     plan = rooted.plan(cls)
-    raw = _read(plan, (country,), leaves)
+    columns: Dict[str, Dict[str, float]] = {}
+    for (c, leaf), v in leaves.items():
+        columns.setdefault(leaf, {})[c] = v
+    raw = _read(plan, (country,), columns)
     absent = sorted(_absent((country,), raw))
     if absent and policy is MissingPolicy.STRICT:
         raise MissingLeafError(absent)
     score = _walk(plan, (country,), raw, lambda leaf: observed_bounds(
-        [v for (_, n), v in leaves.items() if n == leaf], leaf))[node_id][0]
+        list(columns[leaf].values()), leaf))[node_id][0]
     if score is None:
         raise MissingLeafError(absent or [(country, node_id)])
     return score
@@ -222,16 +227,16 @@ def compute_all(
     otherwise the first fault in country order, then plan order, raises.
     Cost is O(countries x nodes): each class present walks its plan (built
     once per tree and class) once, one column of all its countries per step,
-    and reads each (country, leaf) value once from the panel's year dict,
-    which is not copied; observed bounds are computed once per leaf per
-    call.  The table keeps each country's row of the walk, and builds its
-    (country, node) entries only when they are read, which ranking and the
-    score reports do not.  `tree` must have passed validate_tree.
+    and reads each leaf as one map over the panel's kept column of the year,
+    which is not copied; an observed leaf's bounds are the min and max of
+    that column, computed once per leaf per call.  The table keeps each
+    country's row of the walk, and builds its (country, node) entries only
+    when they are read, which ranking and the score reports do not.  `tree` must have passed validate_tree.
     """
     countries = panel.countries(year)
     if not countries:
         raise MissingLeafError([], f"year {year} not found in panel")
-    leaves: LeafAssignment = panel._year(year)
+    leaves = panel._columns(year)
     classes = {country: panel.innovator_class(country) for country in countries}
     members: Dict[InnovatorClass, List[str]] = {}  # each class present: its countries, in order
     for country, cls in classes.items():
@@ -248,11 +253,7 @@ def compute_all(
     def bounds(leaf: str) -> Normalization:
         # over every country with a value, also where its class skips the leaf
         if leaf not in kept:
-            columns = [raw[cls][leaf] if leaf in raw[cls]
-                       else [leaves.get((c, leaf)) for c in group]
-                       for cls, group in members.items()]
-            kept[leaf] = observed_bounds(
-                [v for column in columns for v in column if v is not None], leaf)
+            kept[leaf] = observed_bounds(list(leaves[leaf].values()), leaf)
         return kept[leaf]
 
     def score(cls: InnovatorClass, group: Sequence[str], columns: _Columns) -> _Columns:

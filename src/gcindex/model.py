@@ -48,23 +48,31 @@ def _check_token(name: str, token: str) -> None:
         raise ValueError(f"{name} must be non-empty without whitespace: {token!r}")
 
 
+#: the empty mapping a missing year or indicator reads as; never mutated
+_EMPTY: Mapping = MappingProxyType({})
+
+
 class Panel:
-    """Immutable observations indexed by year, plus a country -> class map.
+    """Immutable observations indexed by year and indicator, plus a
+    country -> class map.
 
     Built from plain (year, country, indicator, value) rows, the one place
     they are checked: each distinct year in [1990, 2100], each distinct
     country or indicator token non-empty without whitespace, each value
     finite (ValueError otherwise; raw units for hard indicators, 1-7 for
-    survey ones) and each key unique (DuplicateKeyError).  Every country in
-    the rows must have a class entry.
+    survey ones) and each key unique (DuplicateKeyError); the first faulty
+    row in row order raises.  Every country in the rows must have a class
+    entry.
 
-    Values are kept as {year: {(country, indicator): value}}, with the
-    sorted year tuple and each year's sorted country tuple; all are built
-    once, at construction, in O(rows).  Costs after that:
+    Values are kept as {year: {indicator: {country: value}}}, one column
+    per indicator and year, with the sorted year tuple and each year's
+    sorted country tuple; all are built once, at construction, in O(rows),
+    and no per-row key is built.  Costs after that:
     `years()` and `countries(year)` O(1), returning the kept tuples;
-    `value` and `innovator_class` one dict lookup; `year_values(year)` O(1),
-    a read-only view of the kept dict; `countries()` without a year merges
-    the per-year tuples, O(countries x years).
+    `value` three and `innovator_class` one dict lookup; `year_values(year)`
+    O(the year's observations), a new read-only {(country, indicator):
+    value} mapping; `countries()` without a year merges the per-year
+    tuples, O(countries x years); `len` O(columns).
     """
 
     def __init__(
@@ -72,31 +80,33 @@ class Panel:
         rows: Iterable[Tuple[int, str, str, float]],
         classes: Optional[Mapping[str, InnovatorClass]] = None,
     ):
-        by_year: Dict[int, Dict[Tuple[str, str], float]] = {}
+        by_year: Dict[int, Dict[str, Dict[str, float]]] = {}
         checked = set()  # country and indicator tokens that passed _check_token
         isfinite = math.isfinite
-        last = None  # the previous row's year, whose values dict is `values`
+        last = None  # the previous row's year, whose columns are `columns`
         for year, country, indicator, value in rows:
             if year != last:
-                values = by_year.get(year)
-                if values is None:
+                columns = by_year.get(year)
+                if columns is None:
                     _check_year(year)
-                    values = by_year[year] = {}
+                    columns = by_year[year] = {}
                 last = year
             if country not in checked:
                 _check_token("country", country)
                 checked.add(country)
-            if indicator not in checked:
-                _check_token("indicator", indicator)
-                checked.add(indicator)
+            column = columns.get(indicator)
+            if column is None:
+                if indicator not in checked:
+                    _check_token("indicator", indicator)
+                    checked.add(indicator)
+                column = columns[indicator] = {}
             if not isfinite(value):
                 raise ValueError(f"value {value} is not finite")
-            key = (country, indicator)
-            if key in values:
-                raise DuplicateKeyError(f"duplicate observation {(year, *key)}")
-            values[key] = value
+            if country in column:
+                raise DuplicateKeyError(f"duplicate observation {(year, country, indicator)}")
+            column[country] = value
         countries = {
-            year: tuple(sorted({c for c, _ in values})) for year, values in by_year.items()
+            year: tuple(sorted(set().union(*columns.values()))) for year, columns in by_year.items()
         }
         present = set().union(*countries.values())
         if classes is None:
@@ -112,7 +122,7 @@ class Panel:
         self._classes = dict(classes)
 
     def __len__(self) -> int:
-        return sum(len(values) for values in self._by_year.values())
+        return sum(len(column) for columns in self._by_year.values() for column in columns.values())
 
     @property
     def classes(self) -> Mapping[str, InnovatorClass]:
@@ -130,16 +140,19 @@ class Panel:
         return self._countries.get(year, ())
 
     def value(self, year: int, country: str, indicator: str) -> Optional[float]:
-        return self._by_year.get(year, {}).get((country, indicator))
+        return self._columns(year).get(indicator, _EMPTY).get(country)
 
     def year_values(self, year: int) -> Mapping[Tuple[str, str], float]:
-        """A read-only view of {(country, indicator): value} for one year
-        (empty for a year not in the panel); nothing is copied."""
-        return MappingProxyType(self._year(year))
+        """A new read-only {(country, indicator): value} mapping of one year
+        (empty for a year not in the panel), indicator by indicator."""
+        return MappingProxyType({(country, indicator): value
+                                 for indicator, column in self._columns(year).items()
+                                 for country, value in column.items()})
 
-    def _year(self, year: int) -> Dict[Tuple[str, str], float]:
-        """The dict year_values views, whose get costs less; do not mutate it."""
-        return self._by_year.get(year, {})
+    def _columns(self, year: int) -> Mapping[str, Mapping[str, float]]:
+        """{indicator: {country: value}} for one year, the kept dicts
+        themselves (empty for a year not in the panel); do not mutate them."""
+        return self._by_year.get(year, _EMPTY)
 
 
 class _Record:
@@ -456,19 +469,25 @@ class ScoreTable(_Record):
 
     def _column(self, node: str) -> Dict[str, float]:
         """{country: score} on `node` for every country, in country order,
-        read from the rows and built once per node; callers must not mutate
-        it.  Raises MissingNodeError, on every call, unless every country has
-        a score for the node."""
+        built once per node: read from the kept rows of a compute_all table,
+        one entry per country of any other (which builds no rows); callers
+        must not mutate it.  Raises MissingNodeError, on every call, unless
+        every country has a score for the node."""
         def build() -> Dict[str, float]:
-            countries, rows = self.countries(), self._rows()
-            at: Dict[tuple, int] = {}  # each distinct node tuple -> the node's place, -1 if absent
-            column = {}
-            for c in countries:
-                nodes, scores = rows[c]
-                if (i := at.get(nodes)) is None:
-                    i = at[nodes] = nodes.index(node) if node in nodes else -1
-                if i >= 0 and (s := scores[i]) is not None:
-                    column[c] = s
+            countries = self.countries()  # kept, so _cache is set
+            rows = self._cache.get(("rows",))
+            if rows is None:
+                get = self.entries.get
+                column = {c: s for c in countries if (s := get((c, node))) is not None}
+            else:
+                at: Dict[tuple, int] = {}  # each distinct node tuple -> the node's place, -1 if absent
+                column = {}
+                for c in countries:
+                    nodes, scores = rows[c]
+                    if (i := at.get(nodes)) is None:
+                        i = at[nodes] = nodes.index(node) if node in nodes else -1
+                    if i >= 0 and (s := scores[i]) is not None:
+                        column[c] = s
             if not column:
                 raise MissingNodeError(f"no scores for node {node!r}")
             if len(column) < len(countries):

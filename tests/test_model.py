@@ -120,11 +120,10 @@ def test_normalization_requires_finite_bounds(lo, hi):
 
 def test_nested_cache_builds_stay_kept(monkeypatch):
     # A kept result whose build keeps another (ascending -> column ->
-    # countries and rows, plan -> walk order) keeps all of them.
+    # countries, plan -> walk order) keeps all of them.
     table = ScoreTable(year=2005, entries={("A", "GCI"): 4.0, ("B", "GCI"): 3.0})
     assert table._ascending("GCI") == [3.0, 4.0]
-    assert set(table._cache) == {("ascending", "GCI"), ("column", "GCI"), ("countries",),
-                                 ("rows",)}
+    assert set(table._cache) == {("ascending", "GCI"), ("column", "GCI"), ("countries",)}
     walks = []
     walk = IndexTree._walk
     monkeypatch.setattr(IndexTree, "_walk", lambda self, cls: walks.append(cls) or walk(self, cls))

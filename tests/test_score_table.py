@@ -176,6 +176,22 @@ def test_ranking_and_score_reports_build_no_entries():
             render_report({YEAR: eager}, fmt, "GCI") for fmt in ("csv", "json", "svg")], case
 
 
+def test_ranking_an_entries_table_builds_no_rows():
+    def ranked(table, node):
+        try:
+            return rank_scores(table, node)
+        except MissingNodeError as exc:
+            return str(exc)
+
+    for case in CASES:
+        lazy = _lazy(case)[0]
+        table = ScoreTable(YEAR, dict(lazy.entries))
+        for node in _tree().nodes:
+            assert ranked(table, node) == ranked(lazy, node), (case, node)
+        # each column read one entry per country; no row was built for it
+        assert ("rows",) not in table._cache, case
+
+
 def _oracle_column(table: ScoreTable, node: str):
     """{country: score} on `node` by one entry lookup per country, or the
     MissingNodeError the column must raise."""
@@ -228,16 +244,25 @@ def test_out_of_range_aggregate_names_the_first_offender():
         assert str(_raised(ScoreTable, YEAR, bad)) == message
 
 
-def test_compute_all_reads_the_year_dict_not_the_view():
-    table, tree, panel = _lazy("renormalize")
+def test_compute_all_reads_the_year_columns_not_the_views():
+    columns = Panel._columns
 
-    def view(self, year):
-        raise AssertionError("compute_all read Panel.year_values")
+    def view(self, *args):
+        raise AssertionError("compute_all read Panel.year_values or Panel.value")
 
-    assert dict(panel.year_values(YEAR)) == panel._year(YEAR)
-    with _patched(Panel, "year_values", view):
-        again = compute_all(tree, panel, YEAR, MissingPolicy.RENORMALIZE)
-    assert again == table
+    for case, (policy, _) in CASES.items():
+        table, tree, panel = _lazy(case)
+        read = []
+
+        def kept(self, year):
+            read.append(year)
+            return columns(self, year)
+
+        with _patched(Panel, "_columns", kept), _patched(Panel, "year_values", view), \
+                _patched(Panel, "value", view):
+            again = compute_all(tree, panel, YEAR, policy)
+        assert read == [YEAR], case
+        assert again == table, case
 
 
 if __name__ == "__main__":
