@@ -231,7 +231,8 @@ def compute_all(
     which is not copied; an observed leaf's bounds are the min and max of
     that column, computed once per leaf per call.  The table keeps each
     country's row of the walk, and builds its (country, node) entries only
-    when they are read, which ranking and the score reports do not.  `tree` must have passed validate_tree.
+    when they are read, which ranking and the score reports do not.  `tree`
+    must have passed validate_tree.
     """
     countries = panel.countries(year)
     if not countries:

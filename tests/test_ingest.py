@@ -237,15 +237,17 @@ def _row_read_only():
 
 def _outcome(load, path, *args):
     """What `load(path, *args)` gives, in a form that compares order too: a
-    Panel's years, countries, classes and each year's values in insertion
-    order, a class map's items, or the error's class and message."""
+    Panel's years, countries, classes and each year's indicator columns and
+    their values in insertion order, a class map's items, or the error's
+    class and message."""
     try:
         result = load(path, *args)
     except GciError as exc:
         return type(exc), str(exc)
     if isinstance(result, Panel):
         return (result.years(), result.countries(), result.classes,
-                {year: list(values.items()) for year, values in result._by_year.items()})
+                {year: [(indicator, list(column.items())) for indicator, column in columns.items()]
+                 for year, columns in result._by_year.items()})
     return list(result.items())
 
 

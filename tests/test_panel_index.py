@@ -36,7 +36,8 @@ def _rows():
         lines = [line for line in f if not line.startswith("#")]
     reader = csv.reader(lines)
     assert next(reader) == ["year", "country", "indicator", "value"]
-    return [(int(year), country, indicator, float(value)) for year, country, indicator, value in reader]
+    return [(int(year), country, indicator, float(value))
+            for year, country, indicator, value in reader]
 
 
 ROWS = _rows()
@@ -157,10 +158,11 @@ BAD = {
     # then the value, then the key
     "all": ([(1989, "a b", "", float("nan"))], (ValueError, "year 1989 outside [1990, 2100]")),
     "country and indicator": ([(2006, "a b", "", float("nan"))],
-               (ValueError, "country must be non-empty without whitespace: 'a b'")),
+                              (ValueError, "country must be non-empty without whitespace: 'a b'")),
     "indicator and value": ([(2006, "Macedonia", "x y", float("inf"))],
-              (ValueError, "indicator must be non-empty without whitespace: 'x y'")),
-    "repeated nan": ([(2006, "Macedonia", "IS", float("nan"))], (ValueError, "value nan is not finite")),
+                            (ValueError, "indicator must be non-empty without whitespace: 'x y'")),
+    "repeated nan": ([(2006, "Macedonia", "IS", float("nan"))],
+                     (ValueError, "value nan is not finite")),
     # two faulty rows: the first in row order raises
     "first": ([(2006, "Macedonia", "NEW", float("inf")), (1989, "Macedonia", "IS", 4.0)],
               (ValueError, "value inf is not finite")),
