@@ -17,14 +17,10 @@ from .engine import MissingPolicy, compute_all
 from .errors import GciError
 from .ingest import WEF_DEFAULT, load_classes, load_panel, load_score_table, load_tree
 from .model import IndexTree, Panel, ScoreTable
-from .ranking import (
-    rank_delta,
-    rank_scores,
-    rank_table_from_indicator,
-)
 from .report import emit_report, fmt6, render_lines, render_report
-from .stats import TrendSeries, ols_fit, pearson, rank_homogeneity_test
-from .whatif import Scenario, apply_scenario, min_delta_for_rank_gain
+
+# ranking, stats and whatif are imported by the commands that call them, so
+# that a process loads only what its command runs
 
 
 def _alpha(token: str) -> float:
@@ -102,6 +98,8 @@ def _series(tables: Dict[int, ScoreTable], country: str, node: str):
 
 def _rank_tables(args, panel: Panel, tree: IndexTree, policy: MissingPolicy):
     """Previous/current rank tables from computed scores or ingested ranks."""
+    from .ranking import rank_scores, rank_table_from_indicator
+
     if args.rank_indicator:
         prev = rank_table_from_indicator(panel, args.prev_year, args.rank_indicator)
         cur = rank_table_from_indicator(panel, args.cur_year, args.rank_indicator)
@@ -123,6 +121,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .ranking import rank_scores
+
     if args.scores is not None:
         table = load_score_table(args.scores)
     else:
@@ -133,6 +133,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_delta(args) -> int:
+    from .ranking import rank_delta
+
     panel, tree, policy = _load(args)
     prev, cur = _rank_tables(args, panel, tree, policy)
     _deliver(args, rank_delta(prev, cur))
@@ -140,6 +142,8 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_trend(args) -> int:
+    from .stats import ols_fit
+
     panel, tree, policy = _load(args)
     points = _series(_score_years(args, panel, tree, policy, args.country),
                      args.country, args.node)
@@ -148,6 +152,8 @@ def _cmd_trend(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
+    from .stats import pearson
+
     panel, tree, policy = _load(args)
     node_a, node_b = args.nodes
     tables = _score_years(args, panel, tree, policy, args.country)
@@ -160,6 +166,8 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_chisq(args) -> int:
+    from .stats import rank_homogeneity_test
+
     panel, tree, policy = _load(args)
     prev, cur = _rank_tables(args, panel, tree, policy)
     return _print_record(args, rank_homogeneity_test(prev, cur, alpha=args.alpha,
@@ -167,6 +175,8 @@ def _cmd_chisq(args) -> int:
 
 
 def _cmd_whatif(args) -> int:
+    from .whatif import Scenario, apply_scenario, min_delta_for_rank_gain
+
     panel, tree, policy = _load(args)
     scores = compute_all(tree, panel, args.year, policy)
     classes = panel.classes
@@ -201,9 +211,13 @@ def _cmd_report(args) -> int:
         results = tables[args.year] if args.kind == "bars" and args.format == "svg" else tables
         _deliver(args, results, args.node)
     elif args.kind == "deltas":
+        from .ranking import rank_delta
+
         prev, cur = _rank_tables(args, panel, tree, policy)
         _deliver(args, rank_delta(prev, cur))
     elif args.kind == "trend":
+        from .stats import TrendSeries
+
         tables = _score_years(args, panel, tree, policy, args.country)
         points = {node: _series(tables, args.country, node) for node in args.nodes}
         _deliver(args, TrendSeries(args.country, points))

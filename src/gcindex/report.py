@@ -3,29 +3,26 @@ the one-row commands print.
 
 Output is deterministic: stable ordering, 6-decimal numbers, '.' decimal
 separator, '\n' newlines.
+
+Loading this module loads none of `ranking`, `stats`, `whatif` and `svg`:
+their result types are recognised through the loaded module (see _is), and
+`svg` and `format_delta` are imported where a layout calls them.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from enum import Enum
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
-from . import svg
 from .errors import IoError, UnsupportedFormatError
 from .ingest import SCORE_HEADER
 from .model import RankTable, ScoreTable
-from .ranking import RankDeltaReport, format_delta
-from .stats import ChiSquareResult, CorrelationResult, Decision, TrendResult, TrendSeries
-from .whatif import WhatIfOutcome
 
 RANK_HEADER = "year,country,rank"
-
-_DECISION_TEXT = {
-    Decision.REJECT.value: "reject the null hypothesis",
-    Decision.DO_NOT_REJECT.value: "do not reject the null hypothesis",
-}
 
 
 def fmt6(value: float) -> str:
@@ -93,24 +90,36 @@ def _json_number(value: float) -> float:
     return float(fmt6(value))
 
 
-_ONE_ROW = (TrendResult, CorrelationResult, ChiSquareResult, WhatIfOutcome)
+def _is(results, module: str, *names: str) -> bool:
+    """Whether `results` is an instance of one of the classes `names` of
+    gcindex.`module`, without importing it: until that module is loaded, no
+    instance of its classes exists."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(results, tuple(getattr(loaded, n) for n in names))
 
 
-def _record(result, number=fmt6, signed=format_delta) -> Dict[str, object]:
+def _one_row(results) -> bool:
+    return (_is(results, "stats", "TrendResult", "CorrelationResult", "ChiSquareResult")
+            or _is(results, "whatif", "WhatIfOutcome"))
+
+
+def _record(result, number=fmt6, signed=None) -> Dict[str, object]:
     """{column: cell} of a one-row result, in field order.  Fields annotated
     float go through `number` (by annotation, so an int override is still a
-    number), delta_rank through `signed` and a Decision as its value;
-    new_scores is left out."""
+    number), delta_rank through `signed` (default ranking.format_delta) and
+    an enum, a chi-square Decision, as its value; new_scores is left out."""
     record: Dict[str, object] = {}
     for name, annotation in result._fields.items():
         if name == "new_scores":
             continue
         value = getattr(result, name)
         if name == "delta_rank":
+            if signed is None:
+                from .ranking import format_delta as signed
             value = signed(value)
         elif annotation == "float":
             value = number(value)
-        elif isinstance(value, Decision):
+        elif isinstance(value, Enum):
             value = value.value
         record[name] = value
     return record
@@ -118,10 +127,11 @@ def _record(result, number=fmt6, signed=format_delta) -> Dict[str, object]:
 
 def render_lines(result) -> str:
     """One 'name value' line per csv column of a one-row result, with '-'
-    for '_' in the name and a chi-square decision as its sentence."""
+    for '_' in the name and a chi-square decision as its sentence
+    ('do-not-reject' reads 'do not reject the null hypothesis')."""
     cells = _record(result)
     if "decision" in cells:
-        cells["decision"] = _DECISION_TEXT[cells["decision"]]
+        cells["decision"] = cells["decision"].replace("-", " ") + " the null hypothesis"
     return "".join(f"{name.replace('_', '-')} {cell}\n" for name, cell in cells.items())
 
 
@@ -135,7 +145,9 @@ def _render_csv(results, node: Optional[str]) -> str:
         lines = [RANK_HEADER]
         lines += [f"{results.year},{c},{results.rank(c)}" for c in results.countries()]
         return "\n".join(lines) + "\n"
-    if isinstance(results, RankDeltaReport):
+    if _is(results, "ranking", "RankDeltaReport"):
+        from .ranking import format_delta
+
         lines = ["country,delta,prev_rank,cur_rank"]
         for country in sorted(results.deltas):
             lines.append(
@@ -147,13 +159,13 @@ def _render_csv(results, node: Optional[str]) -> str:
         if results.leavers:
             lines.append("# leavers: " + ",".join(results.leavers))
         return "\n".join(lines) + "\n"
-    if isinstance(results, TrendSeries):
+    if _is(results, "stats", "TrendSeries"):
         fits = results.fits()
         lines = ["year,node,score,fitted"]
         lines += [f"{x},{n},{fmt6(v)},{fmt6(fits[n].predict(x))}"
                   for n, points in results.points.items() for x, v in points]
         return "\n".join(lines) + "\n"
-    if isinstance(results, _ONE_ROW):
+    if _one_row(results):
         record = _record(results)
         return ",".join(record) + "\n" + ",".join(map(str, record.values())) + "\n"
     raise UnsupportedFormatError(f"cannot render {type(results).__name__} as csv")
@@ -184,7 +196,7 @@ def _render_json(results, node: Optional[str]) -> str:
             "policy": results.policy,
             "ranks": {c: results.rank(c) for c in results.countries()},
         }
-    elif isinstance(results, RankDeltaReport):
+    elif _is(results, "ranking", "RankDeltaReport"):
         doc = {
             "prev_year": results.prev_year,
             "cur_year": results.cur_year,
@@ -194,14 +206,14 @@ def _render_json(results, node: Optional[str]) -> str:
             "entrants": list(results.entrants),
             "leavers": list(results.leavers),
         }
-    elif isinstance(results, TrendSeries):
+    elif _is(results, "stats", "TrendSeries"):
         doc = {
             "country": results.country,
             "series": {n: [[x, _json_number(v)] for x, v in points]
                        for n, points in results.points.items()},
             "fits": {n: _record(fit, _json_number, int) for n, fit in results.fits().items()},
         }
-    elif isinstance(results, _ONE_ROW):
+    elif _one_row(results):
         doc = _record(results, _json_number, int)
     else:
         raise UnsupportedFormatError(f"cannot render {type(results).__name__} as json")
@@ -209,6 +221,8 @@ def _render_json(results, node: Optional[str]) -> str:
 
 
 def _render_svg(results, node: Optional[str]) -> str:
+    from . import svg
+
     if isinstance(results, ScoreTable):
         target = node or "GCI"
         items = [(c, s) for _, c, _, (s,) in _score_rows({results.year: results}, target)]
@@ -225,12 +239,12 @@ def _render_svg(results, node: Optional[str]) -> str:
     if isinstance(results, RankTable):
         items = [(c, float(results.rank(c))) for c in results.countries()]
         return svg.bar_chart(items, f"Rankings, {results.year}")
-    if isinstance(results, RankDeltaReport):
+    if _is(results, "ranking", "RankDeltaReport"):
         items = [(c, float(results.deltas[c])) for c in sorted(results.deltas)]
         return svg.bar_chart(
             items, f"Rank movement {results.prev_year} to {results.cur_year}", baseline=0.0
         )
-    if isinstance(results, TrendSeries):
+    if _is(results, "stats", "TrendSeries"):
         # each node's points, then a `<node>_fit` line across their years
         fits = results.fits()
         fitted = {f"{n}_fit": [(x, fits[n].predict(x)) for x in (points[0][0], points[-1][0])]

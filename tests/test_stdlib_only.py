@@ -2,7 +2,8 @@
 imports only from sys.stdlib_module_names or from gcindex itself.  Reports
 are laid out in gcindex.report alone, and gcindex.ingest only reads.  And
 it stays cheap to start: no command loads any of the introspection modules
-behind `dataclasses`.  The file runs under pytest and, with nothing
+behind `dataclasses`, each loads only the gcindex modules it runs, and a
+bare `import gcindex` loads no submodule.  The file runs under pytest and, with nothing
 installed, as `PYTHONPATH=src python tests/test_stdlib_only.py`."""
 
 import ast
@@ -101,34 +102,59 @@ assert code == 0 and expected in out.getvalue(), (code, out.getvalue())
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
-# (argv, a line of its stdout) for each of the nine commands
+# The gcindex modules that only some commands run: each command's process
+# loads exactly the ones it calls, and an svg --format adds svg.
+OPTIONAL = {"ranking", "stats", "svg", "whatif"}
+
+# (argv, a line of its stdout, the OPTIONAL modules it loads) for each of
+# the nine commands, and the report and delta formats that load fewer or more
 COMMANDS = [
-    (["compute", "--year", "2006"], "2006,Slovenia,GCI,4.770000"),
-    (["rank", "--year", "2006"], "2006,Albania,10"),
-    (["delta", "--prev-year", "2005", "--cur-year", "2006"], "Albania,0,10,10"),
-    (["trend", "--country", "Macedonia", "--node", "TI"], "years 2003-2006"),
-    (["correlate", "--country", "Macedonia"], "nodes TI,GCI"),
-    (["chisq", "--prev-year", "2005", "--cur-year", "2006"], "statistic 1.783333"),
+    (["compute", "--year", "2006"], "2006,Slovenia,GCI,4.770000", set()),
+    (["rank", "--year", "2006"], "2006,Albania,10", {"ranking"}),
+    (["delta", "--prev-year", "2005", "--cur-year", "2006"], "Albania,0,10,10", {"ranking"}),
+    (["delta", "--prev-year", "2005", "--cur-year", "2006", "--format", "svg"], "<svg",
+     {"ranking", "svg"}),
+    (["trend", "--country", "Macedonia", "--node", "TI"], "years 2003-2006", {"stats"}),
+    (["correlate", "--country", "Macedonia"], "nodes TI,GCI", {"stats"}),
+    (["chisq", "--prev-year", "2005", "--cur-year", "2006"], "statistic 1.783333",
+     {"ranking", "stats"}),
     (["whatif", "--year", "2006", "--country", "Macedonia", "--node", "TI", "--gain", "1"],
-     "min-delta 0.120000"),
-    (["report", "--kind", "trend", "--country", "Macedonia", "--out", "{tmp}/trend.svg"], ""),
-    (["fixture", "panel"], "balkans-gci.csv"),
+     "min-delta 0.120000", {"whatif", "ranking"}),
+    (["report", "--kind", "scores", "--format", "csv", "--out", "{tmp}/scores.csv"], "", set()),
+    (["report", "--kind", "trend", "--country", "Macedonia", "--out", "{tmp}/trend.svg"], "",
+     {"stats", "svg"}),
+    (["fixture", "panel"], "balkans-gci.csv", set()),
 ]
 
 
-def test_compute_imports_no_introspection_modules(tmp_path):
-    # all nine commands, each in a fresh process
+def _fresh_process(code: str, *argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    for argv, expected in COMMANDS:
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_compute_imports_no_introspection_modules(tmp_path):
+    # every command, each in a fresh process
+    for argv, expected, optional in COMMANDS:
         argv = [arg.format(tmp=tmp_path) for arg in argv]
-        proc = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, *argv, expected],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = _fresh_process(FOOTPRINT_CHILD, *argv, expected)
         assert proc.returncode == 0, (argv, proc.stderr)
         loaded = set(proc.stdout.split())
         assert "gcindex.cli" in loaded
-        assert (argv[0], sorted(loaded & INTROSPECTION)) == (argv[0], [])
+        assert (argv, sorted(loaded & INTROSPECTION)) == (argv, [])
+        assert (argv, {f"gcindex.{m}" for m in OPTIONAL} & loaded) == (
+            argv, {f"gcindex.{m}" for m in optional})
     assert (tmp_path / "trend.svg").stat().st_size > 0
+    assert (tmp_path / "scores.csv").read_bytes().startswith(b"year,country,node,score\n")
+
+
+def test_bare_import_loads_no_submodule():
+    proc = _fresh_process("import sys\nbefore = set(sys.modules)\nimport gcindex\n"
+                          "print(' '.join(sorted(set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    assert [m for m in proc.stdout.split() if m.startswith("gcindex.")] == []
+    assert "gcindex" in proc.stdout.split()
 
 
 if __name__ == "__main__":
