@@ -86,8 +86,8 @@ def _series(tables: Dict[int, ScoreTable], country: str, node: str):
     two, or a GciError naming the node, the country and the years searched."""
     if not tables:
         raise GciError(f"country {country!r} has no data in the requested years")
-    points = [(year, table.score(country, node)) for year, table in tables.items()
-              if table.get(country, node) is not None]
+    points = [(year, score) for year, table in tables.items()
+              if (score := table._column(node).get(country)) is not None]
     if len(points) < 2:
         first, last = min(tables), max(tables)
         years = f"{first}-{last}" if first != last else f"{first}"
@@ -205,7 +205,7 @@ def _cmd_report(args) -> int:
     if args.kind in ("scores", "bars"):
         tables = ({args.year: compute_all(tree, panel, args.year, policy)}
                   if args.year is not None else _score_years(args, panel, tree, policy))
-        if not any(args.node in table.nodes() for table in tables.values()):
+        if not any(table._column(args.node) for table in tables.values()):
             raise GciError(f"node {args.node!r} has no scores in the requested years")
         # bars svg charts the one year's table; every other score report is the dict
         results = tables[args.year] if args.kind == "bars" and args.format == "svg" else tables

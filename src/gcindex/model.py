@@ -468,39 +468,42 @@ class ScoreTable(_Record):
         return _cached(self, ("rows",), build)
 
     def _column(self, node: str) -> Dict[str, float]:
-        """{country: score} on `node` for every country, in country order,
-        built once per node: read from the kept rows of a compute_all table,
-        one entry per country of any other (which builds no rows); callers
-        must not mutate it.  Raises MissingNodeError, on every call, unless
-        every country has a score for the node."""
+        """{country: score} of the countries that have a score on `node`, in
+        country order, empty when none has; built once per node: read from
+        the kept rows of a compute_all table, one entry per country of any
+        other (which builds no rows); callers must not mutate it."""
         def build() -> Dict[str, float]:
             countries = self.countries()  # kept, so _cache is set
             rows = self._cache.get(("rows",))
             if rows is None:
                 get = self.entries.get
-                column = {c: s for c in countries if (s := get((c, node))) is not None}
-            else:
-                at: Dict[tuple, int] = {}  # each distinct node tuple -> the node's place, -1 if absent
-                column = {}
-                for c in countries:
-                    nodes, scores = rows[c]
-                    if (i := at.get(nodes)) is None:
-                        i = at[nodes] = nodes.index(node) if node in nodes else -1
-                    if i >= 0 and (s := scores[i]) is not None:
-                        column[c] = s
-            if not column:
-                raise MissingNodeError(f"no scores for node {node!r}")
-            if len(column) < len(countries):
-                missing = [c for c in countries if c not in column]
-                raise MissingNodeError(f"node {node!r} has no score for: {missing}")
+                return {c: s for c in countries if (s := get((c, node))) is not None}
+            at: Dict[tuple, int] = {}  # each distinct node tuple -> the node's place, -1 if absent
+            column = {}
+            for c in countries:
+                nodes, scores = rows[c]
+                if (i := at.get(nodes)) is None:
+                    i = at[nodes] = nodes.index(node) if node in nodes else -1
+                if i >= 0 and (s := scores[i]) is not None:
+                    column[c] = s
             return column
 
         return _cached(self, ("column", node), build)
 
     def _ascending(self, node: str) -> List[float]:
         """_column(node)'s scores in ascending order, sorted once per node;
-        callers must not mutate it."""
-        return _cached(self, ("ascending", node), lambda: sorted(self._column(node).values()))
+        callers must not mutate it.  Raises MissingNodeError, on every call,
+        unless every country has a score for the node."""
+        def build() -> List[float]:
+            column = self._column(node)
+            if not column:
+                raise MissingNodeError(f"no scores for node {node!r}")
+            if len(column) < len(self.countries()):
+                missing = [c for c in self.countries() if c not in column]
+                raise MissingNodeError(f"node {node!r} has no score for: {missing}")
+            return sorted(column.values())
+
+        return _cached(self, ("ascending", node), build)
 
     def nodes(self) -> Tuple[str, ...]:
         return _cached(self, ("nodes",), lambda: tuple(sorted({

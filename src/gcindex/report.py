@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 import sys
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Dict, Iterator, List, Optional, Tuple, Union
 
 from .errors import IoError, UnsupportedFormatError
 from .ingest import SCORE_HEADER
@@ -31,52 +32,40 @@ def fmt6(value: float) -> str:
     return "0.000000" if text == "-0.000000" else text
 
 
-def _score_rows(results, node: Optional[str]) -> Iterator[Tuple[int, str, Tuple[str, ...], tuple]]:
-    """(year, country, nodes, scores) for each country with a score, year by
-    year and in country order: every node of a ScoreTable, or `node` of a
-    {year: ScoreTable} dict, nodes sorted and scores aligned.  Read from each
-    table's kept rows; each distinct node tuple is sorted once per call, and
-    only a row that lacks a score is filtered."""
-    single = isinstance(results, ScoreTable)
-    tables = [(results.year, results)] if single else sorted(results.items())
-    picks: dict = {}  # node tuple -> (its nodes kept, sorted; a getter of their scores)
-    for year, table in tables:
-        rows = table._rows()
-        for country in table.countries():
-            nodes, scores = rows[country]
-            kept = picks.get(nodes)
-            if kept is None:
-                order = sorted((i for i, n in enumerate(nodes) if single or n == node),
-                               key=nodes.__getitem__)
-                kept = picks[nodes] = (tuple(nodes[i] for i in order), _getter(order))
-            names, pick = kept
-            values = pick(scores)
-            if None in values:
-                names = tuple(n for n, s in zip(names, values) if s is not None)
-                values = tuple(s for s in values if s is not None)
-            if values:
-                yield year, country, names, values
+def _score_rows(table: ScoreTable, line: Callable[[str], str],
+                sep: str) -> Iterator[Tuple[str, str, tuple]]:
+    """(template, country, scores) for each country of `table` with a score,
+    in country order: `line(node id)` for each of its nodes, sorted, joined
+    by `sep`, and its scores aligned.  Read from the table's kept rows; each
+    node tuple is sorted, and each template built, once per call."""
+    rows = table._rows()
+    picks: dict = {}  # node tuple -> (its node ids sorted, a getter of their scores as a tuple)
+    templates: dict = {}  # sorted node ids -> their template
+    for country in table.countries():
+        nodes, scores = rows[country]
+        kept = picks.get(nodes)
+        if kept is None:
+            order = sorted(range(len(nodes)), key=nodes.__getitem__)
+            # a row already in node order, one-node rows among them, is read whole
+            pick = tuple if order == sorted(order) else itemgetter(*order)
+            kept = picks[nodes] = (tuple(map(nodes.__getitem__, order)), pick)
+        names, pick = kept
+        values = pick(scores)
+        if None in values:
+            names = tuple(n for n, s in zip(names, values) if s is not None)
+            values = tuple(s for s in values if s is not None)
+        if values:
+            template = templates.get(names)
+            if template is None:
+                template = templates[names] = sep.join(map(line, names))
+            yield template, country, values
 
 
-def _getter(positions: list) -> Callable[[Sequence], tuple]:
-    """row -> (row[i] for i in positions) as a tuple; itemgetter's own for
-    two or more positions."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    return lambda row: tuple(row[i] for i in positions)
-
-
-def _score_lines(results, node: Optional[str], line: Callable[[int, str], str],
-                 sep: str) -> Iterator[Tuple[str, str, tuple]]:
-    """(template, country, scores) for each row of _score_rows: the
-    country's lines as one '%' template, `line(year, node id)` for each of
-    its nodes joined by `sep`, built once per year and node tuple."""
-    templates: dict = {}
-    for year, country, names, values in _score_rows(results, node):
-        template = templates.get((year, names))
-        if template is None:
-            template = templates[year, names] = sep.join(line(year, n) for n in names)
-        yield template, country, values
+def _columns(tables: Dict[int, ScoreTable], node: str) -> List[Tuple[int, Dict[str, float]]]:
+    """(year, {country: score}) of `node`, each table's kept column, for each
+    year whose table has a score on it, in year order."""
+    return [(year, column) for year, table in sorted(tables.items())
+            if (column := table._column(node))]
 
 
 def _pairs(country, values) -> tuple:
@@ -84,6 +73,11 @@ def _pairs(country, values) -> tuple:
     cells = [country] * (2 * len(values))
     cells[1::2] = values
     return tuple(cells)
+
+
+def _json_scores(values: Collection[float]) -> list:
+    """Each score as the repr of its 6-decimal float, as json.dumps writes it."""
+    return [*map(repr, map(float, (("%.6f " * len(values)) % tuple(values)).split()))]
 
 
 def _json_number(value: float) -> float:
@@ -135,12 +129,20 @@ def render_lines(result) -> str:
     return "".join(f"{name.replace('_', '-')} {cell}\n" for name, cell in cells.items())
 
 
+def _csv_line(year: int, node: str) -> str:
+    """A score csv line as a '%' template of its country and score."""
+    return f"{year},%s,{node.replace('%', '%%')},%.6f\n"
+
+
 def _render_csv(results, node: Optional[str]) -> str:
-    if isinstance(results, (ScoreTable, dict)):
-        # the year and the node ids are written into the templates, '%' doubled
-        lines = _score_lines(results, node,
-                             lambda year, n: f"{year},%s,{n.replace('%', '%%')},%.6f\n", "")
+    if isinstance(results, ScoreTable):
+        lines = _score_rows(results, lambda n: _csv_line(results.year, n), "")
         return SCORE_HEADER + "\n" + "".join([t % _pairs(c, scores) for t, c, scores in lines])
+    if isinstance(results, dict):
+        # one template per year, over its countries' and scores' cells in turn
+        return SCORE_HEADER + "\n" + "".join([
+            _csv_line(year, node) * len(column) % tuple(chain.from_iterable(column.items()))
+            for year, column in _columns(results, node)])
     if isinstance(results, RankTable):
         lines = [RANK_HEADER]
         lines += [f"{results.year},{c},{results.rank(c)}" for c in results.countries()]
@@ -173,22 +175,28 @@ def _render_csv(results, node: Optional[str]) -> str:
 
 def _render_json(results, node: Optional[str]) -> str:
     if isinstance(results, (ScoreTable, dict)):
-        # json.dumps(doc, indent=2, sort_keys=True) from _score_lines'
-        # templates: names through json's own string encoder ('%' doubled in
-        # the templates), each score as its 6-decimal float's repr; a dict's
-        # rows hold their year, a ScoreTable's follows
-        single = isinstance(results, ScoreTable)
+        # json.dumps(doc, indent=2, sort_keys=True) from '%' templates: names
+        # through json's own string encoder ('%' doubled in the templates),
+        # each score as its 6-decimal float's repr; a dict's rows hold their
+        # year, a ScoreTable's follows
         encode = json.encoder.encode_basestring_ascii
 
-        def line(year: int, n: str) -> str:
-            tail = "" if single else f',\n      "year": {year}'
+        def line(n: str, tail: str = "") -> str:
             return ('    {\n      "country": %s,\n      "node": ' + encode(n).replace("%", "%%")
                     + ',\n      "score": %s' + tail + "\n    }")
 
-        rows = [t % _pairs(encode(c), [*map(repr, map(float, (("%.6f " * len(v)) % v).split()))])
-                for t, c, v in _score_lines(results, node, line, ",\n")]
+        if isinstance(results, ScoreTable):
+            rows = [t % _pairs(encode(c), _json_scores(v))
+                    for t, c, v in _score_rows(results, line, ",\n")]
+            tail = f',\n  "year": {results.year}'
+        else:
+            # one template per year, over its countries' and scores' cells in turn
+            rows = [",\n".join([line(node, f',\n      "year": {year}')] * len(column))
+                    % tuple(chain.from_iterable(zip(map(encode, column),
+                                                    _json_scores(column.values()))))
+                    for year, column in _columns(results, node)]
+            tail = ""
         scores = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        tail = f',\n  "year": {results.year}' if single else ""
         return f'{{\n  "scores": {scores}{tail}\n}}\n'
     if isinstance(results, RankTable):
         doc = {
@@ -225,7 +233,7 @@ def _render_svg(results, node: Optional[str]) -> str:
 
     if isinstance(results, ScoreTable):
         target = node or "GCI"
-        items = [(c, s) for _, c, _, (s,) in _score_rows({results.year: results}, target)]
+        items = list(results._column(target).items())
         if not items:
             raise UnsupportedFormatError(
                 f"score chart needs a node present in the table, got {node or None!r}"
@@ -233,8 +241,9 @@ def _render_svg(results, node: Optional[str]) -> str:
         return svg.bar_chart(items, f"{target} scores, {results.year}", baseline=1.0)
     if isinstance(results, dict):
         series: Dict[str, list] = {}
-        for year, country, _, (score,) in _score_rows(results, node):
-            series.setdefault(country, []).append((float(year), score))
+        for year, column in _columns(results, node):
+            for country, score in column.items():
+                series.setdefault(country, []).append((float(year), score))
         return svg.line_chart(series, f"{node} scores by year")
     if isinstance(results, RankTable):
         items = [(c, float(results.rank(c))) for c in results.countries()]
@@ -275,10 +284,10 @@ def emit_report(results, format: str, path: Union[str, Path], node: Optional[str
 def render_report(results, format: str, node: Optional[str] = None) -> str:
     """The text emit_report would write, without touching the filesystem.
 
-    A score report reads each table's rows (see _score_rows): csv and json
-    give each year and node tuple one line template and each country one
-    format call; its '%.6f' needs no negative-zero step, as fmt6 takes,
-    since ScoreTable range-checks to [1, 7]."""
+    A ScoreTable's report reads its rows (see _score_rows), a {year:
+    ScoreTable} report each year's column of `node` (see _columns); csv and
+    json format each country, or each year, with one '%' call.  Their '%.6f'
+    needs no negative-zero step, as fmt6 takes: ScoreTable range-checks to [1, 7]."""
     if isinstance(results, dict) and node is None:
         raise UnsupportedFormatError("a {year: ScoreTable} report needs a node")
     if format == "csv":

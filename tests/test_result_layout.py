@@ -6,6 +6,12 @@ Each one-row case runs one command on the bundled Balkans panel with --out in
 csv and in json, and pins stdout (the same for both formats) and both files.
 The rank and movement cases pin stdout in json, and the movement report's
 entrant and leaver lines in csv too.
+
+The partial-column cases run on three countries of the bundled panel with
+Macedonia's 2004 technology leaves dropped, so that under renormalize one
+country lacks TI in one year: the multi-year score report in every format,
+the bar chart of that year, and the trend, correlation and trend report of
+the country.
 """
 
 import pytest
@@ -205,3 +211,139 @@ def test_rank_movement_entrants_and_leavers(capsys, tmp_path):
         '  "entrants": [\n    "D",\n    "E"\n  ],\n  "leavers": [\n    "A"\n  ],\n'
         '  "prev_ranks": {\n    "B": 2,\n    "C": 3\n  },\n  "prev_year": 2005\n}\n'
     )
+
+
+#: countries kept, and rows dropped, from the bundled panel: Macedonia has no
+#: technology leaf, and so no TI score, in 2004
+PARTIAL_KEPT = ("Greece", "Macedonia", "Turkey")
+PARTIAL_DROPPED = ("2004,Macedonia,IS,", "2004,Macedonia,TTS,", "2004,Macedonia,ICTS,")
+SVG_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360" viewBox="0 0 640 360">\n'
+    '<rect x="0" y="0" width="640" height="360" fill="white"/>\n'
+)
+LABEL = 'font-family="sans-serif" font-size="11"'
+SCORES = ["--kind", "scores", "--node", "TI", "--from", "2004", "--to", "2006"]
+REPORT_TREND = ["--kind", "trend", "--country", "Macedonia", "--nodes", "TI", "GCI"]
+
+
+def _json_score(country, year, score):
+    return (f'    {{\n      "country": "{country}",\n      "node": "TI",\n'
+            f'      "score": {score},\n      "year": {year}\n    }}')
+
+
+PARTIAL_REPORTS = {
+    "scores-csv": (SCORES, "csv",
+                   "year,country,node,score\n2004,Greece,TI,4.160000\n2004,Turkey,TI,4.020000\n"
+                   "2005,Greece,TI,4.100000\n2005,Macedonia,TI,3.200000\n"
+                   "2005,Turkey,TI,3.960000\n2006,Greece,TI,4.200000\n"
+                   "2006,Macedonia,TI,2.950000\n2006,Turkey,TI,4.040000\n"),
+    "scores-json": (SCORES, "json", '{\n  "scores": [\n' + ",\n".join(
+        _json_score(c, y, s) for y, c, s in (
+            (2004, "Greece", 4.16), (2004, "Turkey", 4.02), (2005, "Greece", 4.1),
+            (2005, "Macedonia", 3.2), (2005, "Turkey", 3.96), (2006, "Greece", 4.2),
+            (2006, "Macedonia", 2.95), (2006, "Turkey", 4.04))) + "\n  ]\n}\n"),
+    "scores-svg": (SCORES, "svg", SVG_HEAD + (
+        '<text x="320" y="18" text-anchor="middle" font-family="sans-serif" font-size="14">'
+        'TI scores by year</text>\n'
+        '<rect x="50" y="30" width="470" height="290" fill="none" stroke="black" '
+        'stroke-width="1"/>\n'
+        f'<text x="50.00" y="336" text-anchor="middle" {LABEL}>2004</text>\n'
+        f'<text x="520.00" y="336" text-anchor="middle" {LABEL}>2006</text>\n'
+        f'<text x="44" y="324.00" text-anchor="end" {LABEL}>2.95</text>\n'
+        f'<text x="44" y="34.00" text-anchor="end" {LABEL}>4.20</text>\n'
+        '<polyline points="50.00,39.28 285.00,53.20 520.00,30.00" fill="none" '
+        'stroke="steelblue" stroke-width="1.5"/>\n'
+        f'<text x="528" y="44" {LABEL} fill="steelblue">Greece</text>\n'
+        '<polyline points="285.00,262.00 520.00,320.00" fill="none" stroke="firebrick" '
+        'stroke-width="1.5"/>\n'
+        f'<text x="528" y="60" {LABEL} fill="firebrick">Macedonia</text>\n'
+        '<polyline points="50.00,71.76 285.00,85.68 520.00,67.12" fill="none" '
+        'stroke="seagreen" stroke-width="1.5"/>\n'
+        f'<text x="528" y="76" {LABEL} fill="seagreen">Turkey</text>\n</svg>\n')),
+    "bars-svg": (["--kind", "bars", "--node", "TI", "--year", "2004"], "svg", SVG_HEAD + (
+        '<text x="320" y="18" text-anchor="middle" font-family="sans-serif" font-size="14">'
+        'TI scores, 2004</text>\n'
+        '<line x1="50" y1="290.00" x2="625" y2="290.00" stroke="black" stroke-width="1"/>\n'
+        + f'<text x="44" y="294.00" text-anchor="end" {LABEL}>1.000000</text>\n' * 2
+        + f'<text x="44" y="34.00" text-anchor="end" {LABEL}>4.160000</text>\n'
+        '<rect x="93.12" y="30.00" width="201.25" height="260.00" fill="steelblue"/>\n'
+        f'<text x="193.75" y="302" text-anchor="end" {LABEL} '
+        'transform="rotate(-45 193.75 302)">Greece</text>\n'
+        '<rect x="380.62" y="41.52" width="201.25" height="248.48" fill="steelblue"/>\n'
+        f'<text x="481.25" y="302" text-anchor="end" {LABEL} '
+        'transform="rotate(-45 481.25 302)">Turkey</text>\n</svg>\n')),
+    "trend-csv": (REPORT_TREND, "csv",
+                  "year,node,score,fitted\n2003,TI,3.690000,3.690714\n"
+                  "2005,TI,3.200000,3.197857\n2006,TI,2.950000,2.951429\n"
+                  "2003,GCI,3.650000,3.557000\n2004,GCI,3.550000,3.604000\n"
+                  "2005,GCI,3.480000,3.651000\n2006,GCI,3.830000,3.698000\n"),
+    "trend-json": (REPORT_TREND, "json",
+                   '{\n  "country": "Macedonia",\n  "fits": {\n    "GCI": {\n'
+                   '      "intercept": -90.584,\n      "n": 4,\n      "slope": 0.047\n    },\n'
+                   '    "TI": {\n      "intercept": 497.287143,\n      "n": 3,\n'
+                   '      "slope": -0.246429\n    }\n  },\n  "series": {\n    "GCI": [\n'
+                   + ",\n".join(f"      [\n        {y},\n        {s}\n      ]" for y, s in (
+                       (2003, 3.65), (2004, 3.55), (2005, 3.48), (2006, 3.83)))
+                   + '\n    ],\n    "TI": [\n'
+                   + ",\n".join(f"      [\n        {y},\n        {s}\n      ]" for y, s in (
+                       (2003, 3.69), (2005, 3.2), (2006, 2.95)))
+                   + "\n    ]\n  }\n}\n"),
+    "trend-svg": (REPORT_TREND, "svg", SVG_HEAD + (
+        '<text x="320" y="18" text-anchor="middle" font-family="sans-serif" font-size="14">'
+        'Macedonia: TI, GCI</text>\n'
+        '<rect x="50" y="30" width="470" height="290" fill="none" stroke="black" '
+        'stroke-width="1"/>\n'
+        f'<text x="50.00" y="336" text-anchor="middle" {LABEL}>2003</text>\n'
+        f'<text x="520.00" y="336" text-anchor="middle" {LABEL}>2006</text>\n'
+        f'<text x="44" y="324.00" text-anchor="end" {LABEL}>2.95</text>\n'
+        f'<text x="44" y="34.00" text-anchor="end" {LABEL}>3.83</text>\n'
+        '<polyline points="50.00,89.32 206.67,122.27 363.33,145.34 520.00,30.00" '
+        'fill="none" stroke="steelblue" stroke-width="1.5"/>\n'
+        f'<text x="528" y="44" {LABEL} fill="steelblue">GCI</text>\n'
+        '<polyline points="50.00,119.97 520.00,73.50" fill="none" stroke="firebrick" '
+        'stroke-width="1.5"/>\n'
+        f'<text x="528" y="60" {LABEL} fill="firebrick">GCI_fit</text>\n'
+        '<polyline points="50.00,76.14 363.33,237.61 520.00,320.00" fill="none" '
+        'stroke="seagreen" stroke-width="1.5"/>\n'
+        f'<text x="528" y="76" {LABEL} fill="seagreen">TI</text>\n'
+        '<polyline points="50.00,75.90 520.00,319.53" fill="none" stroke="darkorange" '
+        'stroke-width="1.5"/>\n'
+        f'<text x="528" y="92" {LABEL} fill="darkorange">TI_fit</text>\n</svg>\n')),
+}
+
+PARTIAL_RECORDS = {
+    "trend": (["trend", "--country", "Macedonia", "--node", "TI"],
+              "country Macedonia\nnode TI\nyears 2003-2006\n"
+              "slope -0.246429\nintercept 497.287143\nn 3\n"),
+    "correlate": (["correlate", "--country", "Macedonia", "--nodes", "TI", "GCI"],
+                  "country Macedonia\nnodes TI,GCI\nyears 2003-2006\nr -0.347579\nn 3\n"),
+}
+
+
+@pytest.fixture(scope="module")
+def partial_data(tmp_path_factory):
+    """The dataset flags of the partial-column panel, under renormalize."""
+    lines = fixture_path(BALKANS_PANEL).read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines[1:] if not line.startswith(("#", *PARTIAL_DROPPED))
+            and line.split(",")[1] in PARTIAL_KEPT]
+    assert len(lines) - len(kept) > len(PARTIAL_DROPPED)
+    panel = tmp_path_factory.mktemp("partial") / "panel.csv"
+    panel.write_text(lines[0] + "".join(kept), encoding="utf-8")
+    return ["--data", str(panel), "--tree", str(fixture_path(BALKANS_TREE)),
+            "--policy", "renormalize"]
+
+
+@pytest.mark.parametrize("case", list(PARTIAL_REPORTS))
+def test_partial_column_report_bytes(capsys, tmp_path, partial_data, case):
+    flags, fmt, expected = PARTIAL_REPORTS[case]
+    out = tmp_path / f"report.{fmt}"
+    assert _stdout(capsys, ["report", *partial_data, *flags, "--format", fmt,
+                            "--out", str(out)]) == ""
+    assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("case", list(PARTIAL_RECORDS))
+def test_partial_column_record_bytes(capsys, partial_data, case):
+    argv, expected = PARTIAL_RECORDS[case]
+    assert _stdout(capsys, [argv[0], *partial_data, *argv[1:]]) == expected

@@ -4,8 +4,10 @@ builds its (country, node) entries only when something reads them.
 The entries are a non-data descriptor on the class that the instance
 attribute shadows once it is set, as the constructor sets it from the start.
 Such a table must behave as `ScoreTable(year, dict(t.entries))` does (==,
-repr, entry order, pickle, deepcopy, an unhashable hash), and ranking and
-every score report must finish without building an entry.  The file runs
+repr, entry order, pickle, deepcopy, an unhashable hash), and ranking,
+every score report and the multi-year commands (trend, correlate, report
+--kind trend|scores), which read one node's column per year, must finish
+without building an entry.  The file runs
 under pytest and, with nothing installed, as `PYTHONPATH=src python
 tests/test_score_table.py`, since the laziness rests on how each Python
 resolves attributes.
@@ -13,12 +15,15 @@ resolves attributes.
 
 import contextlib
 import copy
+import io
 import pickle
 import sys
+import tempfile
 from fractions import Fraction
 from random import Random
 
-from gcindex import engine, model
+from gcindex import cli, engine, model
+from gcindex.data import BALKANS_CLASSES, BALKANS_PANEL, BALKANS_TREE, fixture_path
 from gcindex.engine import MissingPolicy, compute_all
 from gcindex.errors import MissingNodeError
 from gcindex.model import (
@@ -193,36 +198,73 @@ def test_ranking_an_entries_table_builds_no_rows():
 
 
 def _oracle_column(table: ScoreTable, node: str):
-    """{country: score} on `node` by one entry lookup per country, or the
-    MissingNodeError the column must raise."""
+    """({country: score} on `node` by one entry lookup per country, the
+    MissingNodeError that _ascending and rank_scores must raise or None)."""
     countries = table.countries()
     column = {c: table.entries[(c, node)] for c in countries if (c, node) in table.entries}
     if not column:
-        return MissingNodeError(f"no scores for node {node!r}")
+        return column, MissingNodeError(f"no scores for node {node!r}")
     if len(column) < len(countries):
         missing = [c for c in countries if c not in column]
-        return MissingNodeError(f"node {node!r} has no score for: {missing}")
-    return column
+        return column, MissingNodeError(f"node {node!r} has no score for: {missing}")
+    return column, None
 
 
 def test_column_from_the_rows_matches_the_per_entry_oracle():
     messages = set()
+    partial = 0
     for case in CASES:
         oracle = ScoreTable(YEAR, dict(_lazy(case)[0].entries))
         lazy = _lazy(case)[0]
         for table in (lazy, ScoreTable(YEAR, dict(oracle.entries))):
             for node in (*_tree().nodes, "NOPE"):
-                want = _oracle_column(oracle, node)
-                if isinstance(want, Exception):
-                    got = _raised(table._column, node)
-                    assert (type(got), str(got)) == (type(want), str(want)), (case, node)
-                    messages.add(str(want).split(" ")[0])
-                else:
-                    got = table._column(node)
-                    assert list(got.items()) == list(want.items()), (case, node)
+                want, error = _oracle_column(oracle, node)
+                # the column holds every country with a score, however many
+                got = table._column(node)
+                assert list(got.items()) == list(want.items()), (case, node)
+                if error is None:
+                    assert table._ascending(node) == sorted(want.values()), (case, node)
+                    continue
+                partial += bool(want)
+                for read in (table._ascending, lambda n: rank_scores(table, n)):
+                    got = _raised(read, node)
+                    assert (type(got), str(got)) == (type(error), str(error)), (case, node)
+                messages.add(str(error).split(" ")[0])
         assert "entries" not in vars(lazy), case
     # "no scores for node ..." and "node ... has no score for: [...]"
-    assert messages == {"no", "node"}
+    assert messages == {"no", "node"} and partial, partial
+
+
+def _bundled(*argv: str) -> list:
+    """The compute_all tables a `gcindex` run on the bundled panel scores,
+    after it has run; its stdout is discarded and --out goes to a
+    temporary directory."""
+    tables = []
+
+    def kept(*args, **kwargs):
+        tables.append(compute_all(*args, **kwargs))
+        return tables[-1]
+
+    data = ["--data", str(fixture_path(BALKANS_PANEL)), "--classes",
+            str(fixture_path(BALKANS_CLASSES)), "--tree", str(fixture_path(BALKANS_TREE))]
+    with tempfile.TemporaryDirectory() as work, _patched(cli, "compute_all", kept), \
+            contextlib.redirect_stdout(io.StringIO()):
+        out = [arg.replace("{out}", work) for arg in argv[1:]]
+        assert cli.main([argv[0], *data, *out]) == 0, argv
+    return tables
+
+
+def test_multi_year_commands_build_no_entries():
+    runs = [("trend", "--country", "Macedonia", "--node", "TI"),
+            ("correlate", "--country", "Macedonia", "--nodes", "TI", "GCI"),
+            ("report", "--kind", "trend", "--country", "Macedonia", "--out", "{out}/t.svg")]
+    runs += [("report", "--kind", "scores", "--node", "TI", "--format", fmt,
+              "--out", f"{{out}}/s.{fmt}") for fmt in ("csv", "json", "svg")]
+    for argv in runs:
+        tables = _bundled(*argv)
+        assert len(tables) > 1, argv
+        # each table read one column per node, from its kept rows
+        assert [t for t in tables if "entries" in vars(t)] == [], argv
 
 
 def test_out_of_range_aggregate_names_the_first_offender():
