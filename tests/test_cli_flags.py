@@ -189,19 +189,16 @@ def test_infeasible_gain_reads_out():
 
 if __name__ == "__main__":
     cases = list(_cases())
+    wrong = [(mode, flag) for mode, flag in cases if _unread(mode, flag) != ((mode, flag) in OPEN)]
+    for mode, flag in wrong:
+        state = "is now read: take it out of OPEN" if (mode, flag) in OPEN else "is unread"
+        print(f"FAILED gcindex {mode}: {flag} {state}")
     try:
-        wrong = [(mode, flag) for mode, flag in cases
-                 if _unread(mode, flag) != ((mode, flag) in OPEN)]
-        for mode, flag in wrong:
-            state = "is now read: take it out of OPEN" if (mode, flag) in OPEN else "is unread"
-            print(f"FAILED gcindex {mode}: {flag} {state}")
-        try:
-            test_infeasible_gain_reads_out()
-        except AssertionError as exc:
-            wrong.append(("whatif --gain", "--out"))
-            print(f"FAILED test_infeasible_gain_reads_out: {exc}")
-    finally:
-        teardown_module()
+        test_infeasible_gain_reads_out()
+    except AssertionError as exc:
+        wrong.append(("whatif --gain", "--out"))
+        print(f"FAILED test_infeasible_gain_reads_out: {exc}")
+    teardown_module()
     print(f"{len(cases) + 1 - len(wrong)} passed ({len(OPEN)} of them known unread), "
           f"{len(wrong)} failed")
     sys.exit(1 if wrong else 0)

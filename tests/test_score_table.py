@@ -7,10 +7,9 @@ Such a table must behave as `ScoreTable(year, dict(t.entries))` does (==,
 repr, entry order, pickle, deepcopy, an unhashable hash), and ranking,
 every score report and the multi-year commands (trend, correlate, report
 --kind trend|scores), which read one node's column per year, must finish
-without building an entry.  The file runs
-under pytest and, with nothing installed, as `PYTHONPATH=src python
-tests/test_score_table.py`, since the laziness rests on how each Python
-resolves attributes.
+without building an entry.  The file runs under pytest and, with nothing
+installed, as `PYTHONPATH=src python tests/test_score_table.py`, since the
+laziness rests on how each Python resolves attributes.
 """
 
 import contextlib
