@@ -9,7 +9,7 @@ weights.  Pure functions throughout: same inputs, bit-identical outputs.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateRangeError,
@@ -74,32 +74,20 @@ def observed_bounds(values: Sequence[float], leaf_id: str) -> Normalization:
     return Normalization(min=lo, max=hi)
 
 
-def _aggregate(parts: Iterable[Tuple[int, float]]) -> float:
-    """Weighted mean sum(a * s) / sum(a) of (integer weight, score) pairs,
-    rounded once: bit for bit float(sum(w / total * Fraction(s))) for the
-    rational weights w = a / D.
-
-    Scores are in [1, 7], and a float >= 1 is a whole multiple of 2**-52,
-    so int(s * 2**52) is exact; one int / int true division then rounds
-    correctly, as Fraction.__float__ does.  Dividing by the weights present
-    is the RENORMALIZE rescaling (a validated node's full weights sum to D),
-    and rounding once keeps the mean inside [min(children), max(children)].
-    """
-    num = den = 0
-    for a, s in parts:
-        num += a * int(s * 2.0 ** 52)  # 2.0 ** 52 folds to a float constant
-        den += a
-    return num / (den << 52)
-
-
 def _aggregate_columns(
     parts: Sequence[Tuple[int, Sequence[Optional[float]]]], size: int
 ) -> List[Optional[float]]:
-    """_aggregate down score columns of `size` countries: each of `parts` is
-    a child's (integer weight, scores), None where it has no score.  Each
-    country's mean is _aggregate's over its children present, bit for bit;
-    None when none is.  A gap-free column's weight counts for every country,
-    so it is tested for gaps once and adds to one scalar; only a column with
+    """Weighted means sum(a * s) / sum(a) down score columns of `size`
+    countries: each of `parts` is a child's (integer weight, scores), None
+    where it has no score.  Each country's mean is over its children present
+    (the RENORMALIZE rescaling; a validated node's full weights sum to D),
+    None when none is, and rounded once: bit for bit float(sum(w / total *
+    Fraction(s))) for the rational weights w = a / D.  Scores are in [1, 7],
+    and a float >= 1 is a whole multiple of 2**-52, so int(s * 2**52) is
+    exact; one int / int true division then rounds correctly, as
+    Fraction.__float__ does, and keeps the mean inside [min(children),
+    max(children)].  A gap-free column's weight counts for every country, so
+    it is tested for gaps once and adds to one scalar; only a column with
     gaps keeps weights per country."""
     num: Optional[List[int]] = None  # the sums, begun by the first child
     full = 0  # the weights of the gap-free columns

@@ -288,8 +288,7 @@ class IndexTree(_Record):
     nodes: Mapping[str, Node]
     root: str
     # _cached() store: {(kind, cls): order or plan, ("subtree", node id):
-    # that node's rooted tree, and whatif's ("ancestors", cls, node id) and
-    # ("weight", cls, node id, gap pattern) entries}
+    # that node's rooted tree, and whatif's ("chain", cls, node id) entries}
     _cache = None
 
     def node(self, node_id: str) -> Node:

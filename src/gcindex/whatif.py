@@ -2,12 +2,14 @@
 
 A scenario overrides one node's score for one country, re-derives only that
 node's ancestors, and counts the country's new rank on the root index while
-all other countries stay frozen.  Because aggregation is linear, the root
-responds to an override with slope equal to the product of the rational
-weights along the node -> root path (summed over paths in a DAG, and with
-each parent's weights rescaled over the children the country has a score
-for), which gives closed-form answers to "how much technology-index
-improvement buys k rank positions".
+all other countries stay frozen.  A query reads the country's off-path
+scores once along the node's ancestor chain, into an exact integer sum and a
+kept weight per level.  Those integers give the re-derived scores at any
+override, rounded once per level as compute_all rounds, and the root's
+slope: the product of each level's on-path weight over its kept weight
+(summed over paths at a DAG level).  Aggregation is linear, so the slope
+gives closed-form answers to "how much technology-index improvement buys k
+rank positions".
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .engine import _aggregate
 from .errors import (
     MissingNodeError,
     NotAnAncestorPathError,
@@ -68,80 +69,83 @@ class WhatIfOutcome(_Record):
 def path_weight(tree: IndexTree, node: str, cls: InnovatorClass) -> Fraction:
     """d(root score) / d(node score): sum over root->node paths of the
     product of edge weights, as an exact rational."""
-    return _path_weight(tree, node, cls, lambda child: True)
+    chain = _chain(tree, node, cls)
+    return Fraction(*_slope(chain, [(0, full) for *_, full in chain], node, tree.root))
 
 
-def _ancestors(tree: IndexTree, node: str, cls: InnovatorClass) -> Tuple[tuple, tuple]:
-    """(steps, off): `node`'s ancestors on the class plan as (id, integer
-    weights) steps, children first, and the ids of their children off the
-    path, each once.  Built once per tree, class and node."""
-    return _cached(tree, ("ancestors", cls, node), lambda: _find_ancestors(tree.plan(cls), node))
+def _chain(tree: IndexTree, node: str, cls: InnovatorClass) -> Tuple[tuple, ...]:
+    """`node`'s ancestors on the class plan, children first, each as (id,
+    on-path children, off-path children, full integer weight), the children
+    as (id, integer weight).  Built once per tree, class and node."""
+    if node not in tree.nodes:
+        raise NotAnAncestorPathError(f"unknown node {node!r}")
+    return _cached(tree, ("chain", cls, node), lambda: _find_chain(tree.plan(cls), node))
 
 
-def _find_ancestors(plan: Tuple[Step, ...], node: str) -> Tuple[tuple, tuple]:
+def _find_chain(plan: Tuple[Step, ...], node: str) -> Tuple[tuple, ...]:
     # plan() is topological with children first, so one pass finds every
     # ancestor, each after its on-path children: a child not found by then
     # is off the path.
     on_path, steps = {node}, []
     for current, _, weights in plan:
         if weights and current != node and any(child in on_path for child, _ in weights):
+            steps.append((current, tuple(w for w in weights if w[0] in on_path),
+                          tuple(w for w in weights if w[0] not in on_path),
+                          sum(a for _, a in weights)))
             on_path.add(current)
-            steps.append((current, weights))
-    off = dict.fromkeys(child for _, weights in steps for child, _ in weights if child not in on_path)
-    return tuple(steps), tuple(off)
+    return tuple(steps)
 
 
-def _path_weight(
-    tree: IndexTree, node: str, cls: InnovatorClass, has_score: Callable[[str], bool]
-) -> Fraction:
-    """path_weight with each parent's weights rescaled over the children
-    that have a score, as _aggregate rescales them.  A child on a path to
-    `node` always counts: apply_scenario re-derives it.  The weight is kept
-    per tree, class, node and gap pattern (the ancestors' off-path children
-    without a score), so only a pattern's first query does Fraction
-    arithmetic."""
-    if node not in tree.nodes:
-        raise NotAnAncestorPathError(f"unknown node {node!r}")
-    steps, off = _ancestors(tree, node, cls)
-    gaps = tuple(child for child in off if not has_score(child))
-    return _cached(tree, ("weight", cls, node, gaps),
-                   lambda: _weigh_path(steps, node, tree.root, gaps))
+def _split(chain: Tuple[tuple, ...], entries: Mapping, country: str) -> List[Tuple[int, int]]:
+    """(off, kept) per level of `chain` for `country`: the off-path children's
+    sum(a * int(s * 2**52)) over those with a score, and the level's integer
+    weight without the others, as _aggregate_columns drops a child without a
+    score.  On-path children always count: the chain re-derives them."""
+    levels = []
+    for _, _, off, kept in chain:
+        num = 0
+        for child, a in off:
+            s = entries.get((country, child))
+            if s is None:
+                kept -= a
+            else:
+                num += a * int(s * 2.0 ** 52)  # exact: a score >= 1 is on the 2**-52 grid
+        levels.append((num, kept))
+    return levels
 
 
-def _weigh_path(steps: tuple, node: str, root: str, gaps: tuple) -> Fraction:
-    # Only nodes with a path to `node` get a (positive) coefficient.  Dividing
-    # by the kept children's integer weights rescales over them; with all kept
-    # it divides by their denominator, giving the rational weights as they are.
-    coeff: Dict[str, Fraction] = {node: Fraction(1)}
-    for current, weights in steps:
-        total = sum(a * coeff[child] for child, a in weights if child in coeff)
-        kept = sum(a for child, a in weights if child not in gaps)
-        coeff[current] = total / kept
-    return coeff.get(root, Fraction(0))
+def _forward(chain: Tuple[tuple, ...], levels: List[Tuple[int, int]], node: str,
+             override: float) -> Dict[str, float]:
+    """{id: score} of `node` at `override` and of each ancestor in `chain`:
+    each level's exact integer sum, rounded once by one int / int division,
+    bit for bit the mean _aggregate_columns takes."""
+    scores = {node: float(override)}
+    for (current, on, _, _), (num, kept) in zip(chain, levels):
+        for child, a in on:
+            num += a * int(scores[child] * 2.0 ** 52)
+        scores[current] = num / (kept << 52)
+    return scores
 
 
-def _updated_scores(
-    tree: IndexTree,
-    scores: ScoreTable,
-    cls: InnovatorClass,
-    country: str,
-    node: str,
-    override: float,
-) -> Dict[str, float]:
-    """Scores for the override node and every ancestor on the class plan.
-
-    Children without a score (possible under the renormalize missing-data
-    policy) are dropped and the remaining weights rescaled, mirroring the
-    engine's evaluation semantics.
-    """
-    updates: Dict[str, float] = {node: float(override)}
-    entries = scores.entries
-    for node_id, weights in _ancestors(tree, node, cls)[0]:
-        parts = [(a, s) for child, a in weights
-                 if (s := updates[child] if child in updates else entries.get((country, child)))
-                 is not None]
-        updates[node_id] = _aggregate(parts)
-    return updates
+def _slope(chain: Tuple[tuple, ...], levels: List[Tuple[int, int]], node: str,
+           root: str) -> Tuple[int, int]:
+    """d(root) / d(node) as (num, den): on a single path the products of each
+    level's on-path weight and of its kept weight, 1 when `node` is the root
+    and 0 when the root does not reach it; past a level with several on-path
+    children (a DAG), the exact Fraction sum over paths."""
+    num = den = 1
+    for (_, on, _, _), (_, kept) in zip(chain, levels):
+        if len(on) > 1:
+            break
+        num *= on[0][1]
+        den *= kept
+    else:
+        return (num, den) if (chain[-1][0] if chain else node) == root else (0, 1)
+    coeff = {node: Fraction(1)}
+    for (current, on, _, _), (_, kept) in zip(chain, levels):
+        coeff[current] = sum(a * coeff[child] for child, a in on) / kept
+    weight = coeff.get(root, Fraction(0))
+    return weight.numerator, weight.denominator
 
 
 def _check_country(scores: ScoreTable, country: str, root: str) -> None:
@@ -162,19 +166,18 @@ def apply_scenario(
     Only the override node's ancestors are re-derived; every other country's
     scores stay frozen, so both ranks are bisected from the table's sorted
     root column instead of re-ranking.  After the table's first query builds
-    and sorts that column, cost is O(ancestors + log countries): one pass
-    over the node's ancestor steps, kept per tree, class and node, plus two
-    bisects; the base table is not copied.  `tree` must have passed
-    validate_tree, as for engine.evaluate_node.
+    and sorts that column, cost is O(ancestors + log countries): one read of
+    the country's off-path scores and one pass up the node's chain (see
+    _chain), plus two bisects; the base table is not copied.  `tree` must
+    have passed validate_tree, as for engine.evaluate_node.
     """
     country = scenario.country
     _check_country(scores, country, tree.root)
-    if scenario.node not in tree.nodes:
-        raise NotAnAncestorPathError(f"unknown node {scenario.node!r}")
-    cls = classes[country]
+    chain = _chain(tree, scenario.node, classes[country])
     ordered = scores._ascending(tree.root)
     baseline_gci = scores.score(country, tree.root)
-    updates = _updated_scores(tree, scores, cls, country, scenario.node, scenario.override)
+    updates = _forward(chain, _split(chain, scores.entries, country), scenario.node,
+                       scenario.override)
     new_gci = updates.get(tree.root, baseline_gci)
     baseline_rank = _competition_rank(ordered, baseline_gci, baseline_gci)
     new_rank = _competition_rank(ordered, baseline_gci, new_gci)
@@ -204,22 +207,25 @@ def _solve(
     means the country already holds the goal: 0.0, once `node` has passed
     the same checks.
 
-    The slope is the country's effective path weight (each parent's weights
-    rescaled over the children that have a score, as apply_scenario
-    rescales them), and the root starts where apply_scenario re-derives it
-    at the node's current score.  On a compute_all table that is the stored
-    root bit for bit; on one read back from a rounded score CSV it is not.
+    One read of the chain gives the slope num / den (see _slope) and the
+    root where apply_scenario re-derives it at the node's current score: on a
+    compute_all table the stored root bit for bit, on one read back from a
+    rounded score CSV not.  int / int rounds correctly, so num / den is the
+    float of the exact rational slope, with no Fraction arithmetic off a DAG
+    level.
     """
-    w_eff = _path_weight(tree, node, cls, lambda child: scores.get(country, child) is not None)
-    if w_eff <= 0:
+    chain = _chain(tree, node, cls)
+    levels = _split(chain, scores.entries, country)
+    num, den = _slope(chain, levels, node, tree.root)
+    if not num:
         raise NotAnAncestorPathError(f"node {node!r} has no weighted path to {tree.root!r}")
     current = scores.get(country, node)
     if current is None:
         raise MissingNodeError(f"no baseline score for ({country}, {node})")
     if target is None:
         return 0.0
-    start = _updated_scores(tree, scores, cls, country, node, current)[tree.root]
-    delta = (target - start) / float(w_eff) + STRICT_MARGIN
+    start = _forward(chain, levels, node, current)[tree.root]
+    delta = (target - start) / (num / den) + STRICT_MARGIN
     if current + delta > 7.0:
         return None
     return delta
@@ -240,14 +246,16 @@ def min_delta_for_rank_gain(
     rational path weight with each parent's weights rescaled over the
     children the country has a score for (as apply_scenario rescales them),
     so delta = (target - root) / w_eff + STRICT_MARGIN, where root is the
-    country's root as apply_scenario re-derives it at the node's current score.
+    country's root as apply_scenario re-derives it at the node's current
+    score.  Both come from one ancestor chain, with w_eff as a quotient of
+    integer products (see _solve).
     Returns None (infeasible) when even a score of 7 cannot achieve the gain:
     either fewer than k countries sit strictly above, or the required node
     score exceeds the scale.  A gain k <= 0 costs 0.0 once `node` has passed
     the checks a positive gain makes.  After the table's first query builds
     and sorts its root column, cost is O(ancestors + log countries): the
-    target is bisected from that sorted column, and w_eff is kept per tree,
-    class, node and gap pattern (see _path_weight).
+    target is bisected from that sorted column, and the chain is kept per
+    tree, class and node; nothing is kept per country.
     """
     _check_country(scores, country, tree.root)
     ordered = scores._ascending(tree.root)

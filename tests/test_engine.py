@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from gcindex import engine
 from gcindex.engine import (
     MissingPolicy,
-    _aggregate,
     _aggregate_columns,
     compute_all,
     evaluate_node,
@@ -29,7 +28,7 @@ from gcindex.model import (
     Normalization,
     Panel,
 )
-from util import make_assignment, make_random_tree, oracle_eval, reference_scores
+from util import aggregate, make_assignment, make_random_tree, oracle_eval, reference_scores
 
 CORE = InnovatorClass.CORE
 NONCORE = InnovatorClass.NONCORE
@@ -362,6 +361,11 @@ class TestLinearCost:
         assert table == compute_all(component_tree, only, 2006)
 
 
+def _one_country(parts):
+    """_aggregate_columns over one country's (integer weight, score) pairs."""
+    return _aggregate_columns([(a, [s]) for a, s in parts], 1)[0]
+
+
 class TestExactSum:
     #: Scores on the edges of the 2**-52 grid: the scale ends, the first
     #: float above 1, and the last floats below 2 and 7.
@@ -369,8 +373,9 @@ class TestExactSum:
              math.nextafter(7.0, 1.0), 7.0)
 
     def test_matches_fraction_sum_bit_for_bit(self):
-        # _aggregate takes the plan's integer weights; the oracle sums the
-        # node's rational weights as Fractions and rounds once.
+        # _aggregate_columns takes the plan's integer weights, here down
+        # one-country columns; the oracle sums the node's rational weights as
+        # Fractions and rounds once.
         rng = Random(31337)
         checked = 0
         for _ in range(500):
@@ -386,13 +391,13 @@ class TestExactSum:
                               for _ in edges]
                 full = list(zip((w for _, w in edges), scores))
                 ints = list(zip((a for _, a in weights), scores))
-                assert _aggregate(ints) == float(sum(w * Fraction(s) for w, s in full))
+                assert _one_country(ints) == float(sum(w * Fraction(s) for w, s in full))
                 # renormalized: drop a random proper subset of the children
                 kept = [i for i in range(len(full)) if rng.random() < 0.6] or [0]
                 if len(kept) < len(full):
                     total = sum(full[i][0] for i in kept)
                     expected = float(sum((full[i][0] / total) * Fraction(full[i][1]) for i in kept))
-                    assert _aggregate([ints[i] for i in kept]) == expected
+                    assert _one_country([ints[i] for i in kept]) == expected
                 checked += 1
         assert checked > 500
 
@@ -402,8 +407,8 @@ class TestExactSum:
             parts = list(zip(weights, scores))
             total = sum(weights)
             expected = float(sum(Fraction(a, total) * Fraction(s) for a, s in parts))
-            assert _aggregate(parts).hex() == expected.hex()
-            assert min(scores) <= _aggregate(parts) <= max(scores)
+            assert _one_country(parts).hex() == expected.hex()
+            assert min(scores) <= _one_country(parts) <= max(scores)
 
     @pytest.mark.parametrize("weights", [(1, 1), (1, 2, 3), (7, 1, 5, 3), (1,)])
     @pytest.mark.parametrize("gaps", [False, True])
@@ -418,7 +423,7 @@ class TestExactSum:
             if not parts:
                 assert score is None
                 continue
-            assert score.hex() == _aggregate(parts).hex()
+            assert score.hex() == aggregate(parts).hex()
 
     @pytest.mark.parametrize("weights,gapped", [
         ((1, 1), (0,)),  # a gap-free column after a gapped one
@@ -436,7 +441,7 @@ class TestExactSum:
         got = _aggregate_columns(list(zip(weights, columns)), len(rows))
         for row, score in zip(rows, got):
             parts = [(a, s) for a, s in zip(weights, row) if s is not None]
-            assert score.hex() == _aggregate(parts).hex()
+            assert score.hex() == aggregate(parts).hex()
 
     def test_columns_without_children_have_no_scores(self):
         assert _aggregate_columns([], 3) == [None, None, None]

@@ -8,12 +8,13 @@ from hypothesis import example, given, strategies as st
 from gcindex import whatif
 from gcindex.engine import MissingPolicy, compute_all
 from gcindex.errors import (
+    MissingLeafError,
     MissingNodeError,
     NotAnAncestorPathError,
     OverrideOutOfScaleError,
     UnknownCountryError,
 )
-from gcindex.ingest import load_score_table
+from gcindex.ingest import WEF_DEFAULT, load_score_table, load_tree
 from gcindex.model import (
     IndexTree,
     InnovatorClass,
@@ -31,7 +32,7 @@ from gcindex.whatif import (
     min_delta_for_rank_gain,
     path_weight,
 )
-from util import oracle_eval
+from util import make_random_tree, oracle_eval
 
 NONCORE = InnovatorClass.NONCORE
 CORE = InnovatorClass.CORE
@@ -64,6 +65,19 @@ def _wef_table(wef_tree):
     return compute_all(wef_tree, Panel(rows, classes), 2006), classes
 
 
+def _dag_tree():
+    """S feeds both A and B: R <- A <- S and R <- B <- S."""
+    nodes = {
+        "R": Node("R", edges=(("A", Fraction(1, 2)), ("B", Fraction(1, 2)))),
+        "A": Node("A", edges=(("S", Fraction(1, 3)), ("X", Fraction(2, 3)))),
+        "B": Node("B", edges=(("S", Fraction(3, 4)), ("Y", Fraction(1, 4)))),
+        "S": Node("S"),
+        "X": Node("X"),
+        "Y": Node("Y"),
+    }
+    return validate_tree(IndexTree(nodes=nodes, root="R"))
+
+
 class TestPathWeight:
     def test_direct_component(self, component_tree):
         assert path_weight(component_tree, "TI", NONCORE) == Fraction(1, 3)
@@ -82,16 +96,7 @@ class TestPathWeight:
 
 
     def test_shared_child_sums_both_paths(self):
-        # S feeds both A and B: R <- A <- S and R <- B <- S
-        nodes = {
-            "R": Node("R", edges=(("A", Fraction(1, 2)), ("B", Fraction(1, 2)))),
-            "A": Node("A", edges=(("S", Fraction(1, 3)), ("X", Fraction(2, 3)))),
-            "B": Node("B", edges=(("S", Fraction(3, 4)), ("Y", Fraction(1, 4)))),
-            "S": Node("S"),
-            "X": Node("X"),
-            "Y": Node("Y"),
-        }
-        tree = validate_tree(IndexTree(nodes=nodes, root="R"))
+        tree = _dag_tree()
         weight = path_weight(tree, "S", NONCORE)
         assert weight == Fraction(1, 2) * Fraction(1, 3) + Fraction(1, 2) * Fraction(3, 4)
         leaves = {("c", "S"): 3.0, ("c", "X"): 5.0, ("c", "Y"): 2.0}
@@ -531,9 +536,9 @@ def test_kept_path_weights_do_not_leak_between_gap_patterns(wef_tree):
 
 
 def test_queries_build_each_ancestor_walk_and_path_weight_once(wef_tree, monkeypatch):
-    # Builds of a node's ancestor steps and of its exact path weight across
-    # many queries on one tree: one per (class, node) and one per (class,
-    # node, gap pattern); a warm query does no Fraction arithmetic at all.
+    # Builds of a node's ancestor chain across many queries on one tree: one
+    # per (class, node), none per country or gap pattern.  The WEF tree has
+    # no DAG level, so no query does Fraction arithmetic, the first included.
     builds, arithmetic = Counter(), Counter()
 
     def counting(counter, key, real):
@@ -542,13 +547,14 @@ def test_queries_build_each_ancestor_walk_and_path_weight_once(wef_tree, monkeyp
             return real(*args)
         return call
 
-    for kind, name in (("ancestors", "_find_ancestors"), ("weight", "_weigh_path")):
-        monkeypatch.setattr(whatif, name, counting(builds, kind, getattr(whatif, name)))
+    monkeypatch.setattr(whatif, "_find_chain", counting(builds, "chain", whatif._find_chain))
     for op in ("add", "sub", "mul", "truediv"):
         for dunder in (f"__{op}__", f"__r{op}__"):
             monkeypatch.setattr(Fraction, dunder, counting(arithmetic, dunder, getattr(Fraction, dunder)))
     scores, classes = _gapped_wef_table(wef_tree)
     tree = IndexTree(wef_tree.nodes, wef_tree.root)
+    tree.plan(CORE), tree.plan(NONCORE)
+    arithmetic.clear()
 
     def sweep():
         for node in _GAPPED_NODES:
@@ -559,20 +565,147 @@ def test_queries_build_each_ancestor_walk_and_path_weight_once(wef_tree, monkeyp
 
     sweep()
     # every build is kept under its own key: as many builds as keys
-    kept = {kind: {key[1:] for key in tree._cache if key[0] == kind}
-            for kind in ("ancestors", "weight")}
-    assert builds == Counter({kind: len(keys) for kind, keys in kept.items()})
-    assert kept["ancestors"] == {(cls, node) for cls in InnovatorClass for node in _GAPPED_NODES}
-    assert {(CORE, "internet_users", ()), (NONCORE, "internet_users", ()),
-            (CORE, "internet_users", ("internet_hosts", "IS")),
-            (NONCORE, "ICTS", ("IS",)), (NONCORE, "ICTS", ("TTS",))} <= kept["weight"]
-    assert arithmetic
+    kept = {key[1:] for key in tree._cache if key[0] == "chain"}
+    assert kept == {(cls, node) for cls in InnovatorClass for node in _GAPPED_NODES}
+    assert builds == Counter({"chain": len(kept)})
+    assert arithmetic == Counter()
     builds.clear()
-    arithmetic.clear()
     for _ in range(3):
         sweep()
     assert builds == Counter()
     assert arithmetic == Counter()
+
+
+def _rederived(tree, cls, row, node, override):
+    """{id: score} of `node` at `override` and of each node of the class plan
+    that reaches it, re-derived from `row` ({node: the country's score}) one
+    node at a time as float(sum(w / total * Fraction(s))) over the children
+    that have a score."""
+    changed = {node: float(override)}
+    for current in tree.reachable(cls):
+        edges = tree.node(current).children(cls)
+        if current != node and any(child in changed for child, _ in edges):
+            parts = [(w, changed[c] if c in changed else row.get(c)) for c, w in edges]
+            parts = [(w, Fraction(s)) for w, s in parts if s is not None]
+            total = sum(w for w, _ in parts)
+            changed[current] = float(sum(w / total * s for w, s in parts))
+    return changed
+
+
+def _path_sum(tree, cls, row, node, current):
+    """d(current) / d(node) as an exact Fraction: the sum over paths of each
+    parent's weight over the weights of its children that have a score in
+    `row` or reach `node`."""
+    if current == node:
+        return Fraction(1)
+    edges = tree.node(current).children(cls)
+    reach = {c: _path_sum(tree, cls, row, node, c) for c, _ in edges}
+    kept = sum(w for c, w in edges if reach[c] or row.get(c) is not None)
+    return sum((w / kept * reach[c] for c, w in edges if reach[c]), Fraction(0))
+
+
+def _chain_tables():
+    """(policy, tree, table, classes) for the oracle tests: the WEF tree's
+    gap-free table under strict and its gapped one under renormalize, and
+    small random per-class trees under both policies (renormalize with some
+    leaves missing), each country with a root score."""
+    wef = load_tree(WEF_DEFAULT)
+    yield "strict", wef, *_wef_table(wef)
+    yield "renormalize", wef, *_gapped_wef_table(wef)
+    rng = Random(2024)
+    made = 0
+    while made < 24:
+        tree = make_random_tree(rng, max_depth=3, max_children=4, per_class=True)
+        policy = (MissingPolicy.STRICT, MissingPolicy.RENORMALIZE)[made % 2]
+        classes = {f"r{i}": (CORE, NONCORE)[i % 2] for i in range(6)}
+        rows = [(2006, c, leaf, rng.uniform(1.0, 7.0)) for c in classes for leaf in tree.leaves()
+                if policy is MissingPolicy.STRICT or rng.random() < 0.7]
+        try:
+            table = compute_all(tree, Panel(rows, classes), 2006, policy)
+        except MissingLeafError:  # a country without a root score
+            continue
+        made += 1
+        yield policy.value, tree, table, classes
+
+
+def _rows(table):
+    rows = {}
+    for (country, node), s in table.entries.items():
+        rows.setdefault(country, {})[node] = s
+    return rows
+
+
+def test_identity_override_returns_the_stored_root_bit_for_bit():
+    # every node a country has a score for, overridden with that score: the
+    # re-derived ancestors are the stored ones and the rank does not move
+    checked = Counter()
+    for policy, tree, scores, classes in _chain_tables():
+        for country, row in _rows(scores).items():
+            for node, s in row.items():
+                outcome = apply_scenario(tree, scores, classes, Scenario(country, node, s))
+                assert outcome.new_gci.hex() == scores.score(country, tree.root).hex()
+                assert outcome.delta_rank == 0
+                assert {n: v.hex() for n, v in outcome.new_scores.items()} == \
+                    {n: row[n].hex() for n in outcome.new_scores}
+                checked[policy] += 1
+    assert min(checked.values()) > 500
+
+
+def test_random_overrides_rederive_as_the_scalar_oracle():
+    rng = Random(99)
+    for _, tree, scores, classes in _chain_tables():
+        for country, row in _rows(scores).items():
+            cls = classes[country]
+            for node in rng.sample(sorted(tree.nodes), min(6, len(tree.nodes))):
+                override = rng.choice([1.0, 7.0, rng.uniform(1.0, 7.0)])
+                outcome = apply_scenario(tree, scores, classes, Scenario(country, node, override))
+                expected = _rederived(tree, cls, row, node, override)
+                assert {n: v.hex() for n, v in outcome.new_scores.items()} == \
+                    {n: v.hex() for n, v in expected.items()}
+                assert outcome.new_gci == expected.get(tree.root, row[tree.root])
+
+
+def test_slope_is_the_exact_path_sum():
+    # the chain's integer slope num / den against the Fraction path sum over
+    # the children each country has a score for, and num / den against the
+    # Fraction's float, which the solver used to divide by
+    for _, tree, scores, classes in _chain_tables():
+        every = dict.fromkeys(tree.nodes, 4.0)  # path_weight: every child counts
+        for country, row in _rows(scores).items():
+            cls = classes[country]
+            for node in sorted(tree.nodes):
+                chain = whatif._chain(tree, node, cls)
+                num, den = whatif._slope(chain, whatif._split(chain, scores.entries, country),
+                                         node, tree.root)
+                exact = _path_sum(tree, cls, row, node, tree.root)
+                assert Fraction(num, den) == exact
+                assert num / den == float(exact)
+                assert path_weight(tree, node, cls) == _path_sum(tree, cls, every, node, tree.root)
+
+
+@pytest.mark.parametrize("policy", list(MissingPolicy))
+def test_dag_level_slope_solves_then_gains_k(policy):
+    # at R, both children are on S's path: the slope is the Fraction sum over
+    # both paths, and a solved delta applied must buy the gain
+    tree = _dag_tree()
+    rng = Random(3)
+    rows = [(2006, f"d{i}", leaf, round(rng.uniform(1.5, 5.0), 2))
+            for i in range(12) for leaf in ("S", "X", "Y")
+            if policy is MissingPolicy.STRICT or leaf == "S" or rng.random() < 0.6]
+    panel = Panel(rows)
+    scores = compute_all(tree, panel, 2006, policy)
+    solved = 0
+    for country, row in _rows(scores).items():
+        chain = whatif._chain(tree, "S", NONCORE)
+        slope = whatif._slope(chain, whatif._split(chain, scores.entries, country), "S", "R")
+        assert Fraction(*slope) == _path_sum(tree, NONCORE, row, "S", "R")
+        for k in (1, 2, 3):
+            delta = min_delta_for_rank_gain(tree, scores, panel.classes, country, k, "S")
+            override = 7.0 if delta is None else row["S"] + delta
+            outcome = apply_scenario(tree, scores, panel.classes, Scenario(country, "S", override))
+            assert (outcome.delta_rank >= k) == (delta is not None)
+            solved += delta is not None
+    assert solved >= 12
 
 
 def _scored(component_tree, levels):

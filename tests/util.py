@@ -51,6 +51,19 @@ def make_random_tree(
     return validate_tree(IndexTree(nodes=nodes, root=root))
 
 
+def aggregate(parts) -> float:
+    """Weighted mean sum(a * s) / sum(a) of (integer weight, score) pairs,
+    rounded once: the scalar form of engine._aggregate_columns for one
+    country.  Scores are in [1, 7], where a float is a whole multiple of
+    2**-52, so int(s * 2**52) is exact and one int / int true division
+    rounds correctly."""
+    num = den = 0
+    for a, s in parts:
+        num += a * int(s * 2.0 ** 52)
+        den += a
+    return num / (den << 52)
+
+
 def make_assignment(rng: Random, tree: IndexTree, country: str = "X") -> dict:
     return {(country, leaf): rng.uniform(1.0, 7.0) for leaf in tree.leaves()}
 
