@@ -141,16 +141,8 @@ def _parse_float(path, lineno: int, column: int, token: str) -> float:
 
 def load_classes(path: Union[str, Path]) -> Dict[str, InnovatorClass]:
     """Read a country -> innovator-class CSV (header: country,class)."""
-    text = _read_text(path)
-    columns = _columns(text, CLASS_HEADER)
-    if columns is not None:
-        countries, tokens = columns
-        with suppress(ValueError):  # an unknown class: the rows below name its line
-            classes = dict(zip(countries, map(InnovatorClass, map(str.lower, tokens))))
-            if len(classes) == len(countries):  # else a repeated country, named below
-                return classes
     classes = {}
-    for lineno, (country, cls_token) in _rows(path, text, CLASS_HEADER):
+    for lineno, (country, cls_token) in _rows(path, _read_text(path), CLASS_HEADER):
         try:
             cls = InnovatorClass(cls_token.lower())
         except ValueError:

@@ -67,12 +67,10 @@ class Panel:
     Values are kept as {year: {indicator: {country: value}}}, one column
     per indicator and year, with the sorted year tuple and each year's
     sorted country tuple; all are built once, at construction, in O(rows),
-    and no per-row key is built.  Costs after that:
-    `years()` and `countries(year)` O(1), returning the kept tuples;
-    `value` three and `innovator_class` one dict lookup; `year_values(year)`
-    O(the year's observations), a new read-only {(country, indicator):
-    value} mapping; `countries()` without a year merges the per-year
-    tuples, O(countries x years); `len` O(columns).
+    and no per-row key is built.  Costs after that: `years()` and
+    `countries(year)` O(1), returning the kept tuples; `value` three and
+    `innovator_class` one dict lookup; `countries()` without a year merges
+    the per-year tuples, O(countries x years); `len` O(columns).
     """
 
     def __init__(
@@ -141,13 +139,6 @@ class Panel:
 
     def value(self, year: int, country: str, indicator: str) -> Optional[float]:
         return self._columns(year).get(indicator, _EMPTY).get(country)
-
-    def year_values(self, year: int) -> Mapping[Tuple[str, str], float]:
-        """A new read-only {(country, indicator): value} mapping of one year
-        (empty for a year not in the panel), indicator by indicator."""
-        return MappingProxyType({(country, indicator): value
-                                 for indicator, column in self._columns(year).items()
-                                 for country, value in column.items()})
 
     def _columns(self, year: int) -> Mapping[str, Mapping[str, float]]:
         """{indicator: {country: value}} for one year, the kept dicts
@@ -404,19 +395,18 @@ def _check_scores(scores: Iterable[Tuple[Tuple[str, str], float]]) -> None:
 class ScoreTable(_Record):
     """Per-country, per-node scores on the 1-7 scale for one year.
 
-    The sorted country and node tuples, each country's row, each node's
-    column and each column's scores in ascending order are built on first
-    use and kept with the table (they take no part in equality); compute_all
+    The sorted country tuple, each country's row, each node's column and
+    each column's scores in ascending order are built on first use and
+    kept with the table (they take no part in equality); compute_all
     keeps the countries and rows its walk gives, and its entries are built
     from those rows on first read (_from_rows).
     """
 
     year: int
     entries: Mapping[Tuple[str, str], float]
-    # _cached() store: {("countries",) and ("nodes",): the sorted country
-    # and node tuples, ("rows",): {country: (nodes, scores)},
-    # ("column", node): {country: score}, ("ascending", node): that column's
-    # scores in ascending order}
+    # _cached() store: {("countries",): the sorted country tuple, ("rows",):
+    # {country: (nodes, scores)}, ("column", node): {country: score},
+    # ("ascending", node): that column's scores in ascending order}
     _cache = None
 
     def __post_init__(self):
@@ -503,11 +493,6 @@ class ScoreTable(_Record):
             return sorted(column.values())
 
         return _cached(self, ("ascending", node), build)
-
-    def nodes(self) -> Tuple[str, ...]:
-        return _cached(self, ("nodes",), lambda: tuple(sorted({
-            n for nodes, scores in self._rows().values() for n, s in zip(nodes, scores)
-            if s is not None})))
 
 
 class _Transposed:

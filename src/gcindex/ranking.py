@@ -12,7 +12,7 @@ from bisect import bisect_right
 from typing import Dict, List, Mapping, Tuple
 
 from .errors import EmptyIntersectionError, MissingNodeError
-from .model import _EMPTY, COMPETITION, Panel, RankTable, ScoreTable, _Record
+from .model import COMPETITION, Panel, RankTable, ScoreTable, _Record
 
 
 def _competition_rank(ordered: List[float], own: float, score: float) -> int:
@@ -43,9 +43,8 @@ def rank_table_from_indicator(panel: Panel, year: int, indicator: str) -> RankTa
     so they may refer to a wider table than the panel's own countries.
     """
     ranks: Dict[str, int] = {}
-    get = panel._columns(year).get(indicator, _EMPTY).get
     for country in panel.countries(year):
-        value = get(country)
+        value = panel.value(year, country, indicator)
         if value is None:
             continue
         rank = int(value)

@@ -28,7 +28,8 @@ from gcindex.model import (
     Normalization,
     Panel,
 )
-from util import aggregate, make_assignment, make_random_tree, oracle_eval, reference_scores
+from util import (aggregate, make_assignment, make_random_tree, oracle_eval, reference_scores,
+                  year_values)
 
 CORE = InnovatorClass.CORE
 NONCORE = InnovatorClass.NONCORE
@@ -215,7 +216,7 @@ class TestComputeAll:
         assert (table.score("A", "H"), table.score("B", "H")) == (4.0, 7.0)
         assert table.get("C", "H") is None
         wanted = set(tree.leaves())
-        leaves = {k: v for k, v in panel.year_values(2006).items() if k[1] in wanted}
+        leaves = {k: v for k, v in year_values(panel, 2006).items() if k[1] in wanted}
         assert evaluate_node(tree, "H", CORE, leaves, "A") == 4.0
 
     def test_observed_bounds_degenerate_when_constant(self, wef_tree):
@@ -328,7 +329,7 @@ class TestLinearCost:
         # once per node and class, however often it is asked
         builds.clear()
         wanted = set(tree.leaves())
-        leaves = {k: v for k, v in panel.year_values(2006).items() if k[1] in wanted}
+        leaves = {k: v for k, v in year_values(panel, 2006).items() if k[1] in wanted}
         for i in range(20):
             country = table.countries()[i % 10]  # C0000 and C0005 are core
             score = evaluate_node(tree, "TI", panel.innovator_class(country), leaves, country,
@@ -606,7 +607,7 @@ class TestFirstFault:
             outcomes = {**outcomes, **renormalized}
         panel = _fault_panel(changes)
         wanted = set(_FAULT_TREE.leaves())
-        leaves = {k: v for k, v in panel.year_values(2006).items() if k[1] in wanted}
+        leaves = {k: v for k, v in year_values(panel, 2006).items() if k[1] in wanted}
         for country, expected in outcomes.items():
             cls = _FAULT_CLASSES[country]
             if isinstance(expected, str):

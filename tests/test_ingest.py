@@ -51,6 +51,7 @@ from gcindex.model import (
 from gcindex.ranking import rank_delta, rank_table_from_indicator
 from gcindex.report import emit_report, render_report
 from gcindex.stats import rank_homogeneity_test
+from util import year_values
 
 
 class TestLoadPanel:
@@ -224,6 +225,13 @@ class TestLoadClasses:
         with pytest.raises(ParseError, match=r"classes\.csv:2"):
             load_classes(path)
 
+    def test_repeated_country_is_located(self, tmp_path):
+        path = tmp_path / "classes.csv"
+        path.write_text("country,class\nA,core\n# note\nB,noncore\nA,core\n")
+        with pytest.raises(DuplicateKeyError) as err:
+            load_classes(path)
+        assert str(err.value) == f"{path}:5: duplicate class entry for 'A'"
+
     def test_bundled_class_map_is_all_noncore(self):
         classes = load_classes(fixture_path(BALKANS_CLASSES))
         assert len(classes) == 10
@@ -343,21 +351,6 @@ def test_columnar_and_row_panel_reads_agree(case):
     assert columnar == rows
 
 
-_CLASS_LINES = ("A,core", "B,NonCore", "C#1,CORE", "A,noncore", "D,middling", " E ,core",
-                "", "# note", "F,core,x", "G", ",core", "H,")
-
-
-@settings(max_examples=100, deadline=None)
-@given(lines=st.lists(st.sampled_from(_CLASS_LINES), max_size=6),
-       end=st.sampled_from(["\n", ""]))
-def test_columnar_and_row_class_reads_agree(lines, end):
-    with tempfile.TemporaryDirectory() as work:
-        path = Path(work) / "classes.csv"
-        path.write_text("\n".join(["country,class", *lines]) + end, encoding="utf-8")
-        columnar, rows = _both_reads(load_classes, path)
-    assert columnar == rows
-
-
 def test_misaligned_lines_fail_at_the_short_one(tmp_path):
     # 8 fields in all, two rows' worth, but the first line holds only 3
     path = tmp_path / "panel.csv"
@@ -387,7 +380,7 @@ def test_clean_panels_take_the_columnar_path(tmp_path, monkeypatch):
     for panel, classes in [(fixture_path(BALKANS_PANEL), fixture_path(BALKANS_CLASSES)),
                            (tmp_path / "panel.csv", tmp_path / "classes.csv")]:
         columnar = _outcome(load_panel, panel, load_classes(classes))
-        assert read == [True, True]  # the class map, then the panel
+        assert read == [True]  # the panel; the class map is read by rows
         read.clear()
         with _row_read_only():
             assert _outcome(load_panel, panel, load_classes(classes)) == columnar
@@ -672,7 +665,7 @@ def _load_all(work, texts):
     indicators = {line.split(",")[2].strip() for line in texts["panel"].split("\n")[1:]
                   if line and not line.startswith("#")}
     contents = (panel.years(), panel.countries(), panel.classes,
-                {year: {k: v for k, v in panel.year_values(year).items() if k[1] in indicators}
+                {year: {k: v for k, v in year_values(panel, year).items() if k[1] in indicators}
                  for year in panel.years()})
     return contents, load_classes(paths["classes"]), load_score_table(paths["scores"])
 
@@ -838,9 +831,9 @@ def test_score_reports_match_a_per_cell_oracle(table, tables, computed):
         assert (render_report(t, "csv"), render_report(t, "json")) == _per_cell_reports(t)
         for format in ("csv", "json"):
             assert render_report(t, format) == render_report(plain[year], format)
-        for node in plain[year].nodes():
+        for node in sorted({n for _, n in plain[year].entries}):
             assert render_report(t, "svg", node) == render_report(plain[year], "svg", node)
-    for node in sorted({n for t in plain.values() for n in t.nodes()}):
+    for node in sorted({n for t in plain.values() for _, n in t.entries}):
         assert (render_report(computed, "csv", node),
                 render_report(computed, "json", node)) == _per_cell_reports(computed, node)
         for format in ("csv", "json", "svg"):

@@ -92,17 +92,10 @@ def test_panel_requires_class_for_every_country():
 
 
 def test_panel_defaults_to_noncore():
-    panel = Panel([(2005, "A", "x", 1.0)])
-    assert panel.innovator_class("A") is InnovatorClass.NONCORE
-
-
-def test_year_values_is_a_read_only_view_of_one_year():
     panel = Panel([(2005, "A", "x", 1.0), (2005, "B", "y", 2.0), (2006, "A", "x", 3.0)])
-    view = panel.year_values(2005)
-    assert dict(view) == {("A", "x"): 1.0, ("B", "y"): 2.0}
-    with pytest.raises(TypeError):
-        view[("C", "x")] = 4.0
-    assert dict(panel.year_values(2004)) == {}
+    assert panel.innovator_class("A") is InnovatorClass.NONCORE
+    assert (panel.value(2005, "A", "x"), panel.value(2005, "B", "y")) == (1.0, 2.0)
+    assert panel.value(2004, "A", "x") is None
     assert panel.value(2005, "C", "x") is None
 
 
@@ -133,10 +126,10 @@ def test_nested_cache_builds_stay_kept(monkeypatch):
     assert walks == [InnovatorClass.CORE]
 
 
-def test_node_tuple_is_kept_outside_equality():
+def test_country_tuple_is_kept_outside_equality():
     entries = {("B", "TI"): 3.0, ("A", "GCI"): 4.0, ("A", "TI"): 2.0}
     warm, cold = ScoreTable(2005, entries), ScoreTable(2005, dict(entries))
-    assert warm.nodes() is warm.nodes() == ("GCI", "TI")
+    assert warm.countries() is warm.countries() == ("A", "B")
     assert warm == cold and repr(warm) == repr(cold)
 
 

@@ -64,6 +64,14 @@ def aggregate(parts) -> float:
     return num / (den << 52)
 
 
+def year_values(panel, year: int) -> dict:
+    """{(country, indicator): value} of one year's observations (empty for a
+    year not in the panel), indicator by indicator as the panel keeps them."""
+    return {(country, indicator): value
+            for indicator, column in panel._columns(year).items()
+            for country, value in column.items()}
+
+
 def make_assignment(rng: Random, tree: IndexTree, country: str = "X") -> dict:
     return {(country, leaf): rng.uniform(1.0, 7.0) for leaf in tree.leaves()}
 
