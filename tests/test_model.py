@@ -92,9 +92,15 @@ def test_panel_requires_class_for_every_country():
 
 
 def test_panel_defaults_to_noncore():
-    panel = Panel([(2005, "A", "x", 1.0), (2005, "B", "y", 2.0), (2006, "A", "x", 3.0)])
+    panel = Panel([(2005, "A", "x", 1.0)])
     assert panel.innovator_class("A") is InnovatorClass.NONCORE
+
+
+def test_value_reads_one_cell_of_one_year():
+    panel = Panel([(2005, "A", "x", 1.0), (2005, "B", "y", 2.0), (2006, "A", "x", 3.0)])
     assert (panel.value(2005, "A", "x"), panel.value(2005, "B", "y")) == (1.0, 2.0)
+    assert panel.value(2006, "A", "x") == 3.0
+    assert panel.value(2006, "B", "y") is None
     assert panel.value(2004, "A", "x") is None
     assert panel.value(2005, "C", "x") is None
 

@@ -121,6 +121,16 @@ def test_row_order_does_not_change_the_panel():
                         seed, year, country, indicator)
 
 
+def test_value_reads_each_cell_indicator_by_indicator():
+    panel = Panel([(2005, "B", "y", 2.0), (2005, "A", "x", 1.0), (2005, "A", "y", 3.0)])
+    assert list(year_values(panel, 2005).items()) == [
+        (("B", "y"), 2.0), (("A", "y"), 3.0), (("A", "x"), 1.0)]
+    for (country, indicator), value in year_values(panel, 2005).items():
+        assert panel.value(2005, country, indicator) == value, (country, indicator)
+    assert panel.value(2005, "B", "x") is None
+    assert panel.value(2005, "C", "x") is None
+
+
 def test_compute_all_is_bit_identical_under_any_row_order():
     for rows in (ROWS, _gapped(ROWS)):
         base = _scored(rows)
