@@ -171,6 +171,51 @@ class TestLoadPanel:
             **{("_check_token", token): 1 for token in ("A", "B", "C", "TI", "PI")},
         })
 
+    def test_clean_read_checks_each_year_and_token_once(self, tmp_path, monkeypatch):
+        # the same rows as above, unpadded: the file is read column by column
+        path = tmp_path / "panel.csv"
+        path.write_text(
+            "year,country,indicator,value\n"
+            "2005,A,TI,3.5\n"
+            "2005,B,TI,3.5\n"
+            "02005,C,TI,3.5\n"
+            "2006,A,TI,3.5\n"
+            "2005,A,PI,3.5\n"
+            "02005,B,PI,3.5\n"
+            "2006,B,TI,3.5\n"
+        )
+        calls = Counter()
+        for name in ("_check_year", "_check_token"):
+            def counted(*args, real=getattr(model, name), name=name):
+                calls[name, args[-1]] += 1
+                return real(*args)
+            monkeypatch.setattr(model, name, counted)
+        read = []
+        real = ingest._columns
+
+        def spy(text, header):
+            read.append(real(text, header) is not None)
+            return real(text, header)
+        monkeypatch.setattr(ingest, "_columns", spy)
+        panel = load_panel(path)
+        assert read == [True]
+        assert len(panel) == 7
+        assert panel.years() == (2005, 2006)
+        assert calls == Counter({
+            ("_check_year", 2005): 1, ("_check_year", 2006): 1,
+            **{("_check_token", token): 1 for token in ("A", "B", "C", "TI", "PI")},
+        })
+
+    @pytest.mark.parametrize("text", ["year,country,indicator,value\n",
+                                      "year,country,indicator,value",
+                                      "# only a header\nyear,country,indicator,value\n"])
+    def test_a_header_only_file_is_an_empty_panel(self, tmp_path, text):
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        panel = load_panel(path)
+        assert len(panel) == 0
+        assert (panel.years(), panel.countries(), panel.classes) == ((), (), {})
+
     def test_country_without_class_is_named(self, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text("year,country,indicator,value\n2005,C,TI,3.5\n2005,A,TI,3.5\n"

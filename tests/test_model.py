@@ -96,6 +96,22 @@ def test_panel_defaults_to_noncore():
     assert panel.innovator_class("A") is InnovatorClass.NONCORE
 
 
+def test_an_empty_panel_has_no_years_countries_or_values():
+    panel = Panel([])
+    assert len(panel) == 0
+    assert (panel.years(), panel.countries(), panel.countries(2005)) == ((), (), ())
+    assert panel.classes == {}
+    assert panel.value(2005, "A", "x") is None
+
+
+@pytest.mark.parametrize("row", [(2005, "A", "x"), (2005, "A", "x", 1.0, "extra")])
+def test_a_row_that_is_not_four_fields_raises(row):
+    with pytest.raises(ValueError):
+        Panel([row])
+    with pytest.raises(ValueError):
+        Panel([(2005, "B", "x", 2.0), row, (2006, "B", "x", 3.0)])
+
+
 def test_value_reads_one_cell_of_one_year():
     panel = Panel([(2005, "A", "x", 1.0), (2005, "B", "y", 2.0), (2006, "A", "x", 3.0)])
     assert (panel.value(2005, "A", "x"), panel.value(2005, "B", "y")) == (1.0, 2.0)
@@ -180,6 +196,42 @@ class TestValidateTree:
         }
         with pytest.raises(WeightSumError):
             validate_tree(IndexTree(nodes=nodes, root="GCI"))
+
+    @pytest.mark.parametrize("nodes,root,error,message", [
+        ({"a": Node("a")}, "R", DanglingChildError, "root 'R' not among nodes"),
+        ({"R": Node("R", edges=(("a", Fraction(1)),))}, "R",
+         DanglingChildError, "node 'R' references unknown child 'a'"),
+        ({"R": Node("R", edges=(("a", Fraction(1, 2)), ("a", Fraction(1, 2)))), "a": Node("a")},
+         "R", DanglingChildError, "node 'R' lists child 'a' twice"),
+        ({"R": Node("R", edges=(("a", 0.5), ("b", Fraction(1, 2)))), "a": Node("a"),
+          "b": Node("b")}, "R", WeightSumError, "node 'R': weight for 'a' is not an exact rational"),
+        ({"R": Node("R", edges=(("a", 1),)), "a": Node("a")},
+         "R", WeightSumError, "node 'R': weight for 'a' is not an exact rational"),
+        ({"R": Node("R", edges=(("a", Fraction(3, 2)), ("b", Fraction(-1, 2)))), "a": Node("a"),
+          "b": Node("b")}, "R", WeightSumError, "node 'R': weight 3/2 for 'a' outside (0, 1]"),
+        ({"R": Node("R", edges=(("a", Fraction(1)), ("b", Fraction(0)))), "a": Node("a"),
+          "b": Node("b")}, "R", WeightSumError, "node 'R': weight 0 for 'b' outside (0, 1]"),
+        ({"R": Node("R", edges=(("a", Fraction(1, 2)), ("b", Fraction(1, 4)), ("c", Fraction(1, 3)))),
+          "a": Node("a"), "b": Node("b"), "c": Node("c")},
+         "R", WeightSumError, "node 'R' (core): weights sum to 13/12, not 1"),
+        ({"R": Node("R", edges=(("a", Fraction(1)), ("b", Fraction(1, 2)), ("c", Fraction(1, 2)))),
+          "a": Node("a"), "b": Node("b"), "c": Node("c")},
+         "R", WeightSumError, "node 'R' (core): weights sum to 2, not 1"),
+        ({"R": Node("R", edges_by_class={
+            InnovatorClass.CORE: (("a", Fraction(1)),),
+            InnovatorClass.NONCORE: (("a", Fraction(1, 2)), ("b", Fraction(1, 4))),
+         }), "a": Node("a"), "b": Node("b")},
+         "R", WeightSumError, "node 'R' (noncore): weights sum to 3/4, not 1"),
+        ({"R": Node("R", edges_by_class={})},
+         "R", WeightSumError, "aggregate node 'R' has no edges for either class"),
+        ({"R": Node("R", edges_by_class={InnovatorClass.CORE: ()})},
+         "R", WeightSumError, "aggregate node 'R' has no edges for either class"),
+    ])
+    def test_every_error_message_is_exact(self, nodes, root, error, message):
+        with pytest.raises(error) as err:
+            validate_tree(IndexTree(nodes=nodes, root=root))
+        assert type(err.value) is error
+        assert str(err.value) == message
 
     def test_cached_order_keeps_equality_and_repr(self, wef_tree):
         fresh = IndexTree(wef_tree.nodes, wef_tree.root)
