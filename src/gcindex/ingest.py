@@ -29,6 +29,8 @@ from .model import (
     Normalization,
     Panel,
     ScoreTable,
+    _Columns,
+    _check_rows,
     _check_scores,
     validate_tree,
 )
@@ -87,8 +89,9 @@ def _rows(path, text: str, header: str):
         yield lineno, fields
 
 
-#: every byte but ',' and '\n', which UTF-8 writes only as themselves
-_NOT_SEPARATORS = bytes(sorted(set(range(256)) - set(b",\n")))
+#: every byte but ',', '\n' and the other ASCII whitespace, which UTF-8
+#: writes only as themselves
+_DROPPED = bytes(i for i in range(256) if i > 127 or not (chr(i).isspace() or chr(i) == ","))
 
 
 def _columns(text: str, header: str):
@@ -102,7 +105,8 @@ def _columns(text: str, header: str):
     if "#" in text and (text.startswith("#") or "\n#" in text):
         text = "\n".join([line for line in text.split("\n") if line[:1] != "#"])
     final = text.endswith("\n")  # the final newline ends the last line
-    separators = text.encode().translate(None, _NOT_SEPARATORS) + (b"" if final else b"\n")
+    # the separators and any ASCII whitespace, which then fails the match
+    separators = text.encode().translate(None, _DROPPED) + (b"" if final else b"\n")
     # line by line, not in all: a short line next to a long one holds the
     # right number of fields in all
     commas = b"," * header.count(",")
@@ -110,7 +114,7 @@ def _columns(text: str, header: str):
         return None
     flat = text.replace("\n", ",")
     del text  # a caller that passed no other reference frees it here
-    if flat.split(None, 1) != [flat]:  # whitespace somewhere
+    if not flat.isascii() and flat.split(None, 1) != [flat]:  # whitespace beyond ASCII
         return None
     fields = flat.split(",")
     del flat
@@ -163,19 +167,21 @@ def load_panel(
 
     '#' lines are comments.  A clean file (see _columns: the exact header,
     four fields on every line, no whitespace) is read column by column: its
-    text is split once, each distinct year field parsed once, and each
-    distinct country or indicator kept as one string.  Any other file, and
-    a clean one with a bad cell, is read row by row, which strips padded
-    fields and skips blank lines.  Panel checks the rows either way, and a
-    failure names its line (a duplicate key also the line of its first
-    row), in the same words whichever way the file was read.  Countries
-    without a class entry fail unless no class map is given, in which case
-    everyone defaults to non-core.
+    text is split once, each distinct year field parsed once, each distinct
+    country or indicator kept as one string, and the four columns go to
+    Panel as they are.  Any other file is read row by row, which strips
+    padded fields and skips blank lines, and Panel takes its rows.  Only on
+    a fault (a bad cell or a repeated key, whichever read ran) are the rows
+    read again one by one and checked in order up to the first faulty one,
+    which fails naming its line (a duplicate key also the line of its first
+    row), in the same words whichever read ran.  Countries without a class
+    entry fail unless no class map is given, in which case everyone
+    defaults to non-core.
     """
-    # the text is not kept while its fields are split: a fall back reads it again
+    # the text is not kept while its fields are split: the row read reads it again
     columns = _columns(_read_text(path), PANEL_HEADER)
     if columns is not None:
-        # any fault: the rows below raise the first one, naming its line
+        # any fault: the row-order check below raises the first one, naming its line
         with suppress(ValueError, DuplicateKeyError):
             year_of = {field: int(field) for field in set(columns[0])}
             token = {}  # one string per distinct country or indicator
@@ -184,24 +190,23 @@ def load_panel(
             for i in (1, 2):
                 columns[i] = list(map(token.setdefault, columns[i], columns[i]))
             columns[3] = list(map(float, columns[3]))
-            return Panel(zip(*columns), classes)
+            return Panel(_Columns(columns), classes)
     text = _read_text(path)
     lineno = 0
 
     def rows():
         nonlocal lineno
         years = {}  # year field -> year
-        field = None  # the previous row's year field, which parsed to `year`
         for lineno, (year_t, country, indicator, value_t) in _rows(path, text, PANEL_HEADER):
-            if year_t != field:
-                year = years.get(year_t)
-                if year is None:
-                    year = years[year_t] = _parse_int(path, lineno, 1, year_t)
-                field = year_t
-            yield year, country, indicator, _parse_float(path, lineno, 4, value_t)
+            if year_t not in years:
+                years[year_t] = _parse_int(path, lineno, 1, year_t)
+            yield years[year_t], country, indicator, _parse_float(path, lineno, 4, value_t)
 
+    if columns is None:  # else the clean read found a fault, which the check below raises
+        with suppress(ParseError, ValueError, DuplicateKeyError):
+            return Panel(rows(), classes)
     try:
-        return Panel(rows(), classes)
+        _check_rows(rows())  # read lazily, so a fault fails at its own line
     except ValueError as exc:
         raise ParseError(path, lineno, str(exc)) from None
     except DuplicateKeyError as exc:
@@ -210,6 +215,7 @@ def load_panel(
             at = first.setdefault((int(year_t), country, indicator), n)
             if n == lineno:
                 raise DuplicateKeyError(f"{path}:{lineno}: {exc} (first at line {at})") from None
+    return Panel(rows(), classes)
 
 
 def load_score_table(path: Union[str, Path]) -> ScoreTable:

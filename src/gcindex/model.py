@@ -35,6 +35,10 @@ class InnovatorClass(Enum):
     CORE = "core"
     NONCORE = "noncore"
 
+    # each member is its only instance, so identity hashing agrees with ==;
+    # Enum.__hash__ is Python code that hashes the member's name
+    __hash__ = object.__hash__
+
 
 def _check_year(year: int) -> None:
     if not 1990 <= year <= 2100:
@@ -52,25 +56,51 @@ def _check_token(name: str, token: str) -> None:
 _EMPTY: Mapping = MappingProxyType({})
 
 
+def _check_rows(rows: Iterable[Tuple[int, str, str, float]]) -> None:
+    """Raise the first faulty row's error, in row order: its year, then its
+    country and indicator tokens, then its value (ValueError), then its key
+    (DuplicateKeyError)."""
+    seen = set()  # the years, tokens and keys checked so far
+    for year, country, indicator, value in rows:
+        if year not in seen:
+            _check_year(year)
+        for name, token in (("country", country), ("indicator", indicator)):
+            if token not in seen:
+                _check_token(name, token)
+        if not math.isfinite(value):
+            raise ValueError(f"value {value} is not finite")
+        key = (year, country, indicator)
+        if key in seen:
+            raise DuplicateKeyError(f"duplicate observation {key}")
+        seen.update((year, country, indicator, key))
+
+
+class _Columns(tuple):
+    """(years, countries, indicators, values): rows given as columns, which
+    Panel takes as they are."""
+
+
 class Panel:
     """Immutable observations indexed by year and indicator, plus a
     country -> class map.
 
     Built from plain (year, country, indicator, value) rows, the one place
-    they are checked: each distinct year in [1990, 2100], each distinct
-    country or indicator token non-empty without whitespace, each value
-    finite (ValueError otherwise; raw units for hard indicators, 1-7 for
-    survey ones) and each key unique (DuplicateKeyError); the first faulty
-    row in row order raises.  Every country in the rows must have a class
-    entry.
+    they are checked: each year in [1990, 2100], each country or indicator
+    token non-empty without whitespace, each value finite (ValueError
+    otherwise; raw units for hard indicators, 1-7 for survey ones) and each
+    key unique (DuplicateKeyError); the first faulty row in row order
+    raises.  Every country in the rows must have a class entry.
 
-    Values are kept as {year: {indicator: {country: value}}}, one column
-    per indicator and year, with the sorted year tuple and each year's
-    sorted country tuple; all are built once, at construction, in O(rows),
-    and no per-row key is built.  Costs after that: `years()` and
-    `countries(year)` O(1), returning the kept tuples; `value` three and
-    `innovator_class` one dict lookup; `countries()` without a year merges
-    the per-year tuples, O(countries x years); `len` O(columns).
+    The rows are transposed into columns (load_panel hands a clean file's
+    in as they are), and one loop stores each value under {year:
+    {indicator: {country: value}}}.  Each distinct year and token is then
+    checked once, the values in one pass, and a repeated key shows as fewer
+    kept values than rows; only on a fault are the rows checked one by one
+    (_check_rows).  The sorted years and each year's sorted countries are
+    kept too; all is built in O(rows).  After that, `years()` and
+    `countries(year)` are O(1); `value` takes three and `innovator_class`
+    one dict lookup; `countries()` merges the years' tuples; `len` is
+    O(columns).
     """
 
     def __init__(
@@ -78,35 +108,31 @@ class Panel:
         rows: Iterable[Tuple[int, str, str, float]],
         classes: Optional[Mapping[str, InnovatorClass]] = None,
     ):
+        if type(rows) is not _Columns:
+            rows = tuple(rows)
+            # strict: rows of unequal length fail, rather than being cut to the shortest
+            rows = zip(*rows, strict=True) if rows else ((),) * 4
+        years, countries, indicators, values = rows
         by_year: Dict[int, Dict[str, Dict[str, float]]] = {}
-        checked = set()  # country and indicator tokens that passed _check_token
-        isfinite = math.isfinite
-        last = None  # the previous row's year, whose columns are `columns`
-        for year, country, indicator, value in rows:
-            if year != last:
-                columns = by_year.get(year)
-                if columns is None:
-                    _check_year(year)
-                    columns = by_year[year] = {}
-                last = year
-            if country not in checked:
-                _check_token("country", country)
-                checked.add(country)
-            column = columns.get(indicator)
-            if column is None:
-                if indicator not in checked:
-                    _check_token("indicator", indicator)
-                    checked.add(indicator)
-                column = columns[indicator] = {}
-            if not isfinite(value):
-                raise ValueError(f"value {value} is not finite")
-            if country in column:
-                raise DuplicateKeyError(f"duplicate observation {(year, country, indicator)}")
-            column[country] = value
-        countries = {
-            year: tuple(sorted(set().union(*columns.values()))) for year, columns in by_year.items()
-        }
-        present = set().union(*countries.values())
+        try:
+            for year, country, indicator, value in zip(years, countries, indicators, values):
+                try:
+                    by_year[year][indicator][country] = value
+                except KeyError:
+                    by_year.setdefault(year, {}).setdefault(indicator, {})[country] = value
+            for year in by_year:
+                _check_year(year)
+            countries_of = {year: tuple(sorted(set().union(*columns.values())))
+                            for year, columns in by_year.items()}
+            present = set().union(*countries_of.values())
+            for token in present.union(*by_year.values()):  # the countries and indicators
+                _check_token("country or indicator", token)
+            self._by_year = by_year
+            if len(self) != len(values) or not all(map(math.isfinite, values)):
+                raise ValueError("a repeated key or a value that is not finite")
+        except (AttributeError, TypeError, ValueError):  # a bad year, token, value or key
+            _check_rows(zip(years, countries, indicators, values))  # raises the first fault
+            raise
         if classes is None:
             # Regional default: treat every observed country as a non-core
             # innovator unless told otherwise.
@@ -114,8 +140,7 @@ class Panel:
         missing = present - set(classes)
         if missing:
             raise MissingClassError(f"no innovator class for: {sorted(missing)}")
-        self._by_year = by_year
-        self._countries = countries
+        self._countries = countries_of
         self._years = tuple(sorted(by_year))
         self._classes = dict(classes)
 
@@ -369,18 +394,20 @@ def validate_tree(tree: IndexTree) -> IndexTree:
             if not edges:
                 continue
             seen_children = set()
-            total = Fraction(0)
             for child, weight in edges:
                 if child in seen_children:
                     raise DanglingChildError(f"node {node_id!r} lists child {child!r} twice")
                 seen_children.add(child)
                 if not isinstance(weight, Fraction):
                     raise WeightSumError(f"node {node_id!r}: weight for {child!r} is not an exact rational")
-                if not 0 < weight <= 1:
+                if not 0 < weight.numerator <= weight.denominator:
                     raise WeightSumError(f"node {node_id!r}: weight {weight} for {child!r} outside (0, 1]")
-                total += weight
-            if total != 1:
-                raise WeightSumError(f"node {node_id!r} ({cls.value}): weights sum to {total}, not 1")
+            # the weights as integers over their common denominator, as plan() keeps them
+            den = math.lcm(*(w.denominator for _, w in edges))
+            total = sum(w.numerator * (den // w.denominator) for _, w in edges)
+            if total != den:
+                raise WeightSumError(
+                    f"node {node_id!r} ({cls.value}): weights sum to {Fraction(total, den)}, not 1")
         if not node.children(InnovatorClass.CORE) and not node.children(InnovatorClass.NONCORE):
             raise WeightSumError(f"aggregate node {node_id!r} has no edges for either class")
     return tree
