@@ -135,20 +135,27 @@ class TestLoadPanel:
             f"{path}:7: duplicate observation (2005, 'A', 'TI') (first at line 4)"
         )
 
-    def test_each_year_field_and_token_is_checked_once(self, tmp_path, monkeypatch):
+    #: the rows of the test below, padded (so read row by row) and clean
+    _ONE_YEAR_TWO_WAYS = [
+        "2005,A,TI,3.5\n",
+        " 2005 ,B,TI,3.5\n",
+        "02005,C,TI,3.5\n",
+        "2006,A,TI,3.5\n",
+        "2005,A,PI,3.5\n",
+        " 02005,B , PI,3.5\n",
+        "2006,B,TI,3.5\n",
+    ]
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_each_year_field_and_token_is_checked_once(self, tmp_path, monkeypatch, columnar):
         # '2005' and ' 2005 ' are one year field once stripped, '02005' is
-        # another for the same year 2005, and '2006' is a second year.
+        # another for the same year 2005, and '2006' is a second year.  The
+        # columnar read parses each distinct year field with int(), not
+        # _parse_int.
+        rows = self._ONE_YEAR_TWO_WAYS
         path = tmp_path / "panel.csv"
-        path.write_text(
-            "year,country,indicator,value\n"
-            "2005,A,TI,3.5\n"
-            " 2005 ,B,TI,3.5\n"
-            "02005,C,TI,3.5\n"
-            "2006,A,TI,3.5\n"
-            "2005,A,PI,3.5\n"
-            " 02005,B , PI,3.5\n"
-            "2006,B,TI,3.5\n"
-        )
+        path.write_text("year,country,indicator,value\n"
+                        + "".join(row.replace(" ", "") if columnar else row for row in rows))
         calls = Counter()
 
         def count(module, name):
@@ -162,34 +169,6 @@ class TestLoadPanel:
         count(ingest, "_parse_int")
         count(model, "_check_year")
         count(model, "_check_token")
-        panel = load_panel(path)
-        assert len(panel) == 7
-        assert panel.years() == (2005, 2006)
-        assert calls == Counter({
-            ("_parse_int", "2005"): 1, ("_parse_int", "02005"): 1, ("_parse_int", "2006"): 1,
-            ("_check_year", 2005): 1, ("_check_year", 2006): 1,
-            **{("_check_token", token): 1 for token in ("A", "B", "C", "TI", "PI")},
-        })
-
-    def test_clean_read_checks_each_year_and_token_once(self, tmp_path, monkeypatch):
-        # the same rows as above, unpadded: the file is read column by column
-        path = tmp_path / "panel.csv"
-        path.write_text(
-            "year,country,indicator,value\n"
-            "2005,A,TI,3.5\n"
-            "2005,B,TI,3.5\n"
-            "02005,C,TI,3.5\n"
-            "2006,A,TI,3.5\n"
-            "2005,A,PI,3.5\n"
-            "02005,B,PI,3.5\n"
-            "2006,B,TI,3.5\n"
-        )
-        calls = Counter()
-        for name in ("_check_year", "_check_token"):
-            def counted(*args, real=getattr(model, name), name=name):
-                calls[name, args[-1]] += 1
-                return real(*args)
-            monkeypatch.setattr(model, name, counted)
         read = []
         real = ingest._columns
 
@@ -198,10 +177,13 @@ class TestLoadPanel:
             return real(text, header)
         monkeypatch.setattr(ingest, "_columns", spy)
         panel = load_panel(path)
-        assert read == [True]
+        assert read == [columnar]
         assert len(panel) == 7
         assert panel.years() == (2005, 2006)
+        parsed = {} if columnar else {
+            ("_parse_int", "2005"): 1, ("_parse_int", "02005"): 1, ("_parse_int", "2006"): 1}
         assert calls == Counter({
+            **parsed,
             ("_check_year", 2005): 1, ("_check_year", 2006): 1,
             **{("_check_token", token): 1 for token in ("A", "B", "C", "TI", "PI")},
         })
